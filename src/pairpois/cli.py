@@ -389,6 +389,12 @@ def cmd_fit(args) -> int:
 
 
 def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
+    version = report.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        found = "no schema_version" if version is None else f"schema_version {version!r}"
+        raise DataFormatError(
+            f"fit report has {found}; this pairpois reads schema_version {SCHEMA_VERSION}"
+        )
     spec = ModelSpec.from_json(report["model"])
     est = report["estimates"]
     params = Params(beta=np.asarray(est["beta"]), sigma2=est["sigma2"], phi=est["phi"])

@@ -24,6 +24,7 @@ from .model import (
     PairwiseEvaluator,
     WorkingParams,
     _degenerate_pair_gradients,
+    _weighted_per_t,
 )
 from .quadrature import QuadRule, gauss_hermite
 
@@ -153,7 +154,10 @@ def _safe_negative(evaluate, dim, ls_index=None, z_index=None):
     Trial points the line search probes can push tanh(z_phi) onto the
     boundary or overflow exp(log_sigma2); those evaluations (and points
     outside the working sanity box) report an infinite objective so the
-    step is rejected instead of raised.
+    step is rejected instead of raised.  So do points where the value is
+    finite but the score is not: at large latent variances e^v overflows
+    in grid cells whose weight underflowed, and the score moments there
+    come out as 0 * inf.
     """
 
     def neg(x):
@@ -165,7 +169,7 @@ def _safe_negative(evaluate, dim, ls_index=None, z_index=None):
             value, score = evaluate(x)
         except (ValueError, OverflowError, NumericalFailure):
             return math.inf, np.zeros(dim)
-        if not np.isfinite(value):
+        if not (np.isfinite(value) and np.all(np.isfinite(score))):
             return math.inf, np.zeros(dim)
         return -value, -score
 
@@ -442,11 +446,7 @@ def _finish_fit(
 ):
     n = series.n
     h = _sensitivity_from_pairs(pair_grads, n)
-    dim = pair_grads[0][2].shape[1]
-    psi = np.zeros((series.n - weights.m_d, dim))
-    for _, w_lag, grads in pair_grads:
-        psi += w_lag * grads
-    j = _variability_from_psi(psi, n, hac_lags)
+    j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)
     avar = _working_avar(h, j, n)
     godambe = h @ np.linalg.solve(j, h)
     godambe = 0.5 * (godambe + godambe.T)

@@ -273,16 +273,83 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-def _grid_pieces(rule: QuadRule, tau2: float, rho: float):
-    """Latent values at the tensor nodes: u over j, v over (j, k)."""
+def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
+    """Node-side factors of the fused kernel at latent correlation ``rho``.
+
+    Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
+    u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
+    c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
+    latent covariance.  The grid G (5, q^2) has rows
+    [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
+    [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
+    every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
+    log y2!.  With ``want_moments`` the moment matrix M (q^2, 9) has
+    columns [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].
+    """
     x = rule.nodes
+    q = x.shape[0]
     c = math.sqrt(2.0 * tau2)
     s = math.sqrt(1.0 - rho * rho)
-    u = c * x
-    v = c * (rho * x[:, None] + s * x[None, :])
     logw = np.log(rule.weights)
-    logw2 = logw[:, None] + logw[None, :] - _LOG_PI
-    return u, v, logw2
+    u = np.repeat(c * x, q)
+    v = (c * (rho * x[:, None] + s * x[None, :])).ravel()
+    with np.errstate(over="ignore"):
+        exp_u = np.exp(u)
+        exp_v = np.exp(v)
+    grid = np.stack([(logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u, v, exp_v])
+    if not want_moments:
+        return grid, None
+    dv = (c * (x[:, None] - (rho / s) * x[None, :])).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = np.column_stack(
+            [np.ones(q * q), u, exp_u, u * exp_u, v, exp_v, v * exp_v, dv, dv * exp_v]
+        )
+    return grid, moments
+
+
+def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
+    """Log densities (and score pieces) of a set of pairs by two matrix
+    products over one scratch array.
+
+    ``y1``, ``y2`` are the counts as floats, ``eta1``, ``eta2`` the linear
+    predictors and ``lgam`` the summed log-factorials of each pair;
+    ``grid`` and ``moments`` come from :func:`_lag_grid`.  ``out`` is a
+    (pairs, q^2) scratch array that first receives the integrand exponents
+    and then, shifted by each row's maximum, their exponentials in place,
+    so the pass allocates nothing of the grid's size.  ``failure(row)``
+    builds the exception raised when every term of a row underflows even
+    in log space.
+
+    Returns the log density of each pair and, when ``moments`` is given,
+    the (pairs, 4) derivatives of it with respect to eta1, eta2, log c
+    and rho (c = sqrt(2 tau2)).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp_eta1 = np.exp(eta1)
+        exp_eta2 = np.exp(eta2)
+        np.matmul(
+            np.column_stack([np.ones_like(y1), y1, -exp_eta1, y2, -exp_eta2]), grid, out=out
+        )
+        m = out.max(axis=1)
+        bad = ~np.isfinite(m)
+        if np.any(bad):
+            raise failure(int(np.argmax(bad)))
+        out -= m[:, None]
+        np.exp(out, out=out)
+        constant = y1 * eta1 + y2 * eta2 - lgam
+        if moments is None:
+            return m + np.log(out.sum(axis=1)) + constant, None
+        sums = out @ moments
+        total = sums[:, 0]
+        mean = sums[:, 1:] / total[:, None]
+        logp = m + np.log(total) + constant
+    s_u, s_eu, s_ueu, s_v, s_ev, s_vev, s_dv, s_dvev = mean.T
+    derivs = np.empty((y1.shape[0], 4))
+    derivs[:, 0] = y1 - exp_eta1 * s_eu
+    derivs[:, 1] = y2 - exp_eta2 * s_ev
+    derivs[:, 2] = (y1 * s_u - exp_eta1 * s_ueu) + (y2 * s_v - exp_eta2 * s_vev)
+    derivs[:, 3] = y2 * s_dv - exp_eta2 * s_dvev
+    return logp, derivs
 
 
 def pair_log_density(
@@ -299,7 +366,8 @@ def pair_log_density(
     The double integral over the latent pair is approximated with the
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
-    the full grid) so that large counts cannot underflow.
+    the full grid) so that large counts cannot underflow.  This is the
+    kernel :class:`PairwiseEvaluator` runs, called for one pair.
 
     When the two covariate rows are identical the arguments are ordered
     canonically first, which makes the exchange symmetry
@@ -327,19 +395,32 @@ def pair_log_density(
     if np.array_equal(x1, x2) and y2 < y1:
         y1, y2 = y2, y1
 
-    rho = params.phi**lag
-    u, v, logw2 = _grid_pieces(rule, params.tau2, rho)
-    a = np.dot(x1, params.beta) + u
-    b = np.dot(x2, params.beta) + v
-    with np.errstate(over="ignore"):
-        term = logw2 + poisson_log_pmf(y1, a)[:, None] + poisson_log_pmf(y2, b)
-        m = term.max()
-        if not np.isfinite(m):
-            raise NumericalFailure(
-                f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
-            )
-        out = m + math.log(np.exp(term - m).sum())
-    return float(out)
+    y = np.array([y1, y2], dtype=float)
+    eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
+    lgam = gammaln(y + 1.0)
+    grid, _ = _lag_grid(rule, params.tau2, params.phi**lag, want_moments=False)
+    logp, _ = _fused_pairs(
+        y[:1], y[1:], eta[:1], eta[1:], lgam[:1] + lgam[1:], grid, None,
+        np.empty((1, grid.shape[1])),
+        lambda _: NumericalFailure(
+            f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
+        ),
+    )
+    return float(logp[0])
+
+
+def _weighted_per_t(pair_grads, n_pairs: int) -> np.ndarray:
+    """Weighted per-time score terms from per-lag pair scores.
+
+    ``pair_grads`` is a list of (lag, weight, (n_pairs, dim) scores) as
+    :meth:`PairwiseEvaluator.pair_gradients` returns it; row t - m_d - 1
+    of the result sums weight times the score of the pair (t - lag, t)
+    over the lags, in list order, for t = m_d+1 .. n.
+    """
+    psi = np.zeros((n_pairs, pair_grads[0][2].shape[1]))
+    for _, w_lag, grads in pair_grads:
+        psi += w_lag * grads
+    return psi
 
 
 class PairwiseEvaluator:
@@ -348,9 +429,19 @@ class PairwiseEvaluator:
     Groups the lag-i pairs by their distinct (count, covariate) content
     so each distinct pair density is evaluated once per parameter value;
     on covariate-free data this collapses hundreds of pairs to a few
-    dozen grid evaluations.  All public methods are pure functions of
-    the working parameters; the per-t sums run in a fixed order, so
-    results are bit-reproducible.
+    dozen grid evaluations.
+
+    Each lag block of distinct pairs runs a fused kernel of two matrix
+    products.  A (pairs, 5) matrix of per-pair terms times a (5, q^2)
+    node grid gives every integrand exponent; the row maxima are
+    subtracted and the exponentials taken in place; and the result times
+    a (q^2, 9) matrix of node moments gives each pair's normalising sum
+    and the posterior means the score needs.  The only array of
+    pairs x q^2 size is one scratch buffer, sized for the largest block,
+    that each evaluation allocates once and every block reuses; the
+    evaluator itself holds no mutable state, so all public methods are
+    pure functions of the working parameters.  The per-t sums run in a
+    fixed order, so results are bit-reproducible.
     """
 
     def __init__(self, series: CountSeries, weights: PairWeights, rule: QuadRule):
@@ -368,7 +459,7 @@ class PairwiseEvaluator:
 
         y = series.y
         X = series.X
-        self._lgam = gammaln(y + 1.0)
+        lgam = gammaln(y + 1.0)
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._blocks = []
@@ -381,82 +472,55 @@ class PairwiseEvaluator:
             a2 = np.where(swap, idx1, idx2)
             key = np.column_stack([y[a1], y[a2], X[a1], X[a2]])
             _, rep, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            i1, i2 = a1[rep], a2[rep]
             self._blocks.append(
                 {
                     "lag": int(lag),
                     "w": float(w_lag),
-                    "i1": a1[rep],
-                    "i2": a2[rep],
+                    "i1": i1,
+                    "i2": i2,
+                    "y1": y[i1].astype(float),
+                    "y2": y[i2].astype(float),
+                    "lgam": lgam[i1] + lgam[i2],
                     "inverse": inverse,
                     "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
                 }
             )
+        self._max_block = max(block["i1"].shape[0] for block in self._blocks)
 
     # -- core passes -------------------------------------------------------
 
-    def _block_terms(self, block, eta, u, v, logw2, lag, tau2, phi, want_grad):
+    def _underflow(self, block, row: int) -> NumericalFailure:
+        """The failure for distinct pair ``row`` of a block, located at the
+        first time index that uses it."""
+        pos = int(np.nonzero(block["inverse"] == row)[0][0])
+        lag = block["lag"]
+        return NumericalFailure(
+            f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
+            time_index=self.m_d + 1 + pos,
+            lag=lag,
+        )
+
+    def _block_terms(self, block, eta, buf, tau2, phi, want_grad):
         """Log density and (optionally) working-scale gradient pieces for
         the distinct pairs of one lag block."""
-        y = self.series.y
         X = self.series.X
         i1, i2 = block["i1"], block["i2"]
-        y1 = y[i1]
-        y2 = y[i2]
-        eta1 = eta[i1]
-        eta2 = eta[i2]
-
-        with np.errstate(over="ignore"):
-            exp_u = np.exp(u)
-            exp_v = np.exp(v)
-            exp_eta1 = np.exp(eta1)
-            exp_eta2 = np.exp(eta2)
-            exp_a = exp_eta1[:, None] * exp_u[None, :]
-            exp_b = exp_eta2[:, None, None] * exp_v[None, :, :]
-            lp1 = y1[:, None] * (eta1[:, None] + u[None, :]) - exp_a - self._lgam[i1][:, None]
-            term = (
-                logw2[None, :, :]
-                + lp1[:, :, None]
-                + (y2 * eta2 - self._lgam[i2])[:, None, None]
-                + y2[:, None, None] * v[None, :, :]
-                - exp_b
-            )
-            m = term.max(axis=(1, 2))
-            bad = ~np.isfinite(m)
-            if np.any(bad):
-                pos = int(np.nonzero(block["inverse"] == int(np.nonzero(bad)[0][0]))[0][0])
-                raise NumericalFailure(
-                    f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
-                    time_index=self.m_d + 1 + pos,
-                    lag=lag,
-                )
-            ew = np.exp(term - m[:, None, None])
-            total = ew.sum(axis=(1, 2))
-            logp = m + np.log(total)
-
+        lag = block["lag"]
+        rho = phi**lag
+        grid, moments = _lag_grid(self.rule, tau2, rho, want_grad)
+        logp, derivs = _fused_pairs(
+            block["y1"], block["y2"], eta[i1], eta[i2], block["lgam"], grid, moments,
+            buf[: i1.shape[0]], lambda row: self._underflow(block, row),
+        )
         if not want_grad:
             return logp, None
 
-        pi = ew / total[:, None, None]
-        pj = pi.sum(axis=2)
-        r1 = y1 - np.einsum("uj,uj->u", pj, exp_a)
-        r2 = y2 - np.einsum("ujk,ujk->u", pi, exp_b)
-        s1 = np.einsum("uj,uj,j->u", pj, y1[:, None] - exp_a, u)
-        resid2 = pi * (y2[:, None, None] - exp_b)
-        s2 = np.einsum("ujk,jk->u", resid2, v)
-        g_ls = 0.5 * (s1 + s2)
-
-        rho = phi**lag
-        s_rho = math.sqrt(1.0 - rho * rho)
-        x = self.rule.nodes
-        c = math.sqrt(2.0 * tau2)
         drho_dz = lag * phi ** (lag - 1) * (1.0 - phi * phi)
-        dv_drho = c * (x[:, None] - (rho / s_rho) * x[None, :])
-        g_z = phi * (s1 + s2) + drho_dz * np.einsum("ujk,jk->u", resid2, dv_drho)
-
         grads = np.empty((i1.shape[0], self.dim))
-        grads[:, : self.n_coef] = r1[:, None] * X[i1] + r2[:, None] * X[i2]
-        grads[:, self.n_coef] = g_ls
-        grads[:, self.n_coef + 1] = g_z
+        grads[:, : self.n_coef] = derivs[:, :1] * X[i1] + derivs[:, 1:2] * X[i2]
+        grads[:, self.n_coef] = 0.5 * derivs[:, 2]
+        grads[:, self.n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
         return logp, grads
 
     def _evaluate(self, working: WorkingParams, want_grad: bool, want_pairs: bool):
@@ -467,23 +531,18 @@ class PairwiseEvaluator:
                              "degenerate helpers for the independence boundary")
         phi = params.phi
         eta = self.series.X @ params.beta
+        buf = np.empty((self._max_block, self.rule.nodes.shape[0] ** 2))
 
         loglik = 0.0
         score = np.zeros(self.dim) if want_grad else None
         pair_grads = [] if want_pairs else None
         for block in self._blocks:
-            lag = block["lag"]
-            rho = phi**lag
-            u, v, logw2 = _grid_pieces(self.rule, tau2, rho)
-            logp, grads = self._block_terms(
-                block, eta, u, v, logw2, lag, tau2, phi, want_grad or want_pairs
-            )
+            logp, grads = self._block_terms(block, eta, buf, tau2, phi, want_grad or want_pairs)
             loglik += block["w"] * float(block["counts"] @ logp)
-            if want_grad or want_pairs:
-                if want_grad:
-                    score += block["w"] * (block["counts"] @ grads)
-                if want_pairs:
-                    pair_grads.append((lag, block["w"], grads[block["inverse"]]))
+            if want_grad:
+                score += block["w"] * (block["counts"] @ grads)
+            if want_pairs:
+                pair_grads.append((block["lag"], block["w"], grads[block["inverse"]]))
         return loglik, score, pair_grads
 
     # -- public surface ----------------------------------------------------
@@ -505,10 +564,7 @@ class PairwiseEvaluator:
     def per_t_scores(self, working: WorkingParams) -> np.ndarray:
         """Weighted per-time score terms, one row per t = m_d+1 .. n."""
         _, pairs = self.pair_gradients(working)
-        psi = np.zeros((self.n_pairs, self.dim))
-        for _, w_lag, grads in pairs:
-            psi += w_lag * grads
-        return psi
+        return _weighted_per_t(pairs, self.n_pairs)
 
 
 def _degenerate_loglik(series: CountSeries, beta: np.ndarray, weights: PairWeights) -> float:

@@ -230,6 +230,23 @@ def test_predict_round_trips_estimates(greek_report):
     assert result.params_hat.phi == direct["phi"]
 
 
+@pytest.mark.parametrize("version", [99, None])
+def test_predict_rejects_unknown_report_version(tmp_path, greek_report, capsys, version):
+    report = json.loads(greek_report.read_text())
+    if version is None:
+        del report["schema_version"]
+        fragment = "no schema_version"
+    else:
+        report["schema_version"] = version
+        fragment = f"schema_version {version}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = cli.main(["predict", str(bad), "--output", str(tmp_path / "b.csv"), "--n-sim", "10"])
+    assert rc == 1
+    assert fragment in capsys.readouterr().err
+
+
 def test_predict_band_columns_and_exceedance(tmp_path, greek_report):
     band_path = tmp_path / "band.csv"
     rc = cli.main(

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pairpois as pp
-from pairpois.estimation import _minimize_bfgs
+from pairpois.estimation import _minimize_bfgs, _safe_negative
 from pairpois.model import PairwiseEvaluator
 
 W1 = pp.make_weights(1, "rect")
@@ -242,6 +242,24 @@ def test_fit_recovers_phi_on_scenario5(scenario5_batch):
     rate = np.mean(np.abs(phis - 0.5) <= 0.15)
     assert rate >= 0.80
     assert all(f.converged for f in scenario5_batch)
+
+
+def test_safe_negative_rejects_non_finite_score():
+    # inside the sanity box, but the latent variance is so large that e^v
+    # overflows in grid cells whose weight underflowed: the value is finite
+    # and the score moments come out as 0 * inf
+    series = pp.simulate_scenario(1, 500, 7, 0)
+    ev = PairwiseEvaluator(series, pp.make_weights(3, "trap"), RULE20)
+    x = np.array([1.0, 6.0, 3.9])
+    value, score = ev.loglik_and_score(pp.WorkingParams.from_vector(x, 1))
+    assert np.isfinite(value) and not np.all(np.isfinite(score))
+    neg = _safe_negative(
+        lambda v: ev.loglik_and_score(pp.WorkingParams.from_vector(v, 1)), 3,
+        ls_index=1, z_index=2,
+    )
+    f, g = neg(x)
+    assert f == math.inf
+    assert_allclose(g, 0.0, rtol=0, atol=0)
 
 
 def test_fit_deterministic():

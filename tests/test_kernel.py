@@ -1,0 +1,205 @@
+"""The fused pair-density kernel against the broadcast reference it replaced.
+
+``BroadcastEvaluator`` keeps the earlier kernel: every lag block
+materialises the full (pairs, q, q) log-density grid with broadcasting and
+reduces it with einsum.  The fused kernel reorders the same sums (two
+matrix products and a per-pair constant added after the log-sum-exp), so
+the two agree to rounding: the tolerances below were fixed from float64
+before the fused kernel was written.
+"""
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from scipy.special import gammaln
+
+import pairpois as pp
+from pairpois import cli
+from pairpois.errors import NumericalFailure
+from pairpois.model import PairwiseEvaluator
+
+LOGLIK_RTOL = 1e-12
+SCORE_ATOL = 1e-9  # times max(1, sup-norm of the reference)
+
+_LOG_PI = math.log(math.pi)
+
+
+def _grid_pieces(rule, tau2, rho):
+    """Latent values at the tensor nodes: u over j, v over (j, k)."""
+    x = rule.nodes
+    c = math.sqrt(2.0 * tau2)
+    s = math.sqrt(1.0 - rho * rho)
+    u = c * x
+    v = c * (rho * x[:, None] + s * x[None, :])
+    logw = np.log(rule.weights)
+    logw2 = logw[:, None] + logw[None, :] - _LOG_PI
+    return u, v, logw2
+
+
+class BroadcastEvaluator(PairwiseEvaluator):
+    """The pair grouping of :class:`PairwiseEvaluator` with the earlier
+    broadcast kernel (one (pairs, q, q) array per intermediate)."""
+
+    def __init__(self, series, weights, rule):
+        super().__init__(series, weights, rule)
+        self._lgam = gammaln(series.y + 1.0)
+
+    def _block_terms(self, block, eta, u, v, logw2, lag, tau2, phi, want_grad):
+        """Log density and (optionally) working-scale gradient pieces for
+        the distinct pairs of one lag block."""
+        y = self.series.y
+        X = self.series.X
+        i1, i2 = block["i1"], block["i2"]
+        y1 = y[i1]
+        y2 = y[i2]
+        eta1 = eta[i1]
+        eta2 = eta[i2]
+
+        with np.errstate(over="ignore"):
+            exp_u = np.exp(u)
+            exp_v = np.exp(v)
+            exp_eta1 = np.exp(eta1)
+            exp_eta2 = np.exp(eta2)
+            exp_a = exp_eta1[:, None] * exp_u[None, :]
+            exp_b = exp_eta2[:, None, None] * exp_v[None, :, :]
+            lp1 = y1[:, None] * (eta1[:, None] + u[None, :]) - exp_a - self._lgam[i1][:, None]
+            term = (
+                logw2[None, :, :]
+                + lp1[:, :, None]
+                + (y2 * eta2 - self._lgam[i2])[:, None, None]
+                + y2[:, None, None] * v[None, :, :]
+                - exp_b
+            )
+            m = term.max(axis=(1, 2))
+            bad = ~np.isfinite(m)
+            if np.any(bad):
+                pos = int(np.nonzero(block["inverse"] == int(np.nonzero(bad)[0][0]))[0][0])
+                raise NumericalFailure(
+                    f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
+                    time_index=self.m_d + 1 + pos,
+                    lag=lag,
+                )
+            ew = np.exp(term - m[:, None, None])
+            total = ew.sum(axis=(1, 2))
+            logp = m + np.log(total)
+
+        if not want_grad:
+            return logp, None
+
+        pi = ew / total[:, None, None]
+        pj = pi.sum(axis=2)
+        r1 = y1 - np.einsum("uj,uj->u", pj, exp_a)
+        r2 = y2 - np.einsum("ujk,ujk->u", pi, exp_b)
+        s1 = np.einsum("uj,uj,j->u", pj, y1[:, None] - exp_a, u)
+        resid2 = pi * (y2[:, None, None] - exp_b)
+        s2 = np.einsum("ujk,jk->u", resid2, v)
+        g_ls = 0.5 * (s1 + s2)
+
+        rho = phi**lag
+        s_rho = math.sqrt(1.0 - rho * rho)
+        x = self.rule.nodes
+        c = math.sqrt(2.0 * tau2)
+        drho_dz = lag * phi ** (lag - 1) * (1.0 - phi * phi)
+        dv_drho = c * (x[:, None] - (rho / s_rho) * x[None, :])
+        g_z = phi * (s1 + s2) + drho_dz * np.einsum("ujk,jk->u", resid2, dv_drho)
+
+        grads = np.empty((i1.shape[0], self.dim))
+        grads[:, : self.n_coef] = r1[:, None] * X[i1] + r2[:, None] * X[i2]
+        grads[:, self.n_coef] = g_ls
+        grads[:, self.n_coef + 1] = g_z
+        return logp, grads
+
+    def _evaluate(self, working, want_grad, want_pairs):
+        params = working.to_params()
+        tau2 = params.tau2
+        if not tau2 > 0:
+            raise ValueError("working parameters must have sigma2 > 0")
+        phi = params.phi
+        eta = self.series.X @ params.beta
+
+        loglik = 0.0
+        score = np.zeros(self.dim) if want_grad else None
+        pair_grads = [] if want_pairs else None
+        for block in self._blocks:
+            lag = block["lag"]
+            rho = phi**lag
+            u, v, logw2 = _grid_pieces(self.rule, tau2, rho)
+            logp, grads = self._block_terms(
+                block, eta, u, v, logw2, lag, tau2, phi, want_grad or want_pairs
+            )
+            loglik += block["w"] * float(block["counts"] @ logp)
+            if want_grad or want_pairs:
+                if want_grad:
+                    score += block["w"] * (block["counts"] @ grads)
+                if want_pairs:
+                    pair_grads.append((lag, block["w"], grads[block["inverse"]]))
+        return loglik, score, pair_grads
+
+
+def greek_series():
+    data = cli.read_count_csv(str(pathlib.Path(pp.__file__).parent / "data" / "greece_imd.csv"))
+    n_train = data.n - 12
+    spec = cli.ModelSpec(trend=True, harmonics=True, d=5, scheme="trap", quad_order=20)
+    X, _ = cli.build_design(spec, data.months[:n_train], n_train, {})
+    return pp.CountSeries(y=data.counts[:n_train], X=X)
+
+
+def trial_points(start: pp.Params):
+    """The start itself and two points away from it, one with a larger
+    latent variance and strong positive phi, one with negative phi."""
+    w = start.to_working()
+    return [
+        w,
+        pp.WorkingParams(beta=w.beta + 0.05, log_sigma2=w.log_sigma2 + 1.0, z_phi=1.2),
+        pp.WorkingParams(beta=w.beta - 0.05, log_sigma2=w.log_sigma2 - 0.5, z_phi=-0.6),
+    ]
+
+
+def assert_kernels_agree(series, weights, q, points):
+    rule = pp.gauss_hermite(q)
+    fused = PairwiseEvaluator(series, weights, rule)
+    ref = BroadcastEvaluator(series, weights, rule)
+    for working in points:
+        ll_ref, score_ref = ref.loglik_and_score(working)
+        assert abs(fused.loglik(working) - ll_ref) <= LOGLIK_RTOL * abs(ll_ref)
+        ll, score = fused.loglik_and_score(working)
+        assert abs(ll - ll_ref) <= LOGLIK_RTOL * abs(ll_ref)
+        tol = SCORE_ATOL * max(1.0, float(np.max(np.abs(score_ref))))
+        assert np.max(np.abs(score - score_ref)) <= tol
+        psi_ref = ref.per_t_scores(working)
+        tol = SCORE_ATOL * max(1.0, float(np.max(np.abs(psi_ref))))
+        assert np.max(np.abs(fused.per_t_scores(working) - psi_ref)) <= tol
+
+
+@pytest.mark.parametrize("q", [5, 20, 40])
+@pytest.mark.parametrize("sid", [1, 5, 8])
+def test_fused_kernel_matches_broadcast_on_scenarios(sid, q):
+    series = pp.simulate_scenario(sid, 500, seed=2024)
+    points = trial_points(pp.SCENARIOS[sid].params)
+    assert_kernels_agree(series, pp.make_weights(3, "trap"), q, points)
+
+
+def test_fused_kernel_matches_broadcast_on_greek_design():
+    series = greek_series()
+    points = trial_points(pp.moment_init(series))
+    assert_kernels_agree(series, pp.make_weights(5, "trap"), 20, points)
+
+
+def test_fused_kernel_failure_location_matches_broadcast():
+    # one covariate spike drives the linear predictor to 800 at t = 23, so
+    # exp() overflows at every node for the pairs that contain it
+    n = 40
+    z = np.zeros(n)
+    z[22] = 1.0
+    series = pp.CountSeries(y=np.arange(n) % 4, X=np.column_stack([np.ones(n), z]))
+    working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
+    rule = pp.gauss_hermite(5)
+    weights = pp.make_weights(2, "trap")
+    errors = []
+    for cls in (PairwiseEvaluator, BroadcastEvaluator):
+        with pytest.raises(NumericalFailure) as info:
+            cls(series, weights, rule).loglik_and_score(working)
+        errors.append((info.value.time_index, info.value.lag))
+    assert errors[0] == errors[1]
+    assert errors[0] == (23, 1)
