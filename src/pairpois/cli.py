@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -157,33 +157,13 @@ class ModelSpec:
     hac_lags: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "trend": self.trend,
-            "harmonics": self.harmonics,
-            "period": self.period,
-            "level_shift": self.level_shift,
-            "covariates": list(self.covariates),
-            "d": self.d,
-            "scheme": self.scheme,
-            "quad_order": self.quad_order,
-            "restriction": self.restriction,
-            "hac_lags": self.hac_lags,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelSpec":
-        return cls(
-            trend=obj["trend"],
-            harmonics=obj["harmonics"],
-            period=obj["period"],
-            level_shift=obj["level_shift"],
-            covariates=tuple(obj["covariates"]),
-            d=obj["d"],
-            scheme=obj["scheme"],
-            quad_order=obj["quad_order"],
-            restriction=obj["restriction"],
-            hac_lags=obj["hac_lags"],
-        )
+        spec = cls(**{f.name: obj[f.name] for f in fields(cls)})
+        spec.covariates = tuple(spec.covariates)
+        return spec
 
 
 def build_design(
@@ -549,13 +529,9 @@ def cmd_scenarios(args) -> int:
 
 def cmd_weights(args) -> int:
     weights = make_weights(args.order, args.weights)
-    d = weights.d
-    if weights.scheme == "rectangular":
-        raw = np.ones(len(weights.w))
-    else:
-        lags = weights.lags
-        raw = np.where(lags < d, 1.0, (2.0 * d - lags) / d)
-    print(f"order d = {d}, scheme = {weights.scheme}, window m_d = {weights.m_d}")
+    # both schemes give lag 1 an unnormalised weight of one
+    raw = weights.w / weights.w[0]
+    print(f"order d = {weights.d}, scheme = {weights.scheme}, window m_d = {weights.m_d}")
     print(f"{'lag':>4}{'unnormalized':>14}{'normalized':>12}")
     for lag, u, w in zip(weights.lags, raw, weights.w):
         print(f"{lag:>4}{u:>14.6f}{w:>12.6f}")

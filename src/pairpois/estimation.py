@@ -32,8 +32,12 @@ PHI_ZERO = "phi_zero"
 INDEPENDENCE = "independence"
 
 DEFAULT_MAX_ITER = 500
-DEFAULT_RELTOL = 1e-6
-DEFAULT_GRAD_RTOL = 1e-7
+# stopping rules and step cap of the BFGS and IRLS iterations
+RELTOL = 1e-6
+GRAD_RTOL = 1e-7
+MAX_STEP = 5.0
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-12
 MOMENT_TAU2_FLOOR = 0.05
 MOMENT_PHI_CLAMP = 0.95
 _COND_LIMIT = 1e14
@@ -70,11 +74,12 @@ def default_hac_lags(n: int) -> int:
     return int(math.floor(10.0 * math.log10(n)))
 
 
-def poisson_irls(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float = 1e-12):
+def poisson_irls(X: np.ndarray, y: np.ndarray):
     """Poisson regression by iteratively reweighted least squares.
 
-    Returns ``(beta, n_iter, converged)``.  Raises ``ValueError`` when X
-    is rank deficient.
+    Stops when the relative deviance change falls below ``IRLS_TOL`` or
+    after ``IRLS_MAX_ITER`` steps.  Returns ``(beta, n_iter,
+    converged)``.  Raises ``ValueError`` when X is rank deficient.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -85,7 +90,7 @@ def poisson_irls(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float =
     dev_old = math.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         mu = np.exp(X @ beta)
         grad = X.T @ (y - mu)
         info = X.T @ (mu[:, None] * X)
@@ -93,20 +98,20 @@ def poisson_irls(X: np.ndarray, y: np.ndarray, max_iter: int = 100, tol: float =
         mu = np.exp(X @ beta)
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = 2.0 * np.sum(np.where(y > 0, y * np.log(y / mu), 0.0) - (y - mu))
-        if abs(dev_old - dev) < tol * (abs(dev) + tol):
+        if abs(dev_old - dev) < IRLS_TOL * (abs(dev) + IRLS_TOL):
             converged = True
             break
         dev_old = dev
     return beta, it, converged
 
 
-def moment_init(series: CountSeries, tau2_floor: float = MOMENT_TAU2_FLOOR) -> Params:
+def moment_init(series: CountSeries) -> Params:
     """Method-of-moments starting values.
 
     An independence Poisson regression estimates the marginal means
     mu_t; the latent variance comes from the overdispersion of its
-    residuals, tau2 = log(1 + max(floor, sum[(y - mu)^2 - mu] / sum
-    mu^2)); phi from inverting the lag-1 marginal autocovariance
+    residuals, tau2 = log(1 + max(MOMENT_TAU2_FLOOR, sum[(y - mu)^2 - mu]
+    / sum mu^2)); phi from inverting the lag-1 marginal autocovariance
     identity, clamped to +-0.95 so the starting point stays interior.
     Because the regression intercept absorbs the latent mean shift
     tau2/2, that half-variance is subtracted back out of the returned
@@ -119,7 +124,7 @@ def moment_init(series: CountSeries, tau2_floor: float = MOMENT_TAU2_FLOOR) -> P
     y = series.y.astype(float)
 
     ratio = float(np.sum((y - mu) ** 2 - mu) / np.sum(mu**2))
-    tau2 = math.log1p(max(tau2_floor, ratio))
+    tau2 = math.log1p(max(MOMENT_TAU2_FLOOR, ratio))
 
     resid = y - mu
     c1 = float(np.mean(resid[1:] * resid[:-1]))
@@ -202,20 +207,13 @@ class _CachedObjective:
         return self._g
 
 
-def _minimize_bfgs(
-    value_and_grad,
-    x0: np.ndarray,
-    reltol: float = DEFAULT_RELTOL,
-    grad_rtol: float = DEFAULT_GRAD_RTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    max_step: float = 5.0,
-):
+def _minimize_bfgs(value_and_grad, x0: np.ndarray, max_iter: int = DEFAULT_MAX_ITER):
     """BFGS with Wolfe line search and analytic gradients only.
 
     Declares convergence when the relative objective improvement drops
-    below ``reltol`` AND the sup-norm of the gradient falls below
-    ``grad_rtol * max(1, |f|)``.  Search directions are capped at
-    ``max_step`` in norm: when the likelihood flattens toward the
+    below ``RELTOL`` AND the sup-norm of the gradient falls below
+    ``GRAD_RTOL * max(1, |f|)``.  Search directions are capped at
+    ``MAX_STEP`` in norm: when the likelihood flattens toward the
     sigma2 -> 0 boundary the inverse-Hessian estimate blows up along
     the flat direction, and an uncapped step would park log(sigma2)
     tens of units deep into the degenerate region.  Returns
@@ -229,7 +227,7 @@ def _minimize_bfgs(
     h_inv = np.eye(dim)
 
     def grad_ok(fv, gv):
-        return float(np.max(np.abs(gv))) <= grad_rtol * max(1.0, abs(fv))
+        return float(np.max(np.abs(gv))) <= GRAD_RTOL * max(1.0, abs(fv))
 
     if grad_ok(f, g):
         return x, f, g, 0, True
@@ -242,8 +240,8 @@ def _minimize_bfgs(
             h_inv = np.eye(dim)
             direction = -g
         norm = float(np.linalg.norm(direction))
-        if norm > max_step:
-            direction *= max_step / norm
+        if norm > MAX_STEP:
+            direction *= MAX_STEP / norm
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -278,7 +276,7 @@ def _minimize_bfgs(
             v = np.eye(dim) - rho * np.outer(step, dgrad)
             h_inv = v @ h_inv @ v.T + rho * np.outer(step, step)
 
-        rel_ok = abs(f - f_new) < reltol * (abs(f_new) + reltol)
+        rel_ok = abs(f - f_new) < RELTOL * (abs(f_new) + RELTOL)
         x, f, g = x_new, f_new, g_new
         if rel_ok and grad_ok(f, g):
             converged = True
@@ -371,33 +369,30 @@ def _working_avar(h: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (avar + avar.T)
 
 
-def _delta_se(avar: np.ndarray, working: WorkingParams, free: str) -> np.ndarray:
+def _delta_se(avar: np.ndarray, working: WorkingParams) -> np.ndarray:
     """Reporting-scale standard errors (beta..., sigma2, phi, tau2).
 
-    ``free`` names which working coordinates the fit estimated:
-    "full" (beta, log sigma2, z_phi), "beta_ls" (beta, log sigma2 with
-    phi fixed at zero) or "beta" (independence).  Fixed parameters get
-    NaN.
+    ``avar`` covers the first k working coordinates of (beta, log
+    sigma2, z_phi), the ones the fit estimated: k = p+1 for the
+    independence fit, p+2 with phi fixed at zero (where tau2 = sigma2),
+    p+3 for the full model.  Fixed parameters get NaN.
     """
     params = working.to_params()
     p1 = params.n_coef
+    k = avar.shape[0]
     se_work = np.sqrt(np.clip(np.diag(avar), 0.0, None))
-    se_beta = se_work[:p1]
-    if free == "beta":
-        return np.concatenate([se_beta, [math.nan, math.nan, math.nan]])
-    sigma2 = params.sigma2
-    tau2 = params.tau2
-    if free == "beta_ls":
-        se_sigma2 = sigma2 * se_work[p1]
-        return np.concatenate([se_beta, [se_sigma2, math.nan, se_sigma2]])
-    phi = params.phi
-    se_sigma2 = sigma2 * se_work[p1]
-    se_phi = (1.0 - phi * phi) * se_work[p1 + 1]
-    d = np.zeros(avar.shape[0])
-    d[p1] = tau2
-    d[p1 + 1] = 2.0 * phi * tau2
-    se_tau2 = math.sqrt(max(float(d @ avar @ d), 0.0))
-    return np.concatenate([se_beta, [se_sigma2, se_phi, se_tau2]])
+    se = np.full(p1 + 3, math.nan)
+    se[:p1] = se_work[:p1]
+    if k > p1:
+        se[p1] = se[p1 + 2] = params.sigma2 * se_work[p1]
+    if k > p1 + 1:
+        phi, tau2 = params.phi, params.tau2
+        se[p1 + 1] = (1.0 - phi * phi) * se_work[p1 + 1]
+        d = np.zeros(k)
+        d[p1] = tau2
+        d[p1 + 1] = 2.0 * phi * tau2
+        se[p1 + 2] = math.sqrt(max(float(d @ avar @ d), 0.0))
+    return se
 
 
 def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
@@ -408,7 +403,7 @@ def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> n
     are mapped from (log sigma2, atanh phi) by the delta method.
     """
     avar = _working_avar(h, j, n)
-    return _delta_se(avar, working, "full")
+    return _delta_se(avar, working)
 
 
 def _clic_value(loglik: float, h: np.ndarray, j: np.ndarray) -> float:
@@ -431,36 +426,62 @@ def clic(fit: FitResult) -> float:
 # fitting
 
 
-def _finish_fit(
-    series,
-    weights,
-    quad_order,
-    loglik,
-    pair_grads,
-    working_hat,
-    free,
-    iterations,
-    converged,
-    hac_lags,
-    restriction,
-):
-    n = series.n
+def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> FitResult:
+    """The one fit driver behind :func:`fit` and :func:`fit_restricted`.
+
+    The free working coordinates are the first k of (beta, log sigma2,
+    z_phi); the rest are held at zero.  The full model frees all of
+    them, ``phi_zero`` all but z_phi, and ``independence`` beta alone,
+    which plain Poisson IRLS solves.  H, J, the Godambe matrix, the
+    standard errors and CLIC then come from the per-pair scores sliced
+    to those k coordinates, the same way for every model.
+    """
+    if series.n <= weights.m_d:
+        raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
+    if hac_lags is None:
+        hac_lags = default_hac_lags(series.n)
+    n, p1 = series.n, series.n_coef
+
+    if restriction == INDEPENDENCE:
+        k = p1
+        beta, iterations, converged = poisson_irls(series.X, series.y)
+        working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
+        loglik, pair_grads = _degenerate_pair_gradients(series, beta, weights)
+    else:
+        k = p1 + 1 if restriction == PHI_ZERO else p1 + 2
+        ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
+        if init is None:
+            init = moment_init(series)
+        x0 = init.to_working().as_vector()
+        if restriction == PHI_ZERO:
+            x0[p1] = math.log(max(init.tau2, 1e-4))
+
+        def working(x):
+            return WorkingParams.from_vector(np.concatenate([x, np.zeros(p1 + 2 - k)]), p1)
+
+        def evaluate(x):
+            value, score = ev.loglik_and_score(working(x))
+            return value, score[:k]
+
+        neg = _safe_negative(evaluate, k, ls_index=p1, z_index=p1 + 1 if k > p1 + 1 else None)
+        x_hat, _, _, iterations, converged = _minimize_bfgs(neg, x0[:k], max_iter=max_iter)
+        working_hat = working(x_hat)
+        loglik, pair_grads = ev.pair_gradients(working_hat)
+    pair_grads = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pair_grads]
+
     h = _sensitivity_from_pairs(pair_grads, n)
     j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)
     avar = _working_avar(h, j, n)
     godambe = h @ np.linalg.solve(j, h)
-    godambe = 0.5 * (godambe + godambe.T)
-    se = _delta_se(avar, working_hat, free)
-    value = _clic_value(loglik, h, j)
     return FitResult(
         params_hat=working_hat.to_params(),
         working_hat=working_hat,
         loglik=loglik,
         H_hat=h,
         J_hat=j,
-        godambe=godambe,
-        se=se,
-        clic=value,
+        godambe=0.5 * (godambe + godambe.T),
+        se=_delta_se(avar, working_hat),
+        clic=_clic_value(loglik, h, j),
         iterations=iterations,
         converged=converged,
         quad_order=quad_order,
@@ -478,43 +499,17 @@ def fit(
     *,
     hac_lags: int | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    reltol: float = DEFAULT_RELTOL,
-    grad_rtol: float = DEFAULT_GRAD_RTOL,
 ) -> FitResult:
     """Maximize the weighted pairwise likelihood and quantify uncertainty.
 
     Runs BFGS on the working scale with the analytic score, starting at
     ``init`` (method-of-moments when omitted).  Convergence requires a
-    relative log-likelihood improvement below ``reltol`` together with
-    the gradient criterion; fits that exhaust ``max_iter`` are returned
+    relative log-likelihood improvement below ``RELTOL`` together with
+    the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
+    max(1, |loglik|)); fits that exhaust ``max_iter`` are returned
     flagged rather than raised, with all matrices still populated.
     """
-    if series.n <= weights.m_d:
-        raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
-    rule = gauss_hermite(quad_order)
-    if hac_lags is None:
-        hac_lags = default_hac_lags(series.n)
-    ev = PairwiseEvaluator(series, weights, rule)
-    if init is None:
-        init = moment_init(series)
-    x0 = init.to_working().as_vector()
-
-    neg = _safe_negative(
-        lambda x: ev.loglik_and_score(WorkingParams.from_vector(x, series.n_coef)),
-        series.n_coef + 2,
-        ls_index=series.n_coef,
-        z_index=series.n_coef + 1,
-    )
-
-    x_hat, _, _, iterations, converged = _minimize_bfgs(
-        neg, x0, reltol=reltol, grad_rtol=grad_rtol, max_iter=max_iter
-    )
-    working_hat = WorkingParams.from_vector(x_hat, series.n_coef)
-    loglik, pair_grads = ev.pair_gradients(working_hat)
-    return _finish_fit(
-        series, weights, quad_order, loglik, pair_grads, working_hat, "full",
-        iterations, converged, hac_lags, None,
-    )
+    return _fit(series, weights, quad_order, None, init, hac_lags, max_iter)
 
 
 def fit_restricted(
@@ -526,8 +521,6 @@ def fit_restricted(
     *,
     hac_lags: int | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    reltol: float = DEFAULT_RELTOL,
-    grad_rtol: float = DEFAULT_GRAD_RTOL,
 ) -> FitResult:
     """Fit a restricted model with the same CLIC machinery as :func:`fit`.
 
@@ -538,43 +531,4 @@ def fit_restricted(
     """
     if restriction not in (PHI_ZERO, INDEPENDENCE):
         raise ValueError(f"unknown restriction {restriction!r}")
-    if series.n <= weights.m_d:
-        raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
-    if hac_lags is None:
-        hac_lags = default_hac_lags(series.n)
-
-    if restriction == INDEPENDENCE:
-        beta, iterations, converged = poisson_irls(series.X, series.y)
-        loglik, pair_grads = _degenerate_pair_gradients(series, beta, weights)
-        working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
-        return _finish_fit(
-            series, weights, quad_order, loglik, pair_grads, working_hat, "beta",
-            iterations, converged, hac_lags, INDEPENDENCE,
-        )
-
-    rule = gauss_hermite(quad_order)
-    ev = PairwiseEvaluator(series, weights, rule)
-    if init is None:
-        init = moment_init(series)
-    p1 = series.n_coef
-    x0 = np.concatenate([init.beta, [math.log(max(init.tau2, 1e-4))]])
-
-    def to_full(x):
-        return WorkingParams(beta=x[:p1], log_sigma2=x[p1], z_phi=0.0)
-
-    def evaluate(x):
-        value, score = ev.loglik_and_score(to_full(x))
-        return value, score[: p1 + 1]
-
-    neg = _safe_negative(evaluate, p1 + 1, ls_index=p1)
-
-    x_hat, _, _, iterations, converged = _minimize_bfgs(
-        neg, x0, reltol=reltol, grad_rtol=grad_rtol, max_iter=max_iter
-    )
-    working_hat = to_full(x_hat)
-    loglik, pair_grads = ev.pair_gradients(working_hat)
-    pair_grads = [(lag, w_lag, grads[:, : p1 + 1]) for lag, w_lag, grads in pair_grads]
-    return _finish_fit(
-        series, weights, quad_order, loglik, pair_grads, working_hat, "beta_ls",
-        iterations, converged, hac_lags, PHI_ZERO,
-    )
+    return _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter)

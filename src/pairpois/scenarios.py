@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation
+from .errors import PairpoisError
 from .model import CountSeries, Params, make_weights
 from .simulate import latent_paths
 
@@ -106,9 +107,11 @@ def run_study_cell(
 ) -> StudyCell:
     """Simulate and fit ``n_series`` replicates of one configuration.
 
-    Replicates whose fit raises (singular sensitivity, numerical
-    failure) are recorded as NaN rows with converged = False; results
-    are deterministic functions of the seed.
+    Replicates whose fit fails in a typed way (a library error such as
+    singular sensitivity or numerical failure, or a singular variability
+    matrix in the Godambe solve) are recorded as NaN rows with
+    converged = False; any other exception propagates.  Results are
+    deterministic functions of the seed.
     """
     weights = make_weights(d, scheme)
     estimates = np.full((n_series, 4), np.nan)
@@ -119,7 +122,7 @@ def run_study_cell(
         series = simulate_scenario(scenario_id, n_len, seed, r)
         try:
             result = estimation.fit(series, weights, quad_order=quad_order)
-        except Exception:
+        except (PairpoisError, np.linalg.LinAlgError):
             continue
         estimates[r] = _reporting_vector(result)
         ses[r] = result.se

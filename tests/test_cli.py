@@ -247,6 +247,17 @@ def test_predict_rejects_unknown_report_version(tmp_path, greek_report, capsys, 
     assert fragment in capsys.readouterr().err
 
 
+def test_predict_rejects_report_missing_model_key(tmp_path, greek_report, capsys):
+    report = json.loads(greek_report.read_text())
+    del report["model"]["quad_order"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = cli.main(["predict", str(bad), "--output", str(tmp_path / "b.csv"), "--n-sim", "10"])
+    assert rc == 1
+    assert "quad_order" in capsys.readouterr().err
+
+
 def test_predict_band_columns_and_exceedance(tmp_path, greek_report):
     band_path = tmp_path / "band.csv"
     rc = cli.main(
@@ -363,6 +374,24 @@ def test_scenarios_study_csv(tmp_path):
     again = tmp_path / "study2.csv"
     cli.main(args[:-1] + [str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
+    from pairpois import estimation, scenarios
+
+    def raising(error):
+        def fake_fit(*args, **kwargs):
+            raise error
+        return fake_fit
+
+    monkeypatch.setattr(estimation, "fit", raising(TypeError("not a fit failure")))
+    with pytest.raises(TypeError):
+        scenarios.run_study_cell(5, 2, 100, 1, "rect", 5, 0)
+
+    monkeypatch.setattr(estimation, "fit", raising(pp.SingularMatrixError("singular", cond=1e20)))
+    cell = scenarios.run_study_cell(5, 2, 100, 1, "rect", 5, 0)
+    assert np.all(np.isnan(cell.estimates)) and np.all(np.isnan(cell.ses))
+    assert not cell.converged.any()
 
 
 def test_beta_rmse_insensitive_to_pairwise_order():

@@ -354,6 +354,29 @@ def test_phi_zero_restriction_structure():
     assert abs(fit.se[1] - fit.se[3]) < 1e-15
 
 
+def test_phi_zero_non_convergence_flagged_with_matrices():
+    series = pp.simulate_scenario(5, 300, seed=17)
+    fit = pp.fit_restricted(series, W1, quad_order=10, restriction=pp.PHI_ZERO, max_iter=1)
+    assert not fit.converged
+    assert fit.iterations == 1
+    assert fit.H_hat.shape == (2, 2)
+    assert np.all(np.isfinite(fit.se[:2]))
+
+
+def test_phi_zero_respects_explicit_init_and_hac_override():
+    series = pp.simulate_scenario(5, 300, seed=16)
+    base = pp.fit_restricted(series, W1, quad_order=10, restriction=pp.PHI_ZERO)
+    # restarting at the optimum needs no step, where the moment start needs several
+    restart = pp.fit_restricted(
+        series, W1, quad_order=10, restriction=pp.PHI_ZERO, init=base.params_hat, hac_lags=5
+    )
+    assert base.converged and base.iterations > 0
+    assert restart.converged and restart.iterations == 0
+    assert_allclose(restart.working_hat.as_vector(), base.working_hat.as_vector(), atol=1e-12)
+    assert (base.hac_lags, restart.hac_lags) == (pp.default_hac_lags(300), 5)
+    assert not np.allclose(restart.J_hat, base.J_hat)
+
+
 def test_restriction_nesting():
     series = pp.simulate_scenario(5, 400, seed=20)
     full = pp.fit(series, W1, quad_order=20)
