@@ -207,8 +207,19 @@ class _CachedObjective:
         return self._g
 
 
-def _minimize_bfgs(value_and_grad, x0: np.ndarray, max_iter: int = DEFAULT_MAX_ITER):
+def _minimize_bfgs(
+    value_and_grad,
+    x0: np.ndarray,
+    max_iter: int = DEFAULT_MAX_ITER,
+    h_inv0: np.ndarray | None = None,
+):
     """BFGS with Wolfe line search and analytic gradients only.
+
+    The inverse-Hessian estimate starts at ``h_inv0``, the identity when
+    omitted; :func:`_fit` passes the inverse of the outer-product (BHHH)
+    curvature at ``x0``, so the first steps are already scaled like
+    Newton steps.  Whenever the estimate stops giving a descent
+    direction it is reset to the identity.
 
     Declares convergence when the relative objective improvement drops
     below ``RELTOL`` AND the sup-norm of the gradient falls below
@@ -224,7 +235,7 @@ def _minimize_bfgs(value_and_grad, x0: np.ndarray, max_iter: int = DEFAULT_MAX_I
     f = obj.value(x)
     g = obj.grad(x)
     dim = x.shape[0]
-    h_inv = np.eye(dim)
+    h_inv = np.eye(dim) if h_inv0 is None else np.asarray(h_inv0, dtype=float)
 
     def grad_ok(fv, gv):
         return float(np.max(np.abs(gv))) <= GRAD_RTOL * max(1.0, abs(fv))
@@ -300,6 +311,24 @@ def _sensitivity_from_pairs(pair_grads, n: int) -> np.ndarray:
         h += w_lag * (grads.T @ grads)
     h /= n
     return 0.5 * (h + h.T)
+
+
+def _bhhh_inverse(pair_grads, n: int) -> np.ndarray | None:
+    """Inverse of the outer-product (BHHH) curvature n * H.
+
+    By the pairwise second Bartlett identity this approximates the
+    inverse Hessian of the negative pairwise log-likelihood.  Returns
+    None when n * H is not finite and positive definite (a constant
+    series, say), so the caller can fall back to the identity.
+    """
+    curv = n * _sensitivity_from_pairs(pair_grads, n)
+    if not np.all(np.isfinite(curv)):
+        return None
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(curv))
+    except np.linalg.LinAlgError:
+        return None
+    return chol_inv.T @ chol_inv
 
 
 def _variability_from_psi(psi: np.ndarray, n: int, r: int) -> np.ndarray:
@@ -432,9 +461,12 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     The free working coordinates are the first k of (beta, log sigma2,
     z_phi); the rest are held at zero.  The full model frees all of
     them, ``phi_zero`` all but z_phi, and ``independence`` beta alone,
-    which plain Poisson IRLS solves.  H, J, the Godambe matrix, the
-    standard errors and CLIC then come from the per-pair scores sliced
-    to those k coordinates, the same way for every model.
+    which plain Poisson IRLS solves.  The latent fits run BFGS from the
+    inverse of the outer-product (BHHH) curvature n * H at the start
+    point, or from the identity when that matrix is not positive
+    definite.  H, J, the Godambe matrix, the standard errors and CLIC
+    then come from the per-pair scores sliced to those k coordinates,
+    the same way for every model.
     """
     if series.n <= weights.m_d:
         raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
@@ -464,7 +496,11 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
             return value, score[:k]
 
         neg = _safe_negative(evaluate, k, ls_index=p1, z_index=p1 + 1 if k > p1 + 1 else None)
-        x_hat, _, _, iterations, converged = _minimize_bfgs(neg, x0[:k], max_iter=max_iter)
+        _, start_pairs = ev.pair_gradients(working(x0[:k]))
+        h_inv0 = _bhhh_inverse([(lag, w, grads[:, :k]) for lag, w, grads in start_pairs], n)
+        x_hat, _, _, iterations, converged = _minimize_bfgs(
+            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0
+        )
         working_hat = working(x_hat)
         loglik, pair_grads = ev.pair_gradients(working_hat)
     pair_grads = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pair_grads]
@@ -503,7 +539,11 @@ def fit(
     """Maximize the weighted pairwise likelihood and quantify uncertainty.
 
     Runs BFGS on the working scale with the analytic score, starting at
-    ``init`` (method-of-moments when omitted).  Convergence requires a
+    ``init`` (method-of-moments when omitted).  The inverse-Hessian
+    estimate starts at the inverse of the outer-product (BHHH) curvature
+    n * H there: by the pairwise second Bartlett identity it
+    approximates the Hessian, so the first line searches accept near-unit
+    steps.  Convergence requires a
     relative log-likelihood improvement below ``RELTOL`` together with
     the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
     max(1, |loglik|)); fits that exhaust ``max_iter`` are returned

@@ -632,7 +632,7 @@ def per_t_score(
 
     Summing over every admissible t recovers :func:`pairwise_score`.
     """
-    ev = PairwiseEvaluator(series, weights, rule)
     if not (weights.m_d < t <= series.n):
         raise ValueError(f"t must satisfy {weights.m_d} < t <= {series.n}, got {t}")
+    ev = PairwiseEvaluator(series, weights, rule)
     return ev.per_t_scores(working)[t - weights.m_d - 1]

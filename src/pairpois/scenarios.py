@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimation
-from .errors import PairpoisError
+from .errors import NumericalFailure, PairpoisError
 from .model import CountSeries, Params, make_weights
 from .simulate import latent_paths
 
 PARAM_NAMES = ("beta", "sigma2", "phi", "tau2")
+# outcomes of a study replicate other than "converged"
+FAILURE_REASONS = ("not_converged", "singular", "numerical")
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,7 @@ class StudyCell:
     ses: np.ndarray  # (n_rep, 4)
     converged: np.ndarray  # (n_rep,) bool
     j_min_eigs: np.ndarray  # (n_rep,) smallest eigenvalue of J_hat
+    outcomes: np.ndarray  # (n_rep,) "converged" or one of FAILURE_REASONS
 
 
 def run_study_cell(
@@ -110,23 +113,29 @@ def run_study_cell(
     Replicates whose fit fails in a typed way (a library error such as
     singular sensitivity or numerical failure, or a singular variability
     matrix in the Godambe solve) are recorded as NaN rows with
-    converged = False; any other exception propagates.  Results are
-    deterministic functions of the seed.
+    converged = False; any other exception propagates.  Each replicate's
+    outcome is recorded as ``"converged"``, ``"not_converged"`` (the fit
+    returned flagged), ``"numerical"`` (``NumericalFailure``) or
+    ``"singular"`` (any other typed failure: ``SingularMatrixError`` or
+    ``LinAlgError``).  Results are deterministic functions of the seed.
     """
     weights = make_weights(d, scheme)
     estimates = np.full((n_series, 4), np.nan)
     ses = np.full((n_series, 4), np.nan)
     converged = np.zeros(n_series, dtype=bool)
     j_eigs = np.full(n_series, np.nan)
+    outcomes = np.empty(n_series, dtype=object)
     for r in range(n_series):
         series = simulate_scenario(scenario_id, n_len, seed, r)
         try:
             result = estimation.fit(series, weights, quad_order=quad_order)
-        except (PairpoisError, np.linalg.LinAlgError):
+        except (PairpoisError, np.linalg.LinAlgError) as err:
+            outcomes[r] = "numerical" if isinstance(err, NumericalFailure) else "singular"
             continue
         estimates[r] = _reporting_vector(result)
         ses[r] = result.se
         converged[r] = result.converged
+        outcomes[r] = "converged" if result.converged else "not_converged"
         j_eigs[r] = float(np.linalg.eigvalsh(result.J_hat).min())
     return StudyCell(
         scenario=scenario_id,
@@ -137,6 +146,7 @@ def run_study_cell(
         ses=ses,
         converged=converged,
         j_min_eigs=j_eigs,
+        outcomes=outcomes,
     )
 
 
@@ -145,6 +155,7 @@ def summarize_cell(cell: StudyCell, n_len: int, n_series: int) -> list[dict]:
     spec = SCENARIOS[cell.scenario]
     truth = spec.true_values()
     ok = cell.converged & np.all(np.isfinite(cell.estimates), axis=1)
+    failed = {f"n_failed_{why}": int(np.sum(cell.outcomes == why)) for why in FAILURE_REASONS}
     rows = []
     for idx, name in enumerate(PARAM_NAMES):
         est = cell.estimates[ok, idx]
@@ -174,6 +185,7 @@ def summarize_cell(cell: StudyCell, n_len: int, n_series: int) -> list[dict]:
                 "mc_sd": mc_sd,
                 "mean_se": mean_se,
                 "n_converged": int(ok.sum()),
+                **failed,
             }
         )
     return rows

@@ -394,6 +394,38 @@ def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
     assert not cell.converged.any()
 
 
+def test_study_cell_counts_failures_by_reason(monkeypatch):
+    from pairpois import estimation, scenarios
+
+    real_fit = estimation.fit
+    outcomes = iter([
+        pp.SingularMatrixError("singular", cond=1e20),
+        np.linalg.LinAlgError("Singular matrix"),
+        pp.NumericalFailure("non-finite", time_index=3, lag=1),
+        "not_converged",
+        pp.NumericalFailure("non-finite"),
+        "converged",
+    ])
+
+    def scripted_fit(series, weights, quad_order):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return real_fit(series, weights, quad_order=quad_order,
+                        max_iter=1 if outcome == "not_converged" else 500)
+
+    monkeypatch.setattr(estimation, "fit", scripted_fit)
+    cell = scenarios.run_study_cell(5, 6, 200, 1, "rect", 10, 0)
+    assert list(cell.outcomes) == ["singular", "singular", "numerical", "not_converged",
+                                   "numerical", "converged"]
+    assert list(cell.converged) == [False] * 5 + [True]
+    rows = scenarios.summarize_cell(cell, 200, 6)
+    for row in rows:
+        assert row["n_converged"] == 1
+        assert (row["n_failed_not_converged"], row["n_failed_singular"],
+                row["n_failed_numerical"]) == (1, 2, 2)
+
+
 def test_beta_rmse_insensitive_to_pairwise_order():
     # recovery of the regression coefficient should not depend on how
     # many lagged pairs enter the likelihood

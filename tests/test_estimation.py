@@ -1,11 +1,13 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pairpois as pp
-from pairpois.estimation import _minimize_bfgs, _safe_negative
+from pairpois import cli
+from pairpois.estimation import _bhhh_inverse, _minimize_bfgs, _safe_negative
 from pairpois.model import PairwiseEvaluator
 
 W1 = pp.make_weights(1, "rect")
@@ -317,6 +319,74 @@ def test_fit_non_convergence_flagged_with_matrices():
     assert fit.iterations == 1
     assert fit.H_hat.shape == (3, 3)
     assert np.all(np.isfinite(fit.se))
+
+
+def greek_series():
+    """The Greek series as ``pairpois fit --trend --harmonics --holdout-months 12`` sees it."""
+    data = cli.read_count_csv(str(pathlib.Path(pp.__file__).parent / "data" / "greece_imd.csv"))
+    n_train = data.n - 12
+    spec = cli.ModelSpec(trend=True, harmonics=True, d=5, scheme="trap", quad_order=20)
+    X, _ = cli.build_design(spec, data.months[:n_train], n_train, {})
+    return pp.CountSeries(y=data.counts[:n_train], X=X)
+
+
+def test_bhhh_start_greek_fit_needs_few_evaluations(monkeypatch):
+    calls = []
+    real = PairwiseEvaluator.loglik_and_score
+
+    def counted(self, working):
+        calls.append(1)
+        return real(self, working)
+
+    monkeypatch.setattr(PairwiseEvaluator, "loglik_and_score", counted)
+    fit = pp.fit(greek_series(), pp.make_weights(5, "trap"), quad_order=20)
+    assert fit.converged
+    assert len(calls) <= 16  # 44 from an identity start
+    assert abs(fit.loglik - -963.25694647) <= 1e-6 * 963.25694647
+
+
+def test_minimize_bfgs_exact_inverse_hessian_takes_one_unit_step():
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+    c = np.array([0.3, -0.7, 1.1])
+    points = []
+
+    def quadratic(x):
+        points.append(x.copy())
+        d = x - c
+        return 0.5 * float(d @ a @ d), a @ d
+
+    x0 = np.zeros(3)
+    x, _, g, iterations, _ = _minimize_bfgs(quadratic, x0, max_iter=1, h_inv0=np.linalg.inv(a))
+    # the line search accepts the full Newton step at its first probe
+    assert iterations == 1 and len(points) == 2
+    assert_allclose(x, c, rtol=0, atol=1e-14)
+    assert np.max(np.abs(g)) <= 1e-13
+
+    points.clear()
+    x, _, _, _, converged = _minimize_bfgs(quadratic, x0, h_inv0=np.linalg.inv(a))
+    assert converged
+    assert_allclose(x, c, rtol=0, atol=1e-14)
+    seeded = len(points)
+    points.clear()
+    _minimize_bfgs(quadratic, x0)
+    assert len(points) > seeded
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_constant_series_raises_typed_error_with_bhhh_start(count):
+    # all zeros: the start-point outer product is not positive definite and
+    # BFGS starts from the identity; all threes: it is positive definite
+    # but numerically singular.  Either way the fit ends in the typed
+    # sensitivity failure, not in a LinAlgError from the start matrix.
+    series = pp.CountSeries(y=np.full(120, count), X=np.ones((120, 1)))
+    weights = pp.make_weights(2, "trap")
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(10))
+    _, start_pairs = ev.pair_gradients(pp.moment_init(series).to_working())
+    assert (_bhhh_inverse(start_pairs, series.n) is None) == (count == 0)
+    with pytest.raises(pp.SingularMatrixError):
+        pp.fit(series, weights, quad_order=10)
+    with pytest.raises(pp.SingularMatrixError):
+        pp.fit_restricted(series, weights, quad_order=10, restriction=pp.PHI_ZERO)
 
 
 def test_fit_series_too_short():

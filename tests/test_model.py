@@ -442,6 +442,19 @@ def test_per_t_score_range_checked():
             pp.per_t_score(series, bad_t, working, w, rule)
 
 
+def test_per_t_score_checks_t_before_building_the_evaluator(monkeypatch):
+    from pairpois import model
+
+    def no_evaluator(*args, **kwargs):
+        raise AssertionError("evaluator built for an out-of-range t")
+
+    monkeypatch.setattr(model, "PairwiseEvaluator", no_evaluator)
+    w = pp.make_weights(2, "rect")
+    with pytest.raises(ValueError, match="t must satisfy"):
+        pp.per_t_score(small_series(n=30), 2, pp.SCENARIOS[4].params.to_working(), w,
+                       pp.gauss_hermite(5))
+
+
 def test_per_t_score_depends_only_on_its_pair_at_d1():
     w = pp.make_weights(1, "rect")
     rule = pp.gauss_hermite(10)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,34 @@ def test_degenerate_model_is_iid_poisson():
     X = np.ones((100_000, 1))
     series = pp.simulate_series(pp.SimConfig(params=params, X=X, n_rep=1, seed=0))
     assert abs(series.y.mean() - 3.0) <= 3 * math.sqrt(3.0 / 100_000)
+
+
+@pytest.mark.parametrize("phi", [0.56, -0.93, 0.0, 0.999])
+@pytest.mark.parametrize("n_paths,horizon", [(1, 500), (2_000, 216), (3, 1)])
+def test_latent_paths_bit_identical_to_lfilter(phi, n_paths, horizon):
+    from scipy.signal import lfilter
+
+    params = pp.Params(beta=ONE, sigma2=0.7, phi=phi)
+    u = pp.latent_paths(params, horizon, n_paths, np.random.default_rng(5))
+    z = np.random.default_rng(5).standard_normal((n_paths, horizon))
+    e = z * math.sqrt(params.sigma2)
+    e[:, 0] = z[:, 0] * math.sqrt(params.tau2)
+    want = lfilter([1.0], [1.0, -phi], e, axis=1)
+    assert u.shape == want.shape and u.flags.c_contiguous
+    assert u.tobytes() == want.tobytes()
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    code = (
+        "import sys, pairpois; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    src = pathlib.Path(pp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_moment_checks_against_theory():
