@@ -10,11 +10,9 @@ to the reporting scale.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NotConvergedError, NumericalFailure, SingularMatrixError
 from .model import (
@@ -156,22 +154,24 @@ Z_PHI_BOUND = 4.0
 def _safe_negative(evaluate, dim, ls_index=None, z_index=None):
     """Wrap a loglik-and-score evaluation for minimization.
 
-    Trial points the line search probes can push tanh(z_phi) onto the
-    boundary or overflow exp(log_sigma2); those evaluations (and points
-    outside the working sanity box) report an infinite objective so the
-    step is rejected instead of raised.  So do points where the value is
-    finite but the score is not: at large latent variances e^v overflows
-    in grid cells whose weight underflowed, and the score moments there
-    come out as 0 * inf.
+    Trial points of the backtracking line search can push tanh(z_phi)
+    onto the boundary or overflow exp(log_sigma2); those evaluations
+    (and points outside the working sanity box) report an infinite
+    objective so the step is rejected instead of raised.  So do points
+    where the value is finite but the score is not: at large latent
+    variances e^v overflows in grid cells whose weight underflowed, and
+    the score moments there come out as 0 * inf.  ``neg(x, evaluated)``
+    runs the same checks on a (value, score) pair already computed at x
+    instead of evaluating it again.
     """
 
-    def neg(x):
+    def neg(x, evaluated=None):
         if ls_index is not None and abs(x[ls_index]) > LOG_SIGMA2_BOUND:
             return math.inf, np.zeros(dim)
         if z_index is not None and abs(x[z_index]) > Z_PHI_BOUND:
             return math.inf, np.zeros(dim)
         try:
-            value, score = evaluate(x)
+            value, score = evaluate(x) if evaluated is None else evaluated
         except (ValueError, OverflowError, NumericalFailure):
             return math.inf, np.zeros(dim)
         if not (np.isfinite(value) and np.all(np.isfinite(score))):
@@ -181,65 +181,53 @@ def _safe_negative(evaluate, dim, ls_index=None, z_index=None):
     return neg
 
 
-class _CachedObjective:
-    """Memoizes the (value, gradient) pair at the last evaluated point so
-    the Wolfe line search can query them separately without recomputing."""
-
-    def __init__(self, value_and_grad):
-        self._vg = value_and_grad
-        self._x = None
-        self._f = None
-        self._g = None
-        self.n_eval = 0
-
-    def _ensure(self, x):
-        if self._x is None or not np.array_equal(x, self._x):
-            self._x = np.array(x, copy=True)
-            self._f, self._g = self._vg(self._x)
-            self.n_eval += 1
-
-    def value(self, x):
-        self._ensure(x)
-        return self._f
-
-    def grad(self, x):
-        self._ensure(x)
-        return self._g
-
-
 def _minimize_bfgs(
     value_and_grad,
     x0: np.ndarray,
     max_iter: int = DEFAULT_MAX_ITER,
     h_inv0: np.ndarray | None = None,
+    start: tuple[float, np.ndarray] | None = None,
 ):
-    """BFGS with Wolfe line search and analytic gradients only.
+    """BFGS with a backtracking line search and analytic gradients only.
 
-    The inverse-Hessian estimate starts at ``h_inv0``, the identity when
-    omitted; :func:`_fit` passes the inverse of the outer-product (BHHH)
-    curvature at ``x0``, so the first steps are already scaled like
-    Newton steps.  Whenever the estimate stops giving a descent
-    direction it is reset to the identity.
+    ``value_and_grad`` returns the objective and its gradient together;
+    ``start`` is that pair at ``x0`` when the caller already has it, so
+    x0 is not evaluated again.  The inverse-Hessian estimate starts at
+    ``h_inv0``, the identity when omitted; :func:`_fit` passes the
+    inverse of the outer-product (BHHH) curvature at ``x0``, so the
+    first steps are already scaled like Newton steps.  Whenever the
+    estimate stops giving a descent direction it is reset to the
+    identity.
+
+    The line search is Armijo backtracking (Nocedal & Wright 2006,
+    Alg. 3.1): it tries the steps 1, 1/2, 1/4, ... down to 1e-14 and
+    takes the first with f(x + a d) <= f(x) + 1e-4 a g'd, evaluating f
+    and g together at each trial point.  Without a curvature condition
+    the update can meet s'y <= 0, so it is skipped unless s'y exceeds
+    1e-10 |s| |y|, which keeps the estimate positive definite (ibid.,
+    section 6.1).  When no step gives sufficient decrease the point is
+    numerically stationary and the gradient criterion alone decides.
 
     Declares convergence when the relative objective improvement drops
     below ``RELTOL`` AND the sup-norm of the gradient falls below
-    ``GRAD_RTOL * max(1, |f|)``.  Search directions are capped at
-    ``MAX_STEP`` in norm: when the likelihood flattens toward the
-    sigma2 -> 0 boundary the inverse-Hessian estimate blows up along
-    the flat direction, and an uncapped step would park log(sigma2)
-    tens of units deep into the degenerate region.  Returns
-    (x, f, g, iterations, converged).
+    ``GRAD_RTOL * max(1, |f|)``, and never at a non-finite objective: a
+    start with an infinite objective returns unconverged at once.
+    Search directions are capped at ``MAX_STEP`` in norm: when the
+    likelihood flattens toward the sigma2 -> 0 boundary the
+    inverse-Hessian estimate blows up along the flat direction, and an
+    uncapped step would park log(sigma2) tens of units deep into the
+    degenerate region.  Returns (x, f, g, iterations, converged).
     """
-    obj = _CachedObjective(value_and_grad)
     x = np.asarray(x0, dtype=float).copy()
-    f = obj.value(x)
-    g = obj.grad(x)
+    f, g = value_and_grad(x) if start is None else start
     dim = x.shape[0]
     h_inv = np.eye(dim) if h_inv0 is None else np.asarray(h_inv0, dtype=float)
 
     def grad_ok(fv, gv):
         return float(np.max(np.abs(gv))) <= GRAD_RTOL * max(1.0, abs(fv))
 
+    if not math.isfinite(f):
+        return x, f, g, 0, False
     if grad_ok(f, g):
         return x, f, g, 0, True
 
@@ -254,30 +242,17 @@ def _minimize_bfgs(
         if norm > MAX_STEP:
             direction *= MAX_STEP / norm
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            alpha = scipy.optimize.line_search(
-                obj.value, obj.grad, x, direction, gfk=g, old_fval=f, maxiter=40
-            )[0]
-        if alpha is None:
-            # Armijo backtracking fallback
-            slope = float(g @ direction)
-            alpha = 1.0
-            while alpha > 1e-14:
-                if obj.value(x + alpha * direction) <= f + 1e-4 * alpha * slope:
-                    break
-                alpha *= 0.5
-            else:
-                alpha = None
-        if alpha is None:
-            # no descent found along any computed direction: numerically
-            # stationary, so the gradient criterion decides the flag
+        slope = float(g @ direction)
+        alpha = 1.0
+        while alpha > 1e-14:
+            x_new = x + alpha * direction
+            f_new, g_new = value_and_grad(x_new)
+            if f_new <= f + 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
             converged = grad_ok(f, g)
             break
-
-        x_new = x + alpha * direction
-        f_new = obj.value(x_new)
-        g_new = obj.grad(x_new)
 
         step = x_new - x
         dgrad = g_new - g
@@ -461,12 +436,15 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     The free working coordinates are the first k of (beta, log sigma2,
     z_phi); the rest are held at zero.  The full model frees all of
     them, ``phi_zero`` all but z_phi, and ``independence`` beta alone,
-    which plain Poisson IRLS solves.  The latent fits run BFGS from the
-    inverse of the outer-product (BHHH) curvature n * H at the start
-    point, or from the identity when that matrix is not positive
-    definite.  H, J, the Godambe matrix, the standard errors and CLIC
-    then come from the per-pair scores sliced to those k coordinates,
-    the same way for every model.
+    which plain Poisson IRLS solves.  A latent fit rejects a start whose
+    free coordinates lie outside the working sanity box.  One pass at
+    the start point gives the loglik, the score and the per-pair scores;
+    BFGS starts there from the inverse of the outer-product (BHHH)
+    curvature n * H, or from the identity when that matrix is not
+    positive definite, without evaluating the start again.  H, J, the
+    Godambe matrix, the standard errors and CLIC then come from the
+    per-pair scores sliced to those k coordinates, the same way for
+    every model.
     """
     if series.n <= weights.m_d:
         raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
@@ -495,11 +473,21 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
             value, score = ev.loglik_and_score(working(x))
             return value, score[:k]
 
+        box = [(p1, "log(sigma2)", LOG_SIGMA2_BOUND), (p1 + 1, "atanh(phi)", Z_PHI_BOUND)]
+        for index, name, bound in box[: k - p1]:
+            if abs(x0[index]) > bound:
+                raise ValueError(
+                    f"start {name} = {x0[index]:.6g} lies outside the working sanity box "
+                    f"[-{bound:g}, {bound:g}]"
+                )
         neg = _safe_negative(evaluate, k, ls_index=p1, z_index=p1 + 1 if k > p1 + 1 else None)
-        _, start_pairs = ev.pair_gradients(working(x0[:k]))
+        value0, score0, start_pairs = ev._evaluate(
+            working(x0[:k]), want_grad=True, want_pairs=True
+        )
         h_inv0 = _bhhh_inverse([(lag, w, grads[:, :k]) for lag, w, grads in start_pairs], n)
         x_hat, _, _, iterations, converged = _minimize_bfgs(
-            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0
+            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0,
+            start=neg(x0[:k], (value0, score0[:k])),
         )
         working_hat = working(x_hat)
         loglik, pair_grads = ev.pair_gradients(working_hat)
@@ -542,9 +530,11 @@ def fit(
     ``init`` (method-of-moments when omitted).  The inverse-Hessian
     estimate starts at the inverse of the outer-product (BHHH) curvature
     n * H there: by the pairwise second Bartlett identity it
-    approximates the Hessian, so the first line searches accept near-unit
-    steps.  Convergence requires a
-    relative log-likelihood improvement below ``RELTOL`` together with
+    approximates the Hessian, so the backtracking line search mostly
+    accepts the unit step at its first trial.  A start outside the
+    working sanity box (|log sigma2| or |atanh phi| above its bound)
+    raises ``ValueError``.  Convergence requires a relative
+    log-likelihood improvement below ``RELTOL`` together with
     the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
     max(1, |loglik|)); fits that exhaust ``max_iter`` are returned
     flagged rather than raised, with all matrices still populated.

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalFailure
 from .quadrature import QuadRule
@@ -255,6 +254,18 @@ def dispersion_index(x: np.ndarray, params: Params) -> float:
     return marginal_mean(x, params) * math.expm1(params.tau2)
 
 
+def _log_factorial(y) -> np.ndarray:
+    """log(y!) elementwise, as log-gamma of y + 1.
+
+    ``math.lgamma`` runs once per distinct value; counts repeat heavily,
+    so this is cheaper than a per-element call.
+    """
+    y = np.asarray(y, dtype=float)
+    values, inverse = np.unique(y, return_inverse=True)
+    table = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
+    return table[inverse].reshape(y.shape)
+
+
 def poisson_log_pmf(y, log_mean):
     """Poisson log-pmf with the mean given on the log scale.
 
@@ -264,7 +275,7 @@ def poisson_log_pmf(y, log_mean):
     y = np.asarray(y)
     log_mean = np.asarray(log_mean, dtype=float)
     with np.errstate(over="ignore"):
-        return y * log_mean - np.exp(log_mean) - gammaln(y + 1.0)
+        return y * log_mean - np.exp(log_mean) - _log_factorial(y)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +408,7 @@ def pair_log_density(
 
     y = np.array([y1, y2], dtype=float)
     eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
-    lgam = gammaln(y + 1.0)
+    lgam = _log_factorial(y)
     grid, _ = _lag_grid(rule, params.tau2, params.phi**lag, want_moments=False)
     logp, _ = _fused_pairs(
         y[:1], y[1:], eta[:1], eta[1:], lgam[:1] + lgam[1:], grid, None,
@@ -459,7 +470,7 @@ class PairwiseEvaluator:
 
         y = series.y
         X = series.X
-        lgam = gammaln(y + 1.0)
+        lgam = _log_factorial(y)
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._blocks = []

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 MAX_ORDER = 100
 
@@ -60,8 +59,10 @@ class BivariateRule:
 def gauss_hermite(order: int) -> QuadRule:
     """Build the order-point Gauss-Hermite rule.
 
-    Nodes and weights come from the eigen-decomposition of the symmetric
-    tridiagonal Jacobi matrix, which is stable for all supported orders.
+    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix, taken with dense ``numpy.linalg.eigvalsh`` (at most 100 x
+    100), which is stable for all supported orders; weights come from
+    the Christoffel function at the nodes.
     The rule is cached, and its arrays are marked read-only.
 
     Parameters
@@ -85,7 +86,7 @@ def gauss_hermite(order: int) -> QuadRule:
         weights = np.array([math.sqrt(math.pi)])
     else:
         off_diag = np.sqrt(np.arange(1, order) / 2.0)
-        nodes = eigh_tridiagonal(np.zeros(order), off_diag, eigvals_only=True)
+        nodes = np.linalg.eigvalsh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
         # enforce the exact symmetry the continuous rule has
         nodes = 0.5 * (nodes - nodes[::-1])
         if order % 2 == 1:

@@ -3,7 +3,7 @@ prediction bands."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,19 +37,21 @@ class SimConfig:
 class PredictionBand:
     """Per-time predicted means and empirical upper bounds.
 
-    ``upper95`` uses the nearest-rank quantile of the simulated counts,
-    so bounds are integers and exceedance checks are unambiguous.
+    ``upper95`` is ``quantile(0.95)``, the nearest-rank quantile of the
+    simulated counts, so bounds are integers and exceedance checks are
+    unambiguous.
     """
 
     point: np.ndarray
-    upper95: np.ndarray
     n_sim: int
-    _cum_counts: np.ndarray | None = None  # (horizon, max_count+1) cumulative table
+    _cum_counts: np.ndarray  # (horizon, max_count+1) cumulative table
+    upper95: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "upper95", self.quantile(0.95))
 
     def quantile(self, level: float) -> np.ndarray:
         """Nearest-rank quantile of the simulated counts at each time."""
-        if self._cum_counts is None:
-            raise ValueError("this band was built without the simulation table")
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
         rank = math.ceil(level * self.n_sim)
@@ -117,14 +119,13 @@ def predict(
     seed: int = 0,
     *,
     X_insample: np.ndarray | None = None,
-    level: float = 0.95,
 ) -> PredictionBand:
     """Simulation-based predictions over the in-sample + future horizon.
 
     Draws ``n_sim`` independent latent paths from the fitted stationary
     model over the whole horizon (no conditioning on the observed
     counts), then Poisson counts, and reports the per-time mean together
-    with the empirical upper bound at ``level``.  The horizon is the
+    with the empirical 95% upper bound.  The horizon is the
     concatenation of the ``X_insample`` rows (if given) and the
     ``X_future`` rows (if given); at least one block is required.
 
@@ -170,8 +171,6 @@ def predict(
             counts_table[t, :] += np.bincount(y[:, t], minlength=counts_table.shape[1])
         done += m
 
-    cum = np.cumsum(counts_table, axis=1)
-    point = total / n_sim
-    rank = math.ceil(level * n_sim)
-    upper = np.argmax(cum >= rank, axis=1).astype(float)
-    return PredictionBand(point=point, upper95=upper, n_sim=n_sim, _cum_counts=cum)
+    return PredictionBand(
+        point=total / n_sim, n_sim=n_sim, _cum_counts=np.cumsum(counts_table, axis=1)
+    )

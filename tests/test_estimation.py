@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,53 @@ def test_minimize_bfgs_exact_inverse_hessian_takes_one_unit_step():
     points.clear()
     _minimize_bfgs(quadratic, x0)
     assert len(points) > seeded
+
+
+def test_bhhh_start_point_is_evaluated_once(monkeypatch):
+    # the start pass gives the loglik, the score and the per-pair scores;
+    # BFGS takes its value and gradient from there instead of again
+    series = greek_series()
+    x0 = pp.moment_init(series).to_working().as_vector()
+    points = []
+    real = PairwiseEvaluator._evaluate
+
+    def recorded(self, working, want_grad, want_pairs):
+        points.append(working.as_vector())
+        return real(self, working, want_grad, want_pairs)
+
+    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", recorded)
+    fit = pp.fit(series, pp.make_weights(5, "trap"), quad_order=20)
+    assert fit.converged
+    assert sum(np.array_equal(x, x0) for x in points) == 1
+
+
+@pytest.mark.parametrize(
+    "sigma2,phi,name", [(0.01, 0.9999, "atanh(phi)"), (1e-7, None, "log(sigma2)")]
+)
+def test_start_outside_sanity_box_is_rejected(sigma2, phi, name):
+    # the wrapped objective there is (inf, 0): its zero gradient must not
+    # let the fit report convergence after 0 iterations
+    series = pp.simulate_scenario(5, 500, 3)
+    weights = pp.make_weights(3, "trap")
+    moments = pp.moment_init(series)
+    init = pp.Params(beta=moments.beta, sigma2=sigma2, phi=moments.phi if phi is None else phi)
+    box = rf"start {re.escape(name)} = .* outside the working sanity box"
+    with pytest.raises(ValueError, match=box):
+        pp.fit(series, weights, init=init)
+
+
+def test_minimize_bfgs_never_converges_at_non_finite_objective():
+    calls = []
+
+    def infinite(x):
+        calls.append(1)
+        return math.inf, np.zeros(2)
+
+    x, f, _, iterations, converged = _minimize_bfgs(infinite, np.ones(2))
+    assert not converged and iterations == 0 and f == math.inf and len(calls) == 1
+    assert_allclose(x, 1.0, rtol=0, atol=0)
+    _, _, _, _, converged = _minimize_bfgs(infinite, np.ones(2), start=(math.inf, np.zeros(2)))
+    assert not converged and len(calls) == 1
 
 
 @pytest.mark.parametrize("count", [0, 3])

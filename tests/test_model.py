@@ -193,6 +193,20 @@ def test_dispersion_index_benchmark_rows(sid, target):
 # pair densities
 
 
+def test_log_factorial_matches_gammaln():
+    from scipy.special import gammaln
+
+    from pairpois.model import _log_factorial
+
+    y = np.arange(20_001)
+    want = gammaln(y + 1.0)
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    assert np.all(np.abs(_log_factorial(y) - want) <= 1e-15 * scale)
+    # with log-mean 0 the pmf is -1 - log(y!), so no cancellation hides the error
+    assert np.all(np.abs(pp.poisson_log_pmf(y, 0.0) - (-1.0 - want)) <= 1e-15 * (1.0 + want))
+    assert _log_factorial(np.array([[3, 0], [3, 5]])).shape == (2, 2)
+
+
 def test_pair_density_degenerate_latent():
     p = pp.Params(beta=[0.1501], sigma2=1e-12, phi=0.5)
     got = pp.pair_log_density(2, 3, ONE, ONE, 1, p, pp.gauss_hermite(20))

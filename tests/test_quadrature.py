@@ -47,6 +47,35 @@ def test_rule_structure(order):
     assert abs(rule.weights.sum() - SQRT_PI) < 1e-10
 
 
+def tridiagonal_route(order):
+    # the rule as built with scipy's tridiagonal eigensolver, followed by
+    # the same symmetrisation and Christoffel weights
+    from scipy.linalg import eigh_tridiagonal
+
+    if order == 1:
+        return np.zeros(1), np.array([SQRT_PI])
+    nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0), eigvals_only=True)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    if order % 2 == 1:
+        nodes[order // 2] = 0.0
+    p_prev = np.zeros(order)
+    p = np.full(order, math.pi**-0.25)
+    total = p * p
+    for k in range(1, order):
+        p, p_prev = nodes * p * math.sqrt(2.0 / k) - p_prev * math.sqrt((k - 1.0) / k), p
+        total += p * p
+    weights = 1.0 / total
+    return nodes, 0.5 * (weights + weights[::-1])
+
+
+@pytest.mark.parametrize("order", range(1, 101))
+def test_rule_bit_identical_to_tridiagonal_eigensolver(order):
+    nodes, weights = tridiagonal_route(order)
+    rule = gauss_hermite(order)
+    assert rule.nodes.tobytes() == nodes.tobytes()
+    assert rule.weights.tobytes() == weights.tobytes()
+
+
 def test_rules_are_cached_and_readonly():
     rule = gauss_hermite(20)
     assert rule is gauss_hermite(20)

@@ -50,6 +50,19 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_scipy_module():
+    code = (
+        "import sys, pairpois; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = pathlib.Path(pp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_moment_checks_against_theory():
     params = pp.SCENARIOS[2].params
     X = np.ones((1_000_000, 1))
