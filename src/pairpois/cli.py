@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimation, scenarios
 from .errors import DataFormatError, PairpoisError
-from .model import CountSeries, Params, make_weights
+from .model import CountSeries, Params, dispersion_index, make_weights
 from .simulate import SimConfig, predict, simulate_series
 
 SCHEMA_VERSION = 1
@@ -63,8 +63,8 @@ def read_count_csv(path: str) -> ParsedData:
     """Read a monthly count CSV (columns: date, count, optional covariates).
 
     Months must be consecutive with no gaps or duplicates; counts must
-    parse as non-negative integers.  Violations raise
-    :class:`DataFormatError` naming the offending line.
+    parse as non-negative integers and covariates as finite numbers.
+    Violations raise :class:`DataFormatError` naming the offending line.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -125,6 +125,10 @@ def read_count_csv(path: str) -> ParsedData:
                     raise DataFormatError(
                         f"{path}: line {lineno}: covariate {name!r} value {cell!r} is not numeric"
                     ) from None
+                if not math.isfinite(covs[-1]):
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: covariate {name!r} value {cell!r} is not finite"
+                    )
 
             months.append(date)
             counts.append(value)
@@ -334,11 +338,10 @@ def cmd_fit(args) -> int:
 
     covs_train = {k: v[:n_train] for k, v in data.covariates.items()}
     X, coef_names = build_design(spec, months_train, n_train, covs_train)
-    series = CountSeries(y=data.counts[:n_train], X=X, t_index=np.asarray(months_train))
+    series = CountSeries(y=data.counts[:n_train], X=X)
 
     start = estimation.moment_init(series)
-    mu = np.exp(series.X @ start.beta + 0.5 * start.tau2)
-    d_t = mu * math.expm1(start.tau2)
+    d_t = dispersion_index(series.X, start)
     dispersion = {
         "min": float(d_t.min()),
         "median": float(np.median(d_t)),
@@ -408,6 +411,9 @@ def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
 
 
 def cmd_predict(args) -> int:
+    horizon = args.horizon_months
+    if horizon < 0:
+        raise DataFormatError(f"horizon of {horizon} months must be non-negative")
     with open(args.report) as handle:
         report = json.load(handle)
     if report.get("kind") != "fit_report":
@@ -416,7 +422,6 @@ def cmd_predict(args) -> int:
 
     n_train = report["n_train"]
     start_ord = month_to_ordinal(report["start_month"])
-    horizon = args.horizon_months
     months_all = [ordinal_to_month(start_ord + k) for k in range(n_train + horizon)]
 
     observed = {}

@@ -21,7 +21,6 @@ from .model import (
     Params,
     PairwiseEvaluator,
     WorkingParams,
-    _degenerate_pair_gradients,
     _weighted_per_t,
 )
 from .quadrature import QuadRule, gauss_hermite
@@ -434,20 +433,23 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     """The one fit driver behind :func:`fit` and :func:`fit_restricted`.
 
     The free working coordinates are the first k of (beta, log sigma2,
-    z_phi); the rest are held at zero.  The full model frees all of
-    them, ``phi_zero`` all but z_phi, and ``independence`` beta alone,
-    which plain Poisson IRLS solves.  A latent fit rejects a start whose
-    free coordinates lie outside the working sanity box.  One pass at
-    the start point gives the loglik, the score and the per-pair scores;
-    BFGS starts there from the inverse of the outer-product (BHHH)
-    curvature n * H, or from the identity when that matrix is not
-    positive definite, without evaluating the start again.  H, J, the
-    Godambe matrix, the standard errors and CLIC then come from the
-    per-pair scores sliced to those k coordinates, the same way for
-    every model.
+    z_phi); the rest are held fixed, z_phi at zero and log sigma2 at
+    -inf (sigma2 = 0).  The full model frees all of them, ``phi_zero``
+    all but z_phi, and ``independence`` beta alone, which plain Poisson
+    IRLS solves.  A latent fit rejects a start whose free coordinates
+    lie outside the working sanity box.  One pass at the start point
+    gives the loglik, the score and the per-pair scores; BFGS starts
+    there from the inverse of the outer-product (BHHH) curvature n * H,
+    or from the identity when that matrix is not positive definite,
+    without evaluating the start again.  Every model then takes the
+    loglik and the per-pair scores at its estimate from one pass of the
+    one evaluator; at the independence point tau2 = 0 the rule
+    integrates the point mass exactly, so they are the Poisson-product
+    values up to rounding.  H, J, the Godambe matrix, the standard
+    errors and CLIC come from the per-pair scores sliced to those k
+    coordinates, the same way for every model.
     """
-    if series.n <= weights.m_d:
-        raise ValueError(f"series length {series.n} must exceed the window m_d = {weights.m_d}")
+    ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
     if hac_lags is None:
         hac_lags = default_hac_lags(series.n)
     n, p1 = series.n, series.n_coef
@@ -456,10 +458,8 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         k = p1
         beta, iterations, converged = poisson_irls(series.X, series.y)
         working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
-        loglik, pair_grads = _degenerate_pair_gradients(series, beta, weights)
     else:
         k = p1 + 1 if restriction == PHI_ZERO else p1 + 2
-        ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
         if init is None:
             init = moment_init(series)
         x0 = init.to_working().as_vector()
@@ -490,7 +490,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
             start=neg(x0[:k], (value0, score0[:k])),
         )
         working_hat = working(x_hat)
-        loglik, pair_grads = ev.pair_gradients(working_hat)
+    loglik, pair_grads = ev.pair_gradients(working_hat)
     pair_grads = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pair_grads]
 
     h = _sensitivity_from_pairs(pair_grads, n)
@@ -556,8 +556,13 @@ def fit_restricted(
 
     ``phi_zero`` fixes phi = 0 and estimates (beta, sigma2);
     ``independence`` drops the latent component entirely (tau2 = 0), so
-    the coefficients come from the plain independence Poisson regression
-    and the pair densities degenerate to Poisson products.
+    the coefficients come from the plain independence Poisson regression.
+    Its loglik and sandwich come from the same quadrature evaluator as
+    every fit: at tau2 = 0 the rule integrates the point mass exactly,
+    so the pair densities are Poisson products up to rounding.  Hence
+    ``quad_order`` must be a valid rule order for this restriction too,
+    and a mean e^eta that overflows raises a located
+    ``NumericalFailure``.
     """
     if restriction not in (PHI_ZERO, INDEPENDENCE):
         raise ValueError(f"unknown restriction {restriction!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .quadrature import QuadRule
+from .quadrature import QuadRule, _latent_points
 
 RECTANGULAR = "rectangular"
 TRAPEZOIDAL = "trapezoidal"
@@ -109,17 +109,14 @@ class WorkingParams:
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Observed counts with their covariate matrix and time labels.
+    """Observed counts with their covariate matrix.
 
-    ``y`` holds n non-negative integer counts, ``X`` the n x (p+1)
-    covariate matrix whose first column is the intercept, and ``t_index``
-    arbitrary per-observation labels (month strings for real data,
-    1-based integers for simulated series).
+    ``y`` holds n non-negative integer counts and ``X`` the n x (p+1)
+    covariate matrix whose first column is the intercept.
     """
 
     y: np.ndarray
     X: np.ndarray
-    t_index: np.ndarray | None = None
 
     def __post_init__(self):
         y = np.asarray(self.y)
@@ -142,14 +139,6 @@ class CountSeries:
         if np.linalg.matrix_rank(X) < X.shape[1]:
             raise ValueError("X must have full column rank")
         object.__setattr__(self, "X", _readonly(X))
-
-        t_index = self.t_index
-        if t_index is None:
-            t_index = np.arange(1, y.shape[0] + 1)
-        t_index = np.asarray(t_index)
-        if t_index.shape[0] != y.shape[0]:
-            raise ValueError("t_index must align with y")
-        object.__setattr__(self, "t_index", t_index)
 
     @property
     def n(self) -> int:
@@ -245,13 +234,15 @@ def autocorrelation(lag: int, x_t: np.ndarray, x_lag: np.ndarray, params: Params
     return num / math.sqrt(marginal_var(x_t, params) * marginal_var(x_lag, params))
 
 
-def dispersion_index(x: np.ndarray, params: Params) -> float:
+def dispersion_index(x: np.ndarray, params: Params) -> float | np.ndarray:
     """Dispersion index E(y) * (exp(tau2) - 1).
 
     The conditional-variance excess relative to the mean; it governs how
-    many quadrature nodes the pair densities need.
+    many quadrature nodes the pair densities need.  ``x`` is one
+    covariate row, giving a scalar, or an (n, p+1) design matrix, giving
+    the index of every row.
     """
-    return marginal_mean(x, params) * math.expm1(params.tau2)
+    return np.exp(np.dot(x, params.beta) + 0.5 * params.tau2) * math.expm1(params.tau2)
 
 
 def _log_factorial(y) -> np.ndarray:
@@ -290,7 +281,8 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
     c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
-    latent covariance.  The grid G (5, q^2) has rows
+    latent covariance, by the map :func:`bivariate_normal_rule` uses.
+    The grid G (5, q^2) has rows
     [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
     [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
@@ -300,16 +292,15 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
     x = rule.nodes
     q = x.shape[0]
     c = math.sqrt(2.0 * tau2)
-    s = math.sqrt(1.0 - rho * rho)
     logw = np.log(rule.weights)
-    u = np.repeat(c * x, q)
-    v = (c * (rho * x[:, None] + s * x[None, :])).ravel()
+    u, v = _latent_points(x, c, rho)
     with np.errstate(over="ignore"):
         exp_u = np.exp(u)
         exp_v = np.exp(v)
     grid = np.stack([(logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u, v, exp_v])
     if not want_moments:
         return grid, None
+    s = math.sqrt(1.0 - rho * rho)
     dv = (c * (x[:, None] - (rho / s) * x[None, :])).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         moments = np.column_stack(
@@ -378,7 +369,10 @@ def pair_log_density(
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
     the full grid) so that large counts cannot underflow.  This is the
-    kernel :class:`PairwiseEvaluator` runs, called for one pair.
+    kernel :class:`PairwiseEvaluator` runs, called for one pair.  At
+    tau2 = 0 the latent pair is a point mass at the origin, which the
+    rule integrates exactly: the density is the product of two Poisson
+    probabilities, up to rounding.
 
     When the two covariate rows are identical the arguments are ordered
     canonically first, which makes the exchange symmetry
@@ -388,7 +382,8 @@ def pair_log_density(
     Raises
     ------
     NumericalFailure
-        If every grid term underflows even in log space.
+        If every grid term underflows even in log space, or a mean
+        e^eta overflows.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -396,12 +391,6 @@ def pair_log_density(
         raise ValueError("counts must be non-negative")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-
-    if params.tau2 == 0.0:
-        return float(
-            poisson_log_pmf(y1, np.dot(x1, params.beta))
-            + poisson_log_pmf(y2, np.dot(x2, params.beta))
-        )
 
     if np.array_equal(x1, x2) and y2 < y1:
         y1, y2 = y2, y1
@@ -453,6 +442,14 @@ class PairwiseEvaluator:
     evaluator itself holds no mutable state, so all public methods are
     pure functions of the working parameters.  The per-t sums run in a
     fixed order, so results are bit-reproducible.
+
+    ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
+    point like any other: every node maps to the origin and the tensor
+    weights sum to one, so the kernel integrates the point mass exactly
+    and gives Poisson-product densities, the coefficient scores of a
+    Poisson regression, and zero scores for log sigma2 and z_phi, up to
+    rounding.  A pair whose mean e^eta overflows raises a located
+    :class:`NumericalFailure` there as everywhere.
     """
 
     def __init__(self, series: CountSeries, weights: PairWeights, rule: QuadRule):
@@ -537,9 +534,6 @@ class PairwiseEvaluator:
     def _evaluate(self, working: WorkingParams, want_grad: bool, want_pairs: bool):
         params = working.to_params()
         tau2 = params.tau2
-        if not tau2 > 0:
-            raise ValueError("working parameters must have sigma2 > 0; use the "
-                             "degenerate helpers for the independence boundary")
         phi = params.phi
         eta = self.series.X @ params.beta
         buf = np.empty((self._max_block, self.rule.nodes.shape[0] ** 2))
@@ -578,35 +572,6 @@ class PairwiseEvaluator:
         return _weighted_per_t(pairs, self.n_pairs)
 
 
-def _degenerate_loglik(series: CountSeries, beta: np.ndarray, weights: PairWeights) -> float:
-    """Weighted pairwise log-likelihood at tau2 = 0 (Poisson products)."""
-    n = series.n
-    if n <= weights.m_d:
-        raise ValueError(f"series length {n} must exceed the window m_d = {weights.m_d}")
-    eta = series.X @ beta
-    lp = poisson_log_pmf(series.y, eta)
-    outer = np.arange(weights.m_d, n)
-    total = 0.0
-    for lag, w_lag in zip(weights.lags, weights.w):
-        total += w_lag * float(np.sum(lp[outer - lag] + lp[outer]))
-    return total
-
-
-def _degenerate_pair_gradients(series: CountSeries, beta: np.ndarray, weights: PairWeights):
-    """Per-pair coefficient scores at tau2 = 0, mirroring
-    :meth:`PairwiseEvaluator.pair_gradients` restricted to beta."""
-    n = series.n
-    eta = series.X @ beta
-    resid = series.y - np.exp(eta)
-    outer = np.arange(weights.m_d, n)
-    pairs = []
-    for lag, w_lag in zip(weights.lags, weights.w):
-        i1 = outer - lag
-        grads = resid[i1, None] * series.X[i1] + resid[outer, None] * series.X[outer]
-        pairs.append((int(lag), float(w_lag), grads))
-    return _degenerate_loglik(series, beta, weights), pairs
-
-
 def pairwise_loglik(
     series: CountSeries, params: Params, weights: PairWeights, rule: QuadRule
 ) -> float:
@@ -614,10 +579,11 @@ def pairwise_loglik(
 
     Sums w_i * log p(y_{t-i}, y_t) over lags i and over t = m_d+1 .. n;
     pairs whose later member falls at or before m_d are excluded, which
-    matches the indexing the variance theory assumes.
+    matches the indexing the variance theory assumes.  ``sigma2 = 0``
+    (tau2 = 0) needs no special case: :class:`PairwiseEvaluator`
+    integrates the point mass exactly, giving the weighted sum of
+    Poisson-product log-likelihoods up to rounding.
     """
-    if params.tau2 == 0.0:
-        return _degenerate_loglik(series, params.beta, weights)
     return PairwiseEvaluator(series, weights, rule).loglik(params.to_working())
 
 

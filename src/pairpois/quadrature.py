@@ -108,6 +108,20 @@ def gauss_hermite(order: int) -> QuadRule:
     return QuadRule(order=order, nodes=nodes, weights=weights)
 
 
+def _latent_points(nodes: np.ndarray, scale: float, rho: float):
+    """The latent pair at each cell (j, k) of the tensor rule on ``nodes``.
+
+    Returns the flattened (row-major in j, k) arrays
+    u = scale x_j and v = scale (rho x_j + sqrt(1 - rho^2) x_k): the
+    nodes mapped through the Cholesky factor of [[1, rho], [rho, 1]].
+    With ``scale = 0`` every cell sits at the origin.
+    """
+    s = math.sqrt(1.0 - rho * rho)
+    u = np.repeat(scale * nodes, nodes.shape[0])
+    v = (scale * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
+    return u, v
+
+
 def bivariate_normal_rule(rule: QuadRule, tau2: float, rho: float) -> BivariateRule:
     """Transform a 1-D rule into a rule for a centered bivariate normal.
 
@@ -126,12 +140,7 @@ def bivariate_normal_rule(rule: QuadRule, tau2: float, rho: float) -> BivariateR
     if not abs(rho) < 1:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
 
-    scale = math.sqrt(2.0 * tau2)
-    s = math.sqrt(1.0 - rho * rho)
-    x = rule.nodes
-    xj = np.repeat(x, rule.order)
-    xk = np.tile(x, rule.order)
-    points = np.column_stack([scale * xj, scale * (rho * xj + s * xk)])
+    points = np.column_stack(_latent_points(rule.nodes, math.sqrt(2.0 * tau2), rho))
     weights = np.outer(rule.weights, rule.weights).ravel() / math.pi
 
     points.setflags(write=False)

@@ -14,7 +14,7 @@ import numpy as np
 from . import estimation
 from .errors import NumericalFailure, PairpoisError
 from .model import CountSeries, Params, make_weights
-from .simulate import latent_paths
+from .simulate import _simulate_counts
 
 PARAM_NAMES = ("beta", "sigma2", "phi", "tau2")
 # outcomes of a study replicate other than "converged"
@@ -73,10 +73,8 @@ def simulate_scenario(scenario_id: int, n: int, seed: int, replicate: int = 0) -
     """
     spec = SCENARIOS[scenario_id]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, scenario_id, replicate)))
-    params = spec.params
-    u = latent_paths(params, n, 1, rng)[0]
-    y = rng.poisson(np.exp(spec.beta + u)).astype(np.int64)
-    return CountSeries(y=y, X=np.ones((n, 1)))
+    X = np.ones((n, 1))
+    return CountSeries(y=_simulate_counts(spec.params, X, rng), X=X)
 
 
 def _reporting_vector(result: estimation.FitResult) -> np.ndarray:

@@ -77,6 +77,29 @@ def test_csv_non_numeric_covariate(tmp_path, capsys):
     assert "not numeric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_covariate_is_located(tmp_path, capsys, cell):
+    path = write_rows(
+        tmp_path / "bad.csv",
+        [("1999-01", 1, "0.5"), ("1999-02", 2, cell)],
+        header=("date", "count", "z"),
+    )
+    rc = cli.main(["fit", path, "--output", str(tmp_path / "out.json"), "--covariates", "z"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"line 3: covariate 'z' value '{cell}' is not finite" in err
+
+
+def test_future_covariates_non_finite_cell_is_located(tmp_path):
+    path = write_rows(
+        tmp_path / "future.csv",
+        [("2010-01", 0, "0.1"), ("2010-02", 0, "nan")],
+        header=("date", "count", "z"),
+    )
+    with pytest.raises(pp.DataFormatError, match="line 3: covariate 'z' value 'nan'"):
+        cli.read_count_csv_covariates(path, ("z",))
+
+
 # ---------------------------------------------------------------------------
 # weights subcommand
 
@@ -277,6 +300,18 @@ def test_predict_band_columns_and_exceedance(tmp_path, greek_report):
         assert row["exceeds"] in ("true", "false")
         flag = int(row["observed"]) > int(row["upper95"])
         assert row["exceeds"] == ("true" if flag else "false")
+
+
+def test_predict_rejects_negative_horizon(tmp_path, greek_report, capsys):
+    band_path = tmp_path / "band.csv"
+    capsys.readouterr()
+    rc = cli.main(
+        ["predict", str(greek_report), "--output", str(band_path),
+         "--horizon-months", "-5", "--n-sim", "10"]
+    )
+    assert rc == 1
+    assert "horizon of -5 months" in capsys.readouterr().err
+    assert not band_path.exists()
 
 
 def test_predict_without_observations_leaves_flags_empty(tmp_path, greek_report):

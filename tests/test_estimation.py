@@ -459,6 +459,12 @@ def test_independence_restriction_matches_irls():
     assert np.isfinite(fit.clic)
 
 
+def test_independence_restriction_rejects_invalid_node_count():
+    series = pp.simulate_scenario(5, 100, seed=1)
+    with pytest.raises(ValueError, match="order"):
+        pp.fit_restricted(series, W1, quad_order=0, restriction=pp.INDEPENDENCE)
+
+
 def test_phi_zero_restriction_structure():
     series = pp.simulate_scenario(5, 400, seed=20)
     fit = pp.fit_restricted(series, W1, quad_order=20, restriction=pp.PHI_ZERO)

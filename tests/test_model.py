@@ -115,7 +115,6 @@ def test_count_series_validation():
     with pytest.raises(ValueError):
         pp.CountSeries(y=np.array([1, 2, 3]), X=np.zeros((3, 2)))  # rank deficient
     series = pp.CountSeries(y=np.array([1, 2]), X=np.ones((2, 1)))
-    assert series.t_index.tolist() == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +186,14 @@ def test_autocorrelation_against_long_simulation():
 def test_dispersion_index_benchmark_rows(sid, target):
     value = pp.dispersion_index(ONE, pp.SCENARIOS[sid].params)
     assert abs(value - target) < 1e-3 * target
+
+
+def test_dispersion_index_of_design_matrix_is_per_row():
+    p = pp.Params(beta=[0.2, -0.7], sigma2=0.3, phi=0.5)
+    X = np.column_stack([np.ones(6), np.linspace(-1.0, 2.0, 6)])
+    got = pp.dispersion_index(X, p)
+    assert got.shape == (6,)
+    assert_allclose(got, [pp.dispersion_index(x, p) for x in X], rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +363,52 @@ def test_pairwise_loglik_degenerate_params():
     lp = pp.poisson_log_pmf(series.y, 0.3)
     want = float(np.sum(lp[:-1] + lp[1:]))
     assert abs(pp.pairwise_loglik(series, p0, w, pp.gauss_hermite(5)) - want) < 1e-10
+
+
+def _covariate_series(n=80, seed=5):
+    """A short series with an intercept and two periodic indicators, so
+    some pairs share a covariate row and some do not."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    X = np.column_stack([np.ones(n), t % 3 == 0, t % 4 == 0]).astype(float)
+    y = rng.poisson(np.exp(0.4 + 0.5 * X[:, 1] - 0.3 * X[:, 2]))
+    return pp.CountSeries(y=y, X=X)
+
+
+@pytest.mark.parametrize("z_phi", [0.0, 0.4])
+def test_evaluator_integrates_independence_point(z_phi):
+    # log sigma2 = -inf is tau2 = 0: the rule integrates the point mass
+    series = _covariate_series()
+    w = pp.make_weights(2, "trap")
+    beta = np.array([0.35, 0.6, -0.2])
+    ev = PairwiseEvaluator(series, w, pp.gauss_hermite(20))
+    working = pp.WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=z_phi)
+    loglik, pairs = ev.pair_gradients(working)
+
+    eta = series.X @ beta
+    lp = pp.poisson_log_pmf(series.y, eta)
+    resid = series.y - np.exp(eta)
+    outer = np.arange(w.m_d, series.n)
+    want = sum(w_lag * float(np.sum(lp[outer - lag] + lp[outer]))
+               for lag, w_lag in zip(w.lags, w.w))
+    assert abs(loglik - want) <= 1e-12 * abs(want)
+    for (lag, w_lag, grads), lag_want, w_want in zip(pairs, w.lags, w.w):
+        assert (lag, w_lag) == (lag_want, w_want)
+        i1 = outer - lag
+        beta_scores = resid[i1, None] * series.X[i1] + resid[outer, None] * series.X[outer]
+        assert np.array_equal(grads[:, :3], beta_scores)
+        assert np.all(grads[:, 3:] == 0.0)
+
+
+def test_pairwise_score_at_zero_latent_variance_is_glm_score():
+    series = small_series(n=50)
+    w = pp.make_weights(1, "rect")
+    working = pp.WorkingParams(beta=[0.25], log_sigma2=-math.inf, z_phi=0.0)
+    score = pp.pairwise_score(series, working, w, pp.gauss_hermite(20))
+    resid = series.y - math.exp(0.25)
+    want = float(np.sum(resid[:-1] + resid[1:]))
+    assert abs(score[0] - want) <= 1e-12 * max(1.0, abs(want))
+    assert score[1] == 0.0 and score[2] == 0.0
 
 
 def test_node_count_monotonicity():

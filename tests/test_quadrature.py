@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairpois import bivariate_normal_rule, gauss_hermite
+from pairpois.model import _lag_grid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -150,6 +151,17 @@ def test_lognormal_moment_identity():
     tau2, rho = 2.0369, 0.5
     rule = bivariate_normal_rule(gauss_hermite(20), tau2, rho)
     assert abs(rule.expect(lambda u, v: np.exp(u + v)) - math.exp(tau2 * (1 + rho))) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "order,tau2,rho", [(1, 0.3, 0.2), (5, 1.7, -0.6), (20, 0.5109, 0.0), (20, 2.0369, 0.729)]
+)
+def test_kernel_grid_uses_bivariate_points(order, tau2, rho):
+    rule = gauss_hermite(order)
+    grid, _ = _lag_grid(rule, tau2, rho, want_moments=False)
+    points = bivariate_normal_rule(rule, tau2, rho).points
+    assert np.array_equal(grid[1], points[:, 0])
+    assert np.array_equal(grid[3], points[:, 1])
 
 
 @pytest.mark.parametrize("tau2,rho", [(1.0, 1.0), (1.0, -1.0), (1.0, 1.5), (0.0, 0.5), (-1.0, 0.0)])
