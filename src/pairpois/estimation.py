@@ -364,22 +364,26 @@ def _check_invertible(h: np.ndarray, label: str) -> None:
         )
 
 
-def _working_avar(h: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Sandwich asymptotic variance H^-1 J H^-1 / n on the working scale."""
+def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
+    """Robust standard errors on the reporting scale (beta..., sigma2,
+    phi, tau2).
+
+    The working-scale variance is the sandwich H^-1 J H^-1 / n; sigma2,
+    phi and tau2 are mapped from (log sigma2, atanh phi) by the delta
+    method.  H and J cover the first k working coordinates of (beta,
+    log sigma2, z_phi), the ones the fit estimated: k = p+1 for the
+    independence fit, p+2 with phi fixed at zero (where tau2 = sigma2),
+    p+3 for the full model.  Fixed parameters get NaN.
+
+    Raises
+    ------
+    SingularMatrixError
+        If H is numerically singular.
+    """
     _check_invertible(h, "sensitivity")
     a = np.linalg.solve(h, j)
     avar = np.linalg.solve(h, a.T).T / n
-    return 0.5 * (avar + avar.T)
-
-
-def _delta_se(avar: np.ndarray, working: WorkingParams) -> np.ndarray:
-    """Reporting-scale standard errors (beta..., sigma2, phi, tau2).
-
-    ``avar`` covers the first k working coordinates of (beta, log
-    sigma2, z_phi), the ones the fit estimated: k = p+1 for the
-    independence fit, p+2 with phi fixed at zero (where tau2 = sigma2),
-    p+3 for the full model.  Fixed parameters get NaN.
-    """
+    avar = 0.5 * (avar + avar.T)
     params = working.to_params()
     p1 = params.n_coef
     k = avar.shape[0]
@@ -396,17 +400,6 @@ def _delta_se(avar: np.ndarray, working: WorkingParams) -> np.ndarray:
         d[p1 + 1] = 2.0 * phi * tau2
         se[p1 + 2] = math.sqrt(max(float(d @ avar @ d), 0.0))
     return se
-
-
-def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
-    """Robust standard errors on the reporting scale (beta..., sigma2,
-    phi, tau2) for an unrestricted fit.
-
-    The working-scale variance is H^-1 J H^-1 / n; sigma2, phi and tau2
-    are mapped from (log sigma2, atanh phi) by the delta method.
-    """
-    avar = _working_avar(h, j, n)
-    return _delta_se(avar, working)
 
 
 def _clic_value(loglik: float, h: np.ndarray, j: np.ndarray) -> float:
@@ -452,6 +445,8 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
     if hac_lags is None:
         hac_lags = default_hac_lags(series.n)
+    if hac_lags < 0:
+        raise ValueError(f"hac_lags must be >= 0, got {hac_lags}")
     n, p1 = series.n, series.n_coef
 
     if restriction == INDEPENDENCE:
@@ -495,7 +490,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
 
     h = _sensitivity_from_pairs(pair_grads, n)
     j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)
-    avar = _working_avar(h, j, n)
+    se = robust_se(h, j, n, working_hat)
     godambe = h @ np.linalg.solve(j, h)
     return FitResult(
         params_hat=working_hat.to_params(),
@@ -504,7 +499,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         H_hat=h,
         J_hat=j,
         godambe=0.5 * (godambe + godambe.T),
-        se=_delta_se(avar, working_hat),
+        se=se,
         clic=_clic_value(loglik, h, j),
         iterations=iterations,
         converged=converged,
@@ -532,8 +527,9 @@ def fit(
     n * H there: by the pairwise second Bartlett identity it
     approximates the Hessian, so the backtracking line search mostly
     accepts the unit step at its first trial.  A start outside the
-    working sanity box (|log sigma2| or |atanh phi| above its bound)
-    raises ``ValueError``.  Convergence requires a relative
+    working sanity box (|log sigma2| or |atanh phi| above its bound),
+    or a negative HAC window ``hac_lags``, raises ``ValueError`` before
+    the optimizer runs.  Convergence requires a relative
     log-likelihood improvement below ``RELTOL`` together with
     the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
     max(1, |loglik|)); fits that exhaust ``max_iter`` are returned

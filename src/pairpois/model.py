@@ -275,7 +275,7 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
+def _lag_grid(rule: QuadRule, tau2: float, rho: float):
     """Node-side factors of the fused kernel at latent correlation ``rho``.
 
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
@@ -286,8 +286,9 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
     [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
     [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
-    log y2!.  With ``want_moments`` the moment matrix M (q^2, 9) has
-    columns [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].
+    log y2!.  The moment matrix M (q^2, 9) has columns
+    [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
+    always built: the kernel has one mode.
     """
     x = rule.nodes
     q = x.shape[0]
@@ -298,8 +299,6 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float, want_moments: bool):
         exp_u = np.exp(u)
         exp_v = np.exp(v)
     grid = np.stack([(logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u, v, exp_v])
-    if not want_moments:
-        return grid, None
     s = math.sqrt(1.0 - rho * rho)
     dv = (c * (x[:, None] - (rho / s) * x[None, :])).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -322,9 +321,11 @@ def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
     builds the exception raised when every term of a row underflows even
     in log space.
 
-    Returns the log density of each pair and, when ``moments`` is given,
-    the (pairs, 4) derivatives of it with respect to eta1, eta2, log c
-    and rho (c = sqrt(2 tau2)).
+    Returns the log density of each pair and the (pairs, 4) derivatives
+    of it with respect to eta1, eta2, log c and rho (c = sqrt(2 tau2)).
+    The log density is read from column 0 of ``out @ moments``, the same
+    normalising sum the derivatives divide by, so a loglik-only caller
+    gets bit for bit the value the score pass reports.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
@@ -339,8 +340,6 @@ def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
         out -= m[:, None]
         np.exp(out, out=out)
         constant = y1 * eta1 + y2 * eta2 - lgam
-        if moments is None:
-            return m + np.log(out.sum(axis=1)) + constant, None
         sums = out @ moments
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
@@ -398,9 +397,9 @@ def pair_log_density(
     y = np.array([y1, y2], dtype=float)
     eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial(y)
-    grid, _ = _lag_grid(rule, params.tau2, params.phi**lag, want_moments=False)
+    grid, moments = _lag_grid(rule, params.tau2, params.phi**lag)
     logp, _ = _fused_pairs(
-        y[:1], y[1:], eta[:1], eta[1:], lgam[:1] + lgam[1:], grid, None,
+        y[:1], y[1:], eta[:1], eta[1:], lgam[:1] + lgam[1:], grid, moments,
         np.empty((1, grid.shape[1])),
         lambda _: NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
@@ -441,7 +440,11 @@ class PairwiseEvaluator:
     that each evaluation allocates once and every block reuses; the
     evaluator itself holds no mutable state, so all public methods are
     pure functions of the working parameters.  The per-t sums run in a
-    fixed order, so results are bit-reproducible.
+    fixed order, so results are bit-reproducible.  Every method runs the
+    kernel in its one mode, score moments included, and differs only in
+    what it accumulates: :meth:`loglik` is bit-equal to the loglik that
+    :meth:`loglik_and_score` and :meth:`pair_gradients` (the fit path)
+    report at the same point.
 
     ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
     point like any other: every node maps to the origin and the tensor
@@ -509,21 +512,18 @@ class PairwiseEvaluator:
             lag=lag,
         )
 
-    def _block_terms(self, block, eta, buf, tau2, phi, want_grad):
-        """Log density and (optionally) working-scale gradient pieces for
-        the distinct pairs of one lag block."""
+    def _block_terms(self, block, eta, buf, tau2, phi):
+        """Log density and working-scale gradient pieces for the distinct
+        pairs of one lag block."""
         X = self.series.X
         i1, i2 = block["i1"], block["i2"]
         lag = block["lag"]
         rho = phi**lag
-        grid, moments = _lag_grid(self.rule, tau2, rho, want_grad)
+        grid, moments = _lag_grid(self.rule, tau2, rho)
         logp, derivs = _fused_pairs(
             block["y1"], block["y2"], eta[i1], eta[i2], block["lgam"], grid, moments,
             buf[: i1.shape[0]], lambda row: self._underflow(block, row),
         )
-        if not want_grad:
-            return logp, None
-
         drho_dz = lag * phi ** (lag - 1) * (1.0 - phi * phi)
         grads = np.empty((i1.shape[0], self.dim))
         grads[:, : self.n_coef] = derivs[:, :1] * X[i1] + derivs[:, 1:2] * X[i2]
@@ -532,6 +532,8 @@ class PairwiseEvaluator:
         return logp, grads
 
     def _evaluate(self, working: WorkingParams, want_grad: bool, want_pairs: bool):
+        """One kernel pass over every lag block; the flags choose only
+        whether the score and the per-pair scores are accumulated."""
         params = working.to_params()
         tau2 = params.tau2
         phi = params.phi
@@ -542,7 +544,7 @@ class PairwiseEvaluator:
         score = np.zeros(self.dim) if want_grad else None
         pair_grads = [] if want_pairs else None
         for block in self._blocks:
-            logp, grads = self._block_terms(block, eta, buf, tau2, phi, want_grad or want_pairs)
+            logp, grads = self._block_terms(block, eta, buf, tau2, phi)
             loglik += block["w"] * float(block["counts"] @ logp)
             if want_grad:
                 score += block["w"] * (block["counts"] @ grads)
@@ -579,10 +581,12 @@ def pairwise_loglik(
 
     Sums w_i * log p(y_{t-i}, y_t) over lags i and over t = m_d+1 .. n;
     pairs whose later member falls at or before m_d are excluded, which
-    matches the indexing the variance theory assumes.  ``sigma2 = 0``
-    (tau2 = 0) needs no special case: :class:`PairwiseEvaluator`
-    integrates the point mass exactly, giving the weighted sum of
-    Poisson-product log-likelihoods up to rounding.
+    matches the indexing the variance theory assumes.  The value is that
+    of :meth:`PairwiseEvaluator.loglik`, which runs the fit path's one
+    kernel mode, so it is bit-equal to the loglik a fit reports at the
+    same point.  ``sigma2 = 0`` (tau2 = 0) needs no special case: the
+    evaluator integrates the point mass exactly, giving the weighted sum
+    of Poisson-product log-likelihoods up to rounding.
     """
     return PairwiseEvaluator(series, weights, rule).loglik(params.to_working())
 

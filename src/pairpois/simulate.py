@@ -69,8 +69,11 @@ def latent_paths(params: Params, horizon: int, n_paths: int, rng: np.random.Gene
     u_t = phi * u_{t-1} + eps_t with eps_t ~ N(0, sigma2).  The
     recursion runs in place over the innovations, one time step across
     all paths at a time, and rounds exactly as the first-order IIR filter
-    ``scipy.signal.lfilter([1], [1, -phi], eps, axis=1)`` does.
+    ``scipy.signal.lfilter([1], [1, -phi], eps, axis=1)`` does.  A
+    horizon below 1 raises ``ValueError``.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     z = rng.standard_normal((n_paths, horizon))
     e = z * math.sqrt(params.sigma2)
     e[:, 0] = z[:, 0] * math.sqrt(params.tau2)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import pairpois as pp
-from pairpois import cli, scenarios
+from pairpois import cli, oracle, scenarios
 from pairpois.model import PairwiseEvaluator
 
 from conftest import reporting_vector
@@ -166,8 +166,8 @@ def test_criterion_3_oracle_equivalence():
     params = pp.SCENARIOS[4].params
     series = pp.CountSeries(y=np.array([1, 3, 0, 2, 1, 4]), X=np.ones((6, 1)))
 
-    filt = pp.full_loglik_filter(series, params, pp.GridSpec.for_params(params))
-    mc, se = pp.mc_full_likelihood(series, params, 10_000_000, seed=5)
+    filt = oracle.full_loglik_filter(series, params, oracle.GridSpec.for_params(params))
+    mc, se = oracle.mc_full_likelihood(series, params, 10_000_000, seed=5)
     z_full = abs(math.exp(filt) - mc) / se
 
     one = np.array([1.0])
@@ -177,7 +177,7 @@ def test_criterion_3_oracle_equivalence():
     z_pairs = []
     for k, (y1, y2, lag) in enumerate(pairs):
         got = math.exp(pp.pair_log_density(y1, y2, one, one, lag, params, rule))
-        est, est_se = pp.mc_pair_density(y1, y2, one, one, lag, params, 1_000_000, seed=100 + k)
+        est, est_se = oracle.mc_pair_density(y1, y2, one, one, lag, params, 1_000_000, seed=100 + k)
         z_pairs.append(abs(got - est) / est_se)
     elapsed = time.perf_counter() - started
     ok = z_full <= 3.0 and max(z_pairs) <= 3.0 and elapsed < 300.0

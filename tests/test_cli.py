@@ -150,6 +150,16 @@ def test_simulate_requires_parameters(tmp_path, capsys):
     assert "--scenario" in capsys.readouterr().err
 
 
+def test_simulate_rejects_empty_horizon(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", "--scenario", "5", "--n", "0", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon must be >= 1, got 0")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit subcommand
 
@@ -219,6 +229,14 @@ def test_fit_non_convergence_exit_code(tmp_path, sim_csv):
         ["fit", sim_csv, "--output", str(tmp_path / "r.json"), "--max-iter", "1"]
     )
     assert rc == cli.EXIT_NOT_CONVERGED
+
+
+def test_fit_rejects_negative_hac_window(tmp_path, sim_csv, capsys):
+    report = tmp_path / "r.json"
+    rc = cli.main(["fit", sim_csv, "--output", str(report), "--hac-lags", "-3"])
+    assert rc == 1
+    assert "hac_lags must be >= 0, got -3" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_fit_level_shift_outside_window(tmp_path, sim_csv, capsys):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pairpois as pp
-from pairpois import cli
+from pairpois import cli, estimation
 from pairpois.estimation import _bhhh_inverse, _minimize_bfgs, _safe_negative
 from pairpois.model import PairwiseEvaluator
 
@@ -176,6 +176,15 @@ def test_robust_se_singular_sensitivity_raises():
     assert info.value.cond is None or info.value.cond > 1e13
 
 
+@pytest.mark.parametrize("restriction", [pp.PHI_ZERO, pp.INDEPENDENCE])
+def test_robust_se_reproduces_restricted_fit_se(restriction):
+    series = pp.simulate_scenario(5, 300, seed=16)
+    fit = pp.fit_restricted(series, W1, quad_order=10, restriction=restriction)
+    se = pp.robust_se(fit.H_hat, fit.J_hat, series.n, fit.working_hat)
+    assert np.array_equal(se, fit.se, equal_nan=True)
+    assert np.isnan(se).sum() == (1 if restriction == pp.PHI_ZERO else 3)
+
+
 def test_delta_method_consistent_with_reparametrized_fit():
     # refit with (beta, log tau2, z_phi) as the free parameters and
     # compare the tau2 standard error computed in that parametrization
@@ -311,6 +320,20 @@ def test_fit_respects_explicit_init_and_hac_override():
     fit = pp.fit(series, W1, quad_order=10, init=init, hac_lags=5)
     assert fit.hac_lags == 5
     assert fit.converged
+
+
+@pytest.mark.parametrize("restriction", [None, pp.PHI_ZERO, pp.INDEPENDENCE])
+def test_negative_hac_window_rejected_before_optimizer(monkeypatch, restriction):
+    def optimizer_ran(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(estimation, "_minimize_bfgs", optimizer_ran)
+    series = pp.simulate_scenario(5, 300, seed=16)
+    with pytest.raises(ValueError, match="hac_lags must be >= 0, got -3"):
+        if restriction is None:
+            pp.fit(series, W1, quad_order=10, hac_lags=-3)
+        else:
+            pp.fit_restricted(series, W1, quad_order=10, restriction=restriction, hac_lags=-3)
 
 
 def test_fit_non_convergence_flagged_with_matrices():

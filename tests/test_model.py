@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pairpois as pp
+from pairpois import oracle
 from pairpois.model import PairwiseEvaluator
 
 ONE = np.array([1.0])
@@ -247,7 +248,7 @@ def test_pair_density_matches_monte_carlo():
     # 1e7-draw Monte Carlo oracle for one representative pair
     p = pp.Params(beta=[0.1501], sigma2=0.6190**2, phi=0.5)
     got = math.exp(pp.pair_log_density(2, 3, ONE, ONE, 1, p, pp.gauss_hermite(40)))
-    mc, se = pp.mc_pair_density(2, 3, ONE, ONE, 1, p, 10_000_000, seed=7)
+    mc, se = oracle.mc_pair_density(2, 3, ONE, ONE, 1, p, 10_000_000, seed=7)
     assert abs(got - mc) <= 3 * se
 
 
@@ -398,6 +399,21 @@ def test_evaluator_integrates_independence_point(z_phi):
         beta_scores = resid[i1, None] * series.X[i1] + resid[outer, None] * series.X[outer]
         assert np.array_equal(grads[:, :3], beta_scores)
         assert np.all(grads[:, 3:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "log_sigma2,z_phi",
+    [(-math.inf, 0.0), (-math.inf, 0.4), (math.log(0.3), 0.4)],
+    ids=["tau2=0-z_phi=0", "tau2=0-z_phi=0.4", "sigma2=0.3-z_phi=0.4"],
+)
+def test_evaluator_loglik_is_bit_equal_to_fit_path(log_sigma2, z_phi):
+    # one kernel mode: the loglik-only call sums exactly as the score passes do
+    series = _covariate_series()
+    ev = PairwiseEvaluator(series, pp.make_weights(2, "trap"), pp.gauss_hermite(20))
+    working = pp.WorkingParams(beta=[0.35, 0.6, -0.2], log_sigma2=log_sigma2, z_phi=z_phi)
+    value = ev.loglik(working)
+    assert value == ev.loglik_and_score(working)[0]
+    assert value == ev.pair_gradients(working)[0]
 
 
 def test_pairwise_score_at_zero_latent_variance_is_glm_score():

@@ -158,7 +158,7 @@ def test_lognormal_moment_identity():
 )
 def test_kernel_grid_uses_bivariate_points(order, tau2, rho):
     rule = gauss_hermite(order)
-    grid, _ = _lag_grid(rule, tau2, rho, want_moments=False)
+    grid, _ = _lag_grid(rule, tau2, rho)
     points = bivariate_normal_rule(rule, tau2, rho).points
     assert np.array_equal(grid[1], points[:, 0])
     assert np.array_equal(grid[3], points[:, 1])

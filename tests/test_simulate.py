@@ -169,3 +169,10 @@ def test_predict_deterministic():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         pp.SimConfig(params=pp.SCENARIOS[5].params, X=np.ones((10, 1)), n_rep=0, seed=1)
+
+
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_latent_paths_rejects_empty_horizon(horizon):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+        pp.latent_paths(pp.SCENARIOS[5].params, horizon, 3, rng)
