@@ -502,6 +502,8 @@ def cmd_simulate(args) -> int:
         if args.beta is None or args.sigma2 is None or args.phi is None:
             raise DataFormatError("either --scenario or all of --beta/--sigma2/--phi are required")
         params = Params(beta=np.array([args.beta]), sigma2=args.sigma2, phi=args.phi)
+    if args.n < 1:
+        raise DataFormatError(f"horizon must be >= 1, got {args.n} (--n sets the series length)")
     X = np.ones((args.n, 1))
     series = simulate_series(SimConfig(params=params, X=X, n_rep=1, seed=args.seed))
     start_ord = month_to_ordinal(args.start)
@@ -587,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--max-iter", type=int, default=estimation.DEFAULT_MAX_ITER)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pred = sub.add_parser("predict", help="simulation-based prediction band from a fit report")
+    p_pred = sub.add_parser("predict", help="prediction band of per-month draws from the fitted marginal law")
     p_pred.add_argument("report", help="JSON fit report from the fit subcommand")
     p_pred.add_argument("--output", required=True, help="path for the band CSV")
     p_pred.add_argument("--horizon-months", type=int, default=12)

@@ -381,8 +381,12 @@ def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> n
         If H is numerically singular.
     """
     _check_invertible(h, "sensitivity")
-    a = np.linalg.solve(h, j)
-    avar = np.linalg.solve(h, a.T).T / n
+    return _sandwich_se(h, np.linalg.solve(h, j), n, working)
+
+
+def _sandwich_se(h: np.ndarray, h_inv_j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
+    """:func:`robust_se` from an H already checked and the product H^-1 J."""
+    avar = np.linalg.solve(h, h_inv_j.T).T / n
     avar = 0.5 * (avar + avar.T)
     params = working.to_params()
     p1 = params.n_coef
@@ -440,7 +444,9 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     integrates the point mass exactly, so they are the Poisson-product
     values up to rounding.  H, J, the Godambe matrix, the standard
     errors and CLIC come from the per-pair scores sliced to those k
-    coordinates, the same way for every model.
+    coordinates, the same way for every model.  H is checked for
+    singularity once, and the standard errors and CLIC share one solve
+    for H^-1 J.
     """
     ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
     if hac_lags is None:
@@ -490,7 +496,9 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
 
     h = _sensitivity_from_pairs(pair_grads, n)
     j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)
-    se = robust_se(h, j, n, working_hat)
+    _check_invertible(h, "sensitivity")
+    h_inv_j = np.linalg.solve(h, j)
+    se = _sandwich_se(h, h_inv_j, n, working_hat)
     godambe = h @ np.linalg.solve(j, h)
     return FitResult(
         params_hat=working_hat.to_params(),
@@ -500,7 +508,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         J_hat=j,
         godambe=0.5 * (godambe + godambe.T),
         se=se,
-        clic=_clic_value(loglik, h, j),
+        clic=-2.0 * loglik + 2.0 * float(np.trace(h_inv_j)),
         iterations=iterations,
         converged=converged,
         quad_order=quad_order,

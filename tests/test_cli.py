@@ -160,6 +160,16 @@ def test_simulate_rejects_empty_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_negative_length_names_option(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["simulate", "--scenario", "5", "--n", "-4", "--output", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: horizon must be >= 1, got -4")
+    assert "--n" in lines[0]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit subcommand
 

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import subprocess
+import types
 import sys
 
 import numpy as np
@@ -176,3 +177,115 @@ def test_latent_paths_rejects_empty_horizon(horizon):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
         pp.latent_paths(pp.SCENARIOS[5].params, horizon, 3, rng)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["full", "independence"])
+def test_predict_rejects_empty_horizon(restricted):
+    series = pp.simulate_scenario(5, 400, seed=20)
+    weights = pp.make_weights(1, "rect")
+    if restricted:
+        fit = pp.fit_restricted(series, weights, restriction=pp.INDEPENDENCE)
+    else:
+        fit = pp.fit(series, weights, quad_order=20)
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        pp.predict(fit, np.empty((0, 1)))
+
+
+# The per-month law.  For the scenarios the reference is the 100-node
+# Gauss-Hermite mixture of Poisson pmfs in z = u / tau.  At exp(eta) =
+# 2000 that rule cannot resolve Poisson kernels of width 1 / (tau sqrt(k))
+# in z (its cdf is off by about 4e-3 there), so the reference integrates
+# the dual form P(Y <= k) = E[Phi((log G - eta) / tau)], G ~ Gamma(k + 1),
+# with the 100-node rule centred on the gamma law.
+HIGH_COUNT = (math.log(2000.0), pp.SCENARIOS[8].tau2)
+
+
+def _law_pmf(eta, tau2, n_counts):
+    from pairpois.simulate import _count_pmf
+
+    return np.concatenate([
+        _count_pmf(np.arange(start, min(start + 4096, n_counts)), np.array([eta]), tau2)[0]
+        for start in range(0, n_counts, 4096)
+    ])
+
+
+def _mixture_cdf(eta, tau2, k):
+    x, w = np.polynomial.hermite.hermgauss(100)
+    rates = np.exp(eta + math.sqrt(2.0 * tau2) * x)
+    return stats.poisson.cdf(np.asarray(k)[:, None], rates) @ w / math.sqrt(math.pi)
+
+
+def _dual_cdf(eta, tau2, k):
+    x, w = np.polynomial.hermite.hermgauss(100)
+    shape = np.asarray(k, dtype=float)[:, None] + 1.0
+    g = shape + np.sqrt(2.0 * shape) * x
+    dens = stats.gamma.pdf(g, shape) * np.sqrt(2.0 * shape) * np.exp(x * x)
+    return (dens * stats.norm.cdf((np.log(np.abs(g)) - eta) / math.sqrt(tau2))) @ w
+
+
+def _quantile(cdf_at, q):
+    below, at = cdf_at([q - 1, q]) if q > 0 else (0.0, cdf_at([q])[0])
+    return below < 0.95 <= at
+
+
+@pytest.mark.parametrize(
+    "eta,tau2,reference",
+    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].tau2, _mixture_cdf) for s in (1, 3, 5, 8)]
+    + [(*HIGH_COUNT, _dual_cdf)],
+    ids=["scenario1", "scenario3", "scenario5", "scenario8", "high_count"],
+)
+def test_count_pmf_is_the_marginal_law(eta, tau2, reference):
+    # counts up to exp(eta + 8 tau) hold all but about 1e-15 of the mass
+    n_counts = int(math.exp(eta + 8.0 * math.sqrt(tau2))) + 64
+    pmf = _law_pmf(eta, tau2, n_counts)
+    assert np.all(pmf >= 0)
+    assert abs(pmf.sum() - 1.0) <= 1e-12
+    q95 = int(np.argmax(np.cumsum(pmf) >= 0.95))
+    assert _quantile(lambda k: reference(eta, tau2, k), q95)
+
+
+def test_predict_high_count_design_matches_law():
+    eta, tau2 = HIGH_COUNT
+    fit = types.SimpleNamespace(
+        converged=True, params_hat=pp.Params(beta=[eta], sigma2=tau2, phi=0.0)
+    )
+    n_sim = 10_000
+    band = pp.predict(fit, np.ones((3, 1)), n_sim=n_sim, seed=4)
+    assert np.all(np.isfinite(band.point)) and np.all(np.isfinite(band.upper95))
+    params = fit.params_hat
+    mean, var = pp.marginal_mean(ONE, params), pp.marginal_var(ONE, params)
+    assert np.all(np.abs(band.point - mean) <= 4 * math.sqrt(var / n_sim))
+    tol = 4 * math.sqrt(0.95 * 0.05 / n_sim)
+    for q in band.upper95.astype(int):
+        below, at = _dual_cdf(eta, tau2, [q - 1, q])
+        assert below <= 0.95 + tol and at >= 0.95 - tol
+
+
+def test_draw_histograms_follow_the_law_across_blocks():
+    # D=10 at exp(eta) = 2.4: about 1% of the mass lies beyond the first
+    # block of counts, and draws reach several blocks further
+    from pairpois.simulate import _count_pmf, _draw_histograms
+
+    eta, tau2, n_sim = math.log(2.4), pp.SCENARIOS[1].tau2, 200_000
+    hist = _draw_histograms(np.array([eta]), tau2, n_sim, np.random.default_rng(8))[0]
+    assert hist.sum() == n_sim
+    expected = n_sim * _count_pmf(np.arange(hist.shape[0]), np.array([eta]), tau2)[0]
+    cells = int(np.argmax(expected < 10))  # pool the tail from there on
+    observed = np.append(hist[:cells], hist[cells:].sum())
+    expected = np.append(expected[:cells], n_sim - expected[:cells].sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    df = cells
+    assert chi2 <= df + 6 * math.sqrt(2 * df)
+
+
+def test_draw_histograms_keep_draws_beyond_last_block(monkeypatch):
+    # with a large tail bound each month ends while much of its law lies
+    # beyond the block; those draws land on the block's top count
+    from pairpois import simulate
+
+    monkeypatch.setattr(simulate, "_TAIL", 0.5)
+    eta = np.log([2.4, 2.4, 30.0])
+    hist = simulate._draw_histograms(eta, pp.SCENARIOS[1].tau2, 5_000, np.random.default_rng(2))
+    assert np.all(hist.sum(axis=1) == 5_000)
+    top = simulate._BLOCK - 1
+    assert hist.shape[1] == simulate._BLOCK and np.all(hist[:, top] > 0.005 * 5_000)
