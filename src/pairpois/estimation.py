@@ -406,9 +406,8 @@ def _sandwich_se(h: np.ndarray, h_inv_j: np.ndarray, n: int, working: WorkingPar
     return se
 
 
-def _clic_value(loglik: float, h: np.ndarray, j: np.ndarray) -> float:
-    _check_invertible(h, "sensitivity")
-    return -2.0 * loglik + 2.0 * float(np.trace(np.linalg.solve(h, j)))
+def _clic_value(loglik: float, h_inv_j: np.ndarray) -> float:
+    return -2.0 * loglik + 2.0 * float(np.trace(h_inv_j))
 
 
 def clic(fit: FitResult) -> float:
@@ -419,7 +418,8 @@ def clic(fit: FitResult) -> float:
     """
     if not fit.converged:
         raise NotConvergedError("CLIC requires a converged fit")
-    return _clic_value(fit.loglik, fit.H_hat, fit.J_hat)
+    _check_invertible(fit.H_hat, "sensitivity")
+    return _clic_value(fit.loglik, np.linalg.solve(fit.H_hat, fit.J_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +508,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         J_hat=j,
         godambe=0.5 * (godambe + godambe.T),
         se=se,
-        clic=-2.0 * loglik + 2.0 * float(np.trace(h_inv_j)),
+        clic=_clic_value(loglik, h_inv_j),
         iterations=iterations,
         converged=converged,
         quad_order=quad_order,

@@ -12,20 +12,36 @@ from .model import CountSeries, Params, poisson_log_pmf
 
 DEFAULT_PREDICT_SIMS = 10_000
 # The trapezoid rule of _count_pmf, in units of the integrand's scale at
-# its mode.  Chosen on the D=10 laws (scenarios 1 and 3, tau2 = 2.04,
-# exp(eta) = 0.54): the pmf sums to 1 within 1.5e-13, and its cdf is
-# within 2.2e-12 of an 80001-point trapezoid reference, about that
-# reference's own error.  With the left end at -13 the sum is short by
-# 8e-13; at -12 the cdf is off by 1.5e-11, and with a step of 0.6 by
-# 2e-11.  The left end reaches further because at small counts the
-# integrand keeps the normal's own left tail.
+# its mode.  It reaches 8 sqrt(1 + tau2) on each side, so at least 8 in z
+# where the modal rate is small and the integrand keeps the normal's
+# curvature, and at least 14 on the left, where the curvature falls
+# toward the normal's.  Chosen on the D=10 laws (scenarios 1 and 3, tau2
+# = 2.04, exp(eta) = 0.54) with a step of 0.5: the pmf sums to 1 within
+# 1.5e-13, and its cdf is within 2.2e-12 of an 80001-point trapezoid
+# reference, about that reference's own error.  With the left end at -13
+# the sum is short by 8e-13; at -12 the cdf is off by 1.5e-11, and with a
+# step of 0.6 by 2e-11.  Past those laws (tau2 > 2.06) the step is 0.35,
+# where 0.5 misses P(Y = 0) by up to 6e-11.  On exp(eta) from 4.5e-5 to
+# 2000 and tau2 from 0 to 20 the pmf is then within 1.3e-13 of a
+# 2M-point trapezoid reference.
 _RULE_STEP = 0.5
-_RULE_NODES = np.arange(-14.0, 8.0 + _RULE_STEP / 2, _RULE_STEP)
+_WIDE_TAU2 = 2.06
+_WIDE_STEP = 0.35
 # A month's draws end at the first block of counts beyond which its law
 # has less mass than this.  It lies above the 1.5e-13 by which the rule
 # misses the D=10 sums, so months end on this test, not on the backstop.
 _TAIL = 1e-12
 _BLOCK = 64  # counts per block of the histogram draw, at least
+# cells of the rule, (count, node), or of the draws, (month, count) or
+# (draw), held at once, at most
+_CHUNK_CELLS = 1 << 20
+# Costs in direct draws of a count (90 ns): of one count's probability
+# (1.2 us), shared by the months of one law, and of one count of one
+# month's multinomial (0.12 us); measured in predicts of 216-month designs
+# on a 2-vCPU VM.  A law whose block draws would cost more than n_sim
+# direct draws per month is drawn directly.
+_PMF_DRAWS = 13.0
+_MULTINOMIAL_DRAWS = 1.3
 
 
 @dataclass(frozen=True)
@@ -129,75 +145,115 @@ def simulate_replicates(config: SimConfig):
         yield CountSeries(y=y, X=config.X)
 
 
-def _count_pmf(k: np.ndarray, eta: np.ndarray, tau2: float) -> np.ndarray:
-    """P(Y = k) for Y | u ~ Poisson(exp(eta + u)) and u ~ N(0, tau2).
+def _count_pmf(k, eta, tau2: float) -> np.ndarray:
+    """P(Y = k) for Y | u ~ Poisson(exp(eta + u)) and u ~ N(0, tau2),
+    elementwise over ``k`` and ``eta`` broadcast together.
 
-    Returns shape (len(eta), len(k)).  With u = tau z, the integrand of
-    each count over z is log-concave.  Its mode z_k, where the rate is
-    lambda_k, solves z = tau (k - lambda_k); Newton's method finds it in
-    a = eta + tau z, where the equation is increasing and convex.  The
-    trapezoid rule ``_RULE_NODES`` is centred there with the scale
-    (1 + tau2 (lambda_k + 1))^(-1/2): the integrand's width from its
-    curvature at the mode, kept below 1/tau, the width in z of the
-    factor exp(-lambda).
+    With u = tau z, the integrand of each count over z is log-concave.
+    Its mode z_k, where the rate is lambda_k, solves z = tau (k -
+    lambda_k); Newton's method finds it in a = eta + tau z, where the
+    equation is increasing and convex.  The trapezoid rule (see
+    ``_RULE_STEP``) is centred there with the scale (1 + tau2 (lambda_k
+    + 1))^(-1/2): the integrand's width from its curvature at the mode,
+    kept below 1/tau, the width in z of the factor exp(-lambda).
     Terms are summed from log space, so a rate whose exp(-lambda)
     underflows on its own keeps its exact probabilities.  At tau2 = 0 the
     rule integrates the standard normal to rounding, so the law is
-    Poisson(exp(eta)).
+    Poisson(exp(eta)).  At most ``_CHUNK_CELLS`` cells are evaluated at
+    once.
     """
-    kf = k.astype(float)
-    eta = eta[:, None]
-    a = np.log(kf + 0.5) + np.zeros_like(eta)
+    k, eta = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(eta, dtype=float))
+    step = _RULE_STEP if tau2 <= _WIDE_TAU2 else _WIDE_STEP
+    reach = 8.0 * math.sqrt(1.0 + tau2)
+    nodes = np.arange(-math.ceil(max(14.0, reach) / step), math.ceil(reach / step) + 1) * step
+    kf, ef = k.ravel(), eta.ravel()
+    chunk = max(1, _CHUNK_CELLS // nodes.size)
+    parts = [
+        _rule_sum(kf[i:i + chunk], ef[i:i + chunk], tau2, nodes, step)
+        for i in range(0, kf.size, chunk)
+    ]
+    return np.concatenate(parts).reshape(k.shape)
+
+
+def _rule_sum(kf: np.ndarray, eta: np.ndarray, tau2: float, nodes: np.ndarray,
+              step: float) -> np.ndarray:
+    """:func:`_count_pmf` over 1-D counts ``kf`` and levels ``eta``."""
+    a = np.log(kf + 0.5)
     for _ in range(100):
-        step = (a - eta - tau2 * (kf - np.exp(a))) / (1.0 + tau2 * np.exp(a))
-        a -= step
-        if np.max(np.abs(step)) < 1e-10:
+        newton = (a - eta - tau2 * (kf - np.exp(a))) / (1.0 + tau2 * np.exp(a))
+        a -= newton
+        if np.max(np.abs(newton)) < 1e-10:
             break
     rate = np.exp(a)
     tau = math.sqrt(tau2)
     scale = 1.0 / np.sqrt(1.0 + tau2 * (rate + 1.0))
-    z = (tau * (kf - rate))[..., None] + scale[..., None] * _RULE_NODES
-    log_terms = poisson_log_pmf(kf[:, None], eta[..., None] + tau * z) - 0.5 * z * z
-    return np.exp(log_terms).sum(axis=-1) * scale * (_RULE_STEP / math.sqrt(2.0 * math.pi))
+    z = (tau * (kf - rate))[:, None] + scale[:, None] * nodes
+    log_terms = poisson_log_pmf(kf[:, None], eta[:, None] + tau * z) - 0.5 * z * z
+    return np.exp(log_terms).sum(axis=-1) * scale * (step / math.sqrt(2.0 * math.pi))
 
 
 def _draw_histograms(eta: np.ndarray, tau2: float, n_sim: int, rng) -> np.ndarray:
     """Histograms of ``n_sim`` independent draws of each month's count.
 
     Row t of the returned (horizon, K) table counts the draws of month t
-    equal to 0, 1, ..., K - 1.  Counts are visited in blocks of
-    ``_BLOCK`` counts, or a quarter of the counts below the block if
-    that is more: the draws not yet placed split over the block's counts
-    and "beyond it" as one multinomial, conditional on lying at or above
-    the block, so the histogram has the law of ``n_sim`` iid draws.  A
-    month stops at the first block beyond which its law has less than
-    ``_TAIL`` mass; the draws that mass would take land on the block's
-    top count.  Months with equal eta share one pmf.
+    equal to 0, 1, ..., K - 1.  Months with equal eta share one law.
+
+    A law whose draws spread over so many counts that the block draws
+    below would cost more is drawn directly: n_sim latent values and a
+    Poisson count on each, per month.  The other laws are drawn by
+    blocks of counts, from each law's own lower tail (less than 1e-15 of
+    the mass lies below it), ``_BLOCK`` counts wide or a quarter of the
+    counts covered so far if that is more: the draws not yet placed split
+    over the block's counts and "beyond it" as one multinomial,
+    conditional on lying at or above the block, so the histogram has the
+    law of ``n_sim`` iid draws.  A block covers at most ``_CHUNK_CELLS``
+    (month, count) cells.  A month stops at the first block beyond which
+    its law has less than ``_TAIL`` mass; the draws that mass would take
+    land on the block's top count.
     """
-    levels, level_of = np.unique(eta, return_inverse=True)
-    left = np.full(eta.shape[0], n_sim, dtype=np.int64)
-    below = np.zeros(levels.shape[0])  # law mass up to the last block drawn, per level
-    blocks = []
-    start = 0
+    levels, level_of, months = np.unique(eta, return_inverse=True, return_counts=True)
+    tau = math.sqrt(tau2)
+    # below `low` lie u < -8 tau (6e-16 of the mass) and Poisson counts
+    # 8.5 sd below their mean (less than exp(-36))
+    rate = np.exp(levels - 8.0 * tau)
+    low = np.floor(np.maximum(rate - 8.5 * np.sqrt(rate), 0.0)).astype(np.int64)
+    high = np.exp(levels + 4.0 * tau)
+    span = high + 4.0 * np.sqrt(high) - low
+    direct = span * (_PMF_DRAWS / months + _MULTINOMIAL_DRAWS) > n_sim
+    pieces = []  # (months, first count of each, histogram block)
+    for t in np.flatnonzero(direct[level_of]):
+        for done in range(0, n_sim, _CHUNK_CELLS):
+            z = rng.standard_normal(min(_CHUNK_CELLS, n_sim - done))
+            draws = np.bincount(rng.poisson(np.exp(eta[t] + tau * z)))
+            pieces.append((np.array([t]), np.zeros(1, dtype=np.int64), draws[None]))
+    left = np.where(direct[level_of], 0, n_sim)
+    below = np.zeros(levels.shape[0])  # law mass from `low` up to `pos`, per level
+    pos = low.copy()
     while left.any():
-        active = np.unique(level_of[left > 0])
-        width = max(_BLOCK, start // 4)
-        pmf = np.zeros((levels.shape[0], width))
-        pmf[active] = _count_pmf(np.arange(start, start + width), levels[active], tau2)
+        rows = np.flatnonzero(left)
+        active = np.unique(level_of[rows])
+        covered = int(np.max(pos[active] - low[active]))
+        width = max(_BLOCK, min(covered // 4, _CHUNK_CELLS // rows.size))
+        pmf = _count_pmf(pos[active, None] + np.arange(width), levels[active, None], tau2)
         mass = pmf.sum(axis=1)
-        below += mass
-        beyond = np.maximum(1.0 - below, 0.0)
+        below[active] += mass
+        beyond = np.maximum(1.0 - below[active], 0.0)
         # past the median, a block of almost no mass also ends the month,
         # so rounding in the pmf's total cannot keep a month going
-        last = (beyond < _TAIL) | ((mass < _TAIL) & (below > 0.5))
-        total = np.maximum(mass + beyond, np.finfo(float).tiny)  # 0 once a level is done
-        hist = rng.multinomial(left, (np.column_stack([pmf, beyond]) / total[:, None])[level_of])
-        month_last = last[level_of]
-        hist[month_last, -2] += hist[month_last, -1]
-        left = np.where(month_last, 0, hist[:, -1])
-        blocks.append(hist[:, :-1])
-        start += width
-    return np.concatenate(blocks, axis=1)
+        last = (beyond < _TAIL) | ((mass < _TAIL) & (below[active] > 0.5))
+        law = np.searchsorted(active, level_of[rows])
+        probs = np.column_stack([pmf, beyond]) / (mass + beyond)[:, None]
+        hist = rng.multinomial(left[rows], probs[law])
+        ends = last[law]
+        hist[ends, -2] += hist[ends, -1]
+        left[rows] = np.where(ends, 0, hist[:, -1])
+        pieces.append((rows, pos[level_of[rows]], hist[:, :-1]))
+        pos[active] += width
+    n_counts = max(int(np.max(first + hist.shape[1])) for _, first, hist in pieces)
+    table = np.zeros((eta.shape[0], n_counts), dtype=np.int64)
+    for rows, first, hist in pieces:
+        table[rows[:, None], first[:, None] + np.arange(hist.shape[1])] += hist
+    return table
 
 
 def predict(

@@ -1,6 +1,7 @@
 import math
 import pathlib
 import re
+import types
 
 import numpy as np
 import pytest
@@ -232,9 +233,8 @@ def test_clic_reduces_to_aic_form():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4))
     h = a @ a.T + 4 * np.eye(4)
-    from pairpois.estimation import _clic_value
-
-    assert abs(_clic_value(-120.0, h, h) - (240.0 + 2 * 4)) < 1e-10
+    fit = types.SimpleNamespace(converged=True, loglik=-120.0, H_hat=h, J_hat=h)
+    assert abs(pp.clic(fit) - (240.0 + 2 * 4)) < 1e-10
 
 
 def test_clic_requires_convergence():

@@ -203,10 +203,7 @@ HIGH_COUNT = (math.log(2000.0), pp.SCENARIOS[8].tau2)
 def _law_pmf(eta, tau2, n_counts):
     from pairpois.simulate import _count_pmf
 
-    return np.concatenate([
-        _count_pmf(np.arange(start, min(start + 4096, n_counts)), np.array([eta]), tau2)[0]
-        for start in range(0, n_counts, 4096)
-    ])
+    return _count_pmf(np.arange(n_counts), eta, tau2)
 
 
 def _mixture_cdf(eta, tau2, k):
@@ -244,7 +241,39 @@ def test_count_pmf_is_the_marginal_law(eta, tau2, reference):
     assert _quantile(lambda k: reference(eta, tau2, k), q95)
 
 
-def test_predict_high_count_design_matches_law():
+@pytest.mark.parametrize("eta", [math.log(0.54), -10.0], ids=["scenario1", "rare"])
+def test_count_pmf_wide_latent_law(eta):
+    # at tau2 = 8 the integrand of a small count keeps the normal's own
+    # tails, 8 in z either side of its mode; the reference is a trapezoid
+    # rule in z with 1M points
+    from pairpois.simulate import _count_pmf
+
+    tau2, n_counts = 8.0, 5000
+    z = np.arange(-500_000, 500_001) * 4e-5
+    weight = 4e-5 * stats.norm.pdf(z)
+    rate = np.exp(eta + math.sqrt(tau2) * z)
+    pmf = _count_pmf(np.arange(n_counts), eta, tau2)
+    tail = float(stats.poisson.sf(n_counts - 1, rate) @ weight)
+    assert abs(pmf.sum() + tail - 1.0) <= 1e-12
+    for k in range(4):
+        assert abs(pmf[k] - float(stats.poisson.pmf(k, rate) @ weight)) <= 1e-13
+
+
+def _force(monkeypatch, way):
+    # "blocks" draws every law by blocks of counts, "direct" every law by
+    # latent values and Poisson counts
+    from pairpois import simulate
+
+    if way == "blocks":
+        monkeypatch.setattr(simulate, "_PMF_DRAWS", 0.0)
+        monkeypatch.setattr(simulate, "_MULTINOMIAL_DRAWS", 0.0)
+    else:
+        monkeypatch.setattr(simulate, "_PMF_DRAWS", math.inf)
+
+
+@pytest.mark.parametrize("way", ["blocks", "direct"])
+def test_predict_high_count_design_matches_law(monkeypatch, way):
+    _force(monkeypatch, way)
     eta, tau2 = HIGH_COUNT
     fit = types.SimpleNamespace(
         converged=True, params_hat=pp.Params(beta=[eta], sigma2=tau2, phi=0.0)
@@ -269,7 +298,7 @@ def test_draw_histograms_follow_the_law_across_blocks():
     eta, tau2, n_sim = math.log(2.4), pp.SCENARIOS[1].tau2, 200_000
     hist = _draw_histograms(np.array([eta]), tau2, n_sim, np.random.default_rng(8))[0]
     assert hist.sum() == n_sim
-    expected = n_sim * _count_pmf(np.arange(hist.shape[0]), np.array([eta]), tau2)[0]
+    expected = n_sim * _count_pmf(np.arange(hist.shape[0]), eta, tau2)
     cells = int(np.argmax(expected < 10))  # pool the tail from there on
     observed = np.append(hist[:cells], hist[cells:].sum())
     expected = np.append(expected[:cells], n_sim - expected[:cells].sum())
@@ -284,8 +313,38 @@ def test_draw_histograms_keep_draws_beyond_last_block(monkeypatch):
     from pairpois import simulate
 
     monkeypatch.setattr(simulate, "_TAIL", 0.5)
+    _force(monkeypatch, "blocks")
     eta = np.log([2.4, 2.4, 30.0])
     hist = simulate._draw_histograms(eta, pp.SCENARIOS[1].tau2, 5_000, np.random.default_rng(2))
     assert np.all(hist.sum(axis=1) == 5_000)
     top = simulate._BLOCK - 1
     assert hist.shape[1] == simulate._BLOCK and np.all(hist[:, top] > 0.005 * 5_000)
+
+
+@pytest.mark.parametrize("mean,tau2", [(2000.0, 0.511), (2000.0, 0.02), (20.0, 0.6)])
+def test_predict_trend_design_work_is_bounded(monkeypatch, mean, tau2):
+    # 216 months with a trend: each month has its own law.  The rule
+    # evaluates at most _CHUNK_CELLS cells at once (set low here so that
+    # calls are split), and all its counts together cost no more than the
+    # n_sim draws per month they replace, at 10 draws per count.
+    from pairpois import simulate
+
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1 << 14)
+    calls = []
+    rule_sum = simulate._rule_sum
+
+    def recorded(kf, eta, tau2, nodes, step):
+        calls.append((kf.size, kf.size * nodes.size))
+        return rule_sum(kf, eta, tau2, nodes, step)
+
+    monkeypatch.setattr(simulate, "_rule_sum", recorded)
+    horizon, n_sim = 216, 10_000
+    X = np.column_stack([np.ones(horizon), np.linspace(-1.0, 1.0, horizon)])
+    params = pp.Params(beta=[math.log(mean), 0.5], sigma2=tau2, phi=0.0)
+    band = pp.predict(types.SimpleNamespace(converged=True, params_hat=params), None,
+                      n_sim=n_sim, seed=6, X_insample=X)
+    assert all(cells <= 1 << 14 for _, cells in calls)
+    assert sum(counts for counts, _ in calls) * 10 <= horizon * n_sim
+    mean_t = np.array([pp.marginal_mean(x, params) for x in X])
+    sd_t = np.sqrt([pp.marginal_var(x, params) for x in X])
+    assert np.all(np.abs(band.point - mean_t) <= 5 * sd_t / math.sqrt(n_sim))
