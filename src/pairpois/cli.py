@@ -213,8 +213,8 @@ def build_design(
     return np.column_stack(cols), names
 
 
-def _nan_to_none(values) -> list:
-    return [None if (isinstance(v, float) and math.isnan(v)) else v for v in values]
+def _finite_or_none(values) -> list:
+    return [None if (isinstance(v, float) and not math.isfinite(v)) else v for v in values]
 
 
 def _fit_to_report(
@@ -246,12 +246,12 @@ def _fit_to_report(
             "phi": p.phi,
             "tau2": p.tau2,
         },
-        "working": [float(v) for v in result.working_hat.as_vector()],
+        "working": _finite_or_none([float(v) for v in result.working_hat.as_vector()]),
         "se": {
-            "beta": _nan_to_none([float(s) for s in se[: p.n_coef]]),
-            "sigma2": _nan_to_none([float(se[p.n_coef])])[0],
-            "phi": _nan_to_none([float(se[p.n_coef + 1])])[0],
-            "tau2": _nan_to_none([float(se[p.n_coef + 2])])[0],
+            "beta": _finite_or_none([float(s) for s in se[: p.n_coef]]),
+            "sigma2": _finite_or_none([float(se[p.n_coef])])[0],
+            "phi": _finite_or_none([float(se[p.n_coef + 1])])[0],
+            "tau2": _finite_or_none([float(se[p.n_coef + 2])])[0],
         },
         "loglik": result.loglik,
         "clic": result.clic,
@@ -349,23 +349,17 @@ def cmd_fit(args) -> int:
     }
 
     weights = make_weights(spec.d, spec.scheme)
-    if spec.restriction is None:
-        result = estimation.fit(
-            series, weights, quad_order=spec.quad_order, init=start,
-            hac_lags=spec.hac_lags, max_iter=args.max_iter,
-        )
-    else:
-        result = estimation.fit_restricted(
-            series, weights, quad_order=spec.quad_order, restriction=spec.restriction,
-            init=start, hac_lags=spec.hac_lags, max_iter=args.max_iter,
-        )
+    result = estimation._fit(
+        series, weights, spec.quad_order, spec.restriction, start, spec.hac_lags, args.max_iter
+    )
 
     report = _fit_to_report(
         args.data, spec, months_train, result, coef_names, X, dispersion, holdout, data.n
     )
+    # strict JSON: a non-finite value raises here, before the file is opened
+    text = json.dumps(report, indent=2, allow_nan=False)
     with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
     _print_fit_table(result, coef_names, dispersion)
     print(f"report written to {args.output}")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
@@ -415,8 +409,11 @@ def cmd_predict(args) -> int:
     if horizon < 0:
         raise DataFormatError(f"horizon of {horizon} months must be non-negative")
     with open(args.report) as handle:
-        report = json.load(handle)
-    if report.get("kind") != "fit_report":
+        try:
+            report = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise DataFormatError(f"{args.report}: not a fit report ({err})") from None
+    if not isinstance(report, dict) or report.get("kind") != "fit_report":
         raise DataFormatError(f"{args.report}: not a fit report")
     result, spec = _result_from_report(report)
 
@@ -424,27 +421,14 @@ def cmd_predict(args) -> int:
     start_ord = month_to_ordinal(report["start_month"])
     months_all = [ordinal_to_month(start_ord + k) for k in range(n_train + horizon)]
 
-    observed = {}
-    covariates_all = None
-    if args.data:
-        data = read_count_csv(args.data)
-        observed = dict(zip(data.months, data.counts.tolist()))
-        covariates_all = data.covariates
-    if spec.covariates and horizon > 0:
-        future = None
-        if args.future_covariates:
-            future = read_count_csv_covariates(args.future_covariates, spec.covariates)
-        covariates_all = _extend_covariates(
-            spec, months_all, n_train, covariates_all, future, args
+    data = read_count_csv_covariates(args.data, spec.covariates) if args.data else None
+    observed = dict(zip(data.months, data.counts.tolist())) if data else {}
+    covariates = None
+    if spec.covariates:
+        covariates = _covariates_by_month(
+            spec.covariates, months_all, data, args.future_covariates
         )
-    elif spec.covariates:
-        if covariates_all is None:
-            raise DataFormatError(
-                "the model uses covariate columns; pass --data to supply them"
-            )
-        covariates_all = {k: v[:n_train] for k, v in covariates_all.items()}
-
-    X_all, _ = build_design(spec, months_all, n_train, covariates_all)
+    X_all, _ = build_design(spec, months_all, n_train, covariates)
     band = predict(result, None, n_sim=args.n_sim, seed=args.seed, X_insample=X_all)
 
     with open(args.output, "w", newline="") as handle:
@@ -462,37 +446,30 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def read_count_csv_covariates(path: str, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Covariate rows for a prediction horizon, keyed by month."""
+def read_count_csv_covariates(path: str, names: tuple[str, ...]) -> ParsedData:
+    """:func:`read_count_csv`, requiring the covariate columns ``names``."""
     data = read_count_csv(path)
     missing = [n for n in names if n not in data.covariates]
     if missing:
-        raise DataFormatError(f"{path}: missing future covariate columns {missing}")
-    return {"__months__": np.asarray(data.months), **data.covariates}
+        raise DataFormatError(f"{path}: missing covariate columns {missing}")
+    return data
 
 
-def _extend_covariates(spec, months_all, n_train, covariates_all, future, args):
-    if covariates_all is None:
-        raise DataFormatError("the model uses covariate columns; pass --data to supply them")
-    if future is None:
-        raise DataFormatError(
-            "the model uses covariate columns whose future values are unknown; "
-            "pass --future-covariates with one row per horizon month"
-        )
-    months_future = months_all[n_train:]
-    future_months = list(future["__months__"])
-    out = {}
-    for name in spec.covariates:
-        base = covariates_all[name][:n_train]
-        idx = []
-        for m in months_future:
-            if m not in future_months:
-                raise DataFormatError(
-                    f"{args.future_covariates}: no covariate row for horizon month {m}"
-                )
-            idx.append(future_months.index(m))
-        out[name] = np.concatenate([base, future[name][idx]])
-    return out
+def _covariates_by_month(names, months, data, future_path) -> dict[str, np.ndarray]:
+    """Covariate columns ``names`` over ``months``, each row looked up by
+    its month: in the ``--future-covariates`` file, else in ``data``."""
+    rows = {}
+    future = read_count_csv_covariates(future_path, names) if future_path else None
+    for parsed in (data, future):
+        if parsed is not None:
+            rows.update(zip(parsed.months, np.column_stack([parsed.covariates[n] for n in names])))
+    for month in months:
+        if month not in rows:
+            raise DataFormatError(
+                f"no covariate row for month {month} in --data or --future-covariates"
+            )
+    table = np.array([rows[m] for m in months])
+    return {name: table[:, i] for i, name in enumerate(names)}
 
 
 def cmd_simulate(args) -> int:
@@ -596,9 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--n-sim", type=int, default=10_000)
     p_pred.add_argument("--seed", type=int, default=1)
     p_pred.add_argument("--data", default=None,
-                        help="CSV with observed counts for exceedance flags")
+                        help="CSV with observed counts for exceedance flags; its covariate "
+                             "columns are matched to band months by date")
     p_pred.add_argument("--future-covariates", default=None,
-                        help="CSV supplying covariate columns over the horizon")
+                        help="date,count[,covariates] CSV whose covariate rows, matched by "
+                             "month, win over --data; its counts are checked but not used")
     p_pred.set_defaults(func=cmd_predict)
 
     p_sim = sub.add_parser("simulate", help="simulate a series from the model")

@@ -300,8 +300,8 @@ def predict(
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     counts = _draw_histograms(X_all @ params.beta, params.tau2, n_sim, rng)
-    return PredictionBand(
-        point=counts @ np.arange(counts.shape[1]) / n_sim,
-        n_sim=n_sim,
-        _cum_counts=np.cumsum(counts, axis=1),
-    )
+    point = counts @ np.arange(counts.shape[1]) / n_sim
+    # summed in place: once `point` is taken the counts are not needed, and
+    # the table can be hundreds of MB at counts in the thousands
+    np.cumsum(counts, axis=1, out=counts)
+    return PredictionBand(point=point, n_sim=n_sim, _cum_counts=counts)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -98,6 +99,70 @@ def test_future_covariates_non_finite_cell_is_located(tmp_path):
     )
     with pytest.raises(pp.DataFormatError, match="line 3: covariate 'z' value 'nan'"):
         cli.read_count_csv_covariates(path, ("z",))
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _fit_argv(tmp_path, text, *flags):
+    return ["fit", _file(tmp_path, "in.csv", text), "--output", str(tmp_path / "r.json"), *flags]
+
+
+FIVE_ROWS = "date,count\n" + "".join(f"2000-0{m},{m}\n" for m in range(1, 6))
+
+
+def _not_json(tmp_path):
+    path = _file(tmp_path, "data.csv", FIVE_ROWS)
+    return ["predict", path, "--output", str(tmp_path / "b.csv")], 1, f"{path}: not a fit report"
+
+
+# each case gives (argv, exit code, text the error line, or stdout on success, must hold)
+GUARD_CASES = {
+    "empty_csv": lambda tmp: (_fit_argv(tmp, ""), 1, "file is empty"),
+    "field_count": lambda tmp: (
+        _fit_argv(tmp, "date,count\n1999-01,1\n1999-02,2,7\n"), 1,
+        "line 3: expected 2 fields, got 3"),
+    "blank_lines_skipped": lambda tmp: (
+        _fit_argv(tmp, "date,count\n1999-01,1\n\n , \n1999-02,x\n"), 1,
+        "line 5: count 'x' is not an integer"),
+    "header_only": lambda tmp: (_fit_argv(tmp, "date,count\n"), 1, "no data rows"),
+    "holdout_covers_data": lambda tmp: (
+        _fit_argv(tmp, FIVE_ROWS, "--holdout-months", "5"), 1,
+        "holdout of 5 months leaves no training data"),
+    "absent_covariate": lambda tmp: (
+        _fit_argv(tmp, FIVE_ROWS, "--covariates", "w"), 1, "covariate column 'w' not available"),
+    "report_not_fit": lambda tmp: (
+        ["predict", _file(tmp, "r.json", '{"kind": "study"}'), "--output", str(tmp / "b.csv")],
+        1, "r.json: not a fit report"),
+    "report_not_object": lambda tmp: (
+        ["predict", _file(tmp, "r.json", "[1, 2]"), "--output", str(tmp / "b.csv")],
+        1, "r.json: not a fit report"),
+    "report_not_json": _not_json,
+    "simulate_parameters": lambda tmp: (
+        ["simulate", "--beta", "0.5", "--sigma2", "0.3", "--phi", "0.5", "--n", "24",
+         "--output", str(tmp / "s.csv")], 0, "simulated series written"),
+    "simulate_missing_phi": lambda tmp: (
+        ["simulate", "--beta", "0.5", "--sigma2", "0.3", "--output", str(tmp / "s.csv")],
+        1, "--beta/--sigma2/--phi"),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES.values(), ids=GUARD_CASES.keys())
+def test_cli_guards(tmp_path, capsys, case):
+    argv, expected_rc, fragment = case(tmp_path)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == expected_rc
+    if expected_rc == 0:
+        assert captured.err == ""
+        assert fragment in captured.out
+    else:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert fragment in lines[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +322,29 @@ def test_fit_level_shift_outside_window(tmp_path, sim_csv, capsys):
     assert "training window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("restriction", ["none", "phi0", "indep"])
+def test_fit_report_is_strict_json(tmp_path, sim_csv, restriction):
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token}")
+
+    report_path = tmp_path / "r.json"
+    rc = cli.main(["fit", sim_csv, "--output", str(report_path), "--restriction", restriction])
+    assert rc == 0
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    if restriction == "indep":
+        assert report["working"][-2:] == [None, 0.0]  # log sigma2 = -inf, z_phi = 0
+
+
+def test_fit_report_with_non_finite_value_is_not_written(tmp_path, sim_csv, capsys, monkeypatch):
+    real = cli._fit_to_report
+    monkeypatch.setattr(cli, "_fit_to_report", lambda *args: {**real(*args), "clic": math.nan})
+    report_path = tmp_path / "r.json"
+    rc = cli.main(["fit", sim_csv, "--output", str(report_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # predict subcommand
 
@@ -403,6 +491,100 @@ def test_predict_demands_future_covariates(tmp_path, capsys):
          "--future-covariates", str(future_path)]
     )
     assert rc == 0
+
+
+def _covariate_rows(n=123):
+    dates = months("2000-01", n)
+    rng = np.random.default_rng(8)
+    z = np.round(rng.normal(size=n), 6)
+    u = pp.latent_paths(pp.Params(beta=[0.5, 0.4], sigma2=0.15, phi=0.5), n, 1, rng)[0]
+    counts = rng.poisson(np.exp(0.5 + 0.4 * z + u))
+    return list(zip(dates, counts, z))
+
+
+def _cov_csv(tmp_path, name, rows):
+    return write_rows(tmp_path / name, rows, header=("date", "count", "z"))
+
+
+def _cov_fit(tmp_path, rows, *flags):
+    data_path = _cov_csv(tmp_path, "train.csv", rows)
+    report_path = tmp_path / "cov.json"
+    rc = cli.main(["fit", data_path, "--output", str(report_path), "--covariates", "z", *flags])
+    assert rc == 0
+    return str(report_path), data_path
+
+
+def _band(tmp_path, name, report_path, *flags):
+    band_path = tmp_path / name
+    rc = cli.main(["predict", report_path, "--output", str(band_path), "--n-sim", "2000",
+                   "--seed", "1", *flags])
+    return rc, band_path
+
+
+def test_predict_takes_covariates_by_month_from_earlier_data(tmp_path):
+    rows = _covariate_rows()
+    report_path, aligned = _cov_fit(tmp_path, rows[3:])  # fitted from 2000-04
+    longer = _cov_csv(tmp_path, "longer.csv", rows)  # three months earlier
+    rc, band_aligned = _band(tmp_path, "a.csv", report_path, "--horizon-months", "0",
+                             "--data", aligned)
+    assert rc == 0
+    rc, band_longer = _band(tmp_path, "b.csv", report_path, "--horizon-months", "0",
+                            "--data", longer)
+    assert rc == 0
+    assert band_longer.read_bytes() == band_aligned.read_bytes()
+
+
+def test_predict_names_first_month_without_covariates(tmp_path, capsys):
+    rows = _covariate_rows()
+    report_path, _ = _cov_fit(tmp_path, rows[3:])
+    late = _cov_csv(tmp_path, "late.csv", rows[6:])  # starts 2000-07
+    capsys.readouterr()
+    rc, band_path = _band(tmp_path, "b.csv", report_path, "--horizon-months", "0",
+                          "--data", late)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "month 2000-04" in err and "--data" in err and "--future-covariates" in err
+    assert not band_path.exists()
+
+
+def test_predict_holdout_covariates_from_data(tmp_path):
+    rows = _covariate_rows()
+    report_path, data_path = _cov_fit(tmp_path, rows, "--holdout-months", "3")
+    rc, from_data = _band(tmp_path, "a.csv", report_path, "--horizon-months", "3",
+                          "--data", data_path)
+    assert rc == 0
+    future = _cov_csv(tmp_path, "future.csv", rows[-3:])
+    rc, from_future = _band(tmp_path, "b.csv", report_path, "--horizon-months", "3",
+                            "--data", data_path, "--future-covariates", future)
+    assert rc == 0
+    assert from_data.read_bytes() == from_future.read_bytes()
+
+
+def test_future_covariates_win_over_data(tmp_path):
+    rows = _covariate_rows(6)
+    data = cli.read_count_csv(_cov_csv(tmp_path, "data.csv", rows))
+    future = _cov_csv(tmp_path, "future.csv",
+                      [("2000-05", 0, 9.5), ("2000-06", 0, 8.5), ("2000-07", 0, 7.5)])
+    covs = cli._covariates_by_month(("z",), months("2000-02", 6), data, future)
+    expected = [rows[1][2], rows[2][2], rows[3][2], 9.5, 8.5, 7.5]
+    assert covs["z"].tolist() == expected
+
+
+def test_predict_data_without_covariate_column_names_it(tmp_path, capsys):
+    rows = _covariate_rows()
+    report_path, _ = _cov_fit(tmp_path, rows)
+    bare = write_rows(tmp_path / "bare.csv", [(d, c) for d, c, _ in rows])
+    capsys.readouterr()
+    rc, _ = _band(tmp_path, "b.csv", report_path, "--horizon-months", "0", "--data", bare)
+    assert rc == 1
+    assert "'z'" in capsys.readouterr().err
+
+
+def test_predict_without_covariates_never_reads_future_file(tmp_path, greek_report):
+    rc, band_path = _band(tmp_path, "b.csv", str(greek_report), "--horizon-months", "2",
+                          "--future-covariates", str(tmp_path / "absent.csv"))
+    assert rc == 0
+    assert band_path.exists()
 
 
 # ---------------------------------------------------------------------------

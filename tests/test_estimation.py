@@ -147,6 +147,21 @@ def test_variability_overlap_identity_iid():
     assert np.linalg.eigvalsh(j).min() >= -1e-8
 
 
+def test_variability_window_longer_than_series():
+    # lags at or past the number of per-time rows have no pairs and drop out
+    series = pp.CountSeries(y=np.array([2, 4, 1, 3, 0, 2]), X=np.ones((6, 1)))
+    working = pp.SCENARIOS[5].params.to_working()
+    psi = PairwiseEvaluator(series, W1, RULE20).per_t_scores(working)
+    assert psi.shape[0] == 5
+    r = 50
+    expected = psi.T @ psi
+    for k in range(1, psi.shape[0]):
+        gamma = psi[:-k].T @ psi[k:]
+        expected += (1.0 - k / r) * (gamma + gamma.T)
+    j = pp.variability_J(series, working, W1, RULE20, r=r)
+    assert_allclose(j, expected / series.n, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # robust standard errors and CLIC
 
@@ -272,6 +287,24 @@ def test_safe_negative_rejects_non_finite_score():
     f, g = neg(x)
     assert f == math.inf
     assert_allclose(g, 0.0, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("error", [pp.NumericalFailure("non-finite"), OverflowError("exp")])
+def test_safe_negative_rejects_failed_evaluation(error):
+    def evaluate(x):
+        raise error
+
+    f, g = _safe_negative(evaluate, 2)(np.zeros(2))
+    assert f == math.inf
+    assert_allclose(g, 0.0, rtol=0, atol=0)
+
+
+def test_bhhh_inverse_rejects_non_finite_curvature():
+    grads = np.array([[1.0, 0.5], [0.25, 2.0]])
+    inv = _bhhh_inverse([(1, 1.0, grads)], 2)
+    assert_allclose(inv, np.linalg.inv(grads.T @ grads), rtol=1e-12, atol=0)
+    grads[0, 1] = np.inf
+    assert _bhhh_inverse([(1, 1.0, grads)], 2) is None
 
 
 def test_fit_deterministic():

@@ -153,6 +153,20 @@ def test_predict_single_simulation_smoke():
     assert np.all(band.point == band.point.astype(int))
 
 
+def test_predict_rejects_no_draws():
+    fit, series = fitted_scenario5()
+    with pytest.raises(ValueError, match="n_sim must be >= 1"):
+        pp.predict(fit, None, n_sim=0, seed=1, X_insample=series.X[:3])
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_band_quantile_rejects_closed_levels(level):
+    band = pp.PredictionBand(point=np.array([1.0]), n_sim=4, _cum_counts=np.array([[1, 4]]))
+    assert band.upper95.tolist() == [1.0]
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        band.quantile(level)
+
+
 def test_predict_future_rows_appended():
     fit, series = fitted_scenario5()
     band = pp.predict(fit, series.X[:4], n_sim=2_000, seed=3, X_insample=series.X[:8])
