@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -365,6 +366,30 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
+def _report_value(report: dict, key: str, convert=None):
+    """The fit report's entry at ``key``, a dotted path such as
+    ``"estimates.sigma2"``, passed through ``convert`` when given.
+
+    Raises
+    ------
+    DataFormatError
+        Naming the key, when it is missing or ``convert`` rejects its
+        value.
+    """
+    value = report
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise DataFormatError(f"fit report has no {key!r}")
+        value = value[part]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError) as err:
+        detail = f"missing {err}" if isinstance(err, KeyError) else str(err)
+        raise DataFormatError(f"fit report {key!r} is not valid: {detail}") from None
+
+
 def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
     version = report.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
@@ -372,33 +397,38 @@ def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
         raise DataFormatError(
             f"fit report has {found}; this pairpois reads schema_version {SCHEMA_VERSION}"
         )
-    spec = ModelSpec.from_json(report["model"])
-    est = report["estimates"]
-    params = Params(beta=np.asarray(est["beta"]), sigma2=est["sigma2"], phi=est["phi"])
+
+    def read(key, convert=None):
+        return _report_value(report, key, convert)
+
+    def to_nan(v):
+        return math.nan if v is None else float(v)
+
+    spec = read("model", ModelSpec.from_json)
+    params = Params(
+        beta=read("estimates.beta", lambda v: np.asarray(v, dtype=float)),
+        sigma2=read("estimates.sigma2", float),
+        phi=read("estimates.phi", float),
+    )
     weights = make_weights(spec.d, spec.scheme)
-    h = np.asarray(report["matrices"]["H"])
-    j = np.asarray(report["matrices"]["J"])
-    godambe = np.asarray(report["matrices"]["godambe"])
-    se_block = report["se"]
-    to_nan = lambda v: math.nan if v is None else float(v)
     se = np.array(
-        [to_nan(v) for v in se_block["beta"]]
-        + [to_nan(se_block["sigma2"]), to_nan(se_block["phi"]), to_nan(se_block["tau2"])]
+        read("se.beta", lambda v: [to_nan(x) for x in v])
+        + [read(f"se.{name}", to_nan) for name in ("sigma2", "phi", "tau2")]
     )
     result = estimation.FitResult(
         params_hat=params,
         working_hat=params.to_working(),
-        loglik=report["loglik"],
-        H_hat=h,
-        J_hat=j,
-        godambe=godambe,
+        loglik=read("loglik"),
+        H_hat=read("matrices.H", np.asarray),
+        J_hat=read("matrices.J", np.asarray),
+        godambe=read("matrices.godambe", np.asarray),
         se=se,
-        clic=report["clic"],
-        iterations=report["iterations"],
-        converged=report["converged"],
+        clic=read("clic"),
+        iterations=read("iterations"),
+        converged=read("converged"),
         quad_order=spec.quad_order,
         weights=weights,
-        hac_lags=report["hac_lags_used"],
+        hac_lags=read("hac_lags_used"),
         restriction=spec.restriction,
     )
     return result, spec
@@ -415,10 +445,12 @@ def cmd_predict(args) -> int:
             raise DataFormatError(f"{args.report}: not a fit report ({err})") from None
     if not isinstance(report, dict) or report.get("kind") != "fit_report":
         raise DataFormatError(f"{args.report}: not a fit report")
-    result, spec = _result_from_report(report)
-
-    n_train = report["n_train"]
-    start_ord = month_to_ordinal(report["start_month"])
+    try:
+        result, spec = _result_from_report(report)
+        n_train = _report_value(report, "n_train", operator.index)
+        start_ord = _report_value(report, "start_month", month_to_ordinal)
+    except (DataFormatError, ValueError) as err:  # ValueError: a value out of range
+        raise DataFormatError(f"{args.report}: {err}") from None
     months_all = [ordinal_to_month(start_ord + k) for k in range(n_train + horizon)]
 
     data = read_count_csv_covariates(args.data, spec.covariates) if args.data else None

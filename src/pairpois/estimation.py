@@ -440,11 +440,16 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     or from the identity when that matrix is not positive definite,
     without evaluating the start again.  Every model then takes the
     loglik and the per-pair scores at its estimate from one pass of the
-    one evaluator; at the independence point tau2 = 0 the rule
-    integrates the point mass exactly, so they are the Poisson-product
-    values up to rounding.  H, J, the Godambe matrix, the standard
-    errors and CLIC come from the per-pair scores sliced to those k
-    coordinates, the same way for every model.  H is checked for
+    one evaluator.  For a latent fit that is the last pass BFGS ran,
+    which is at the estimate unless the line search ran out after a
+    rejected trial point; only then does one more pass run.  Each pass
+    keeps its scores per distinct pair; only those of the start (for the
+    curvature) and of the estimate are spread to every pair.  The
+    independence fit runs one pass at its IRLS estimate: at tau2 = 0 the
+    rule integrates the point mass exactly, so its values are the
+    Poisson-product ones up to rounding.  H, J, the Godambe matrix, the
+    standard errors and CLIC come from the per-pair scores sliced to
+    those k coordinates, the same way for every model.  H is checked for
     singularity once, and the standard errors and CLIC share one solve
     for H^-1 J.
     """
@@ -459,6 +464,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         k = p1
         beta, iterations, converged = poisson_irls(series.X, series.y)
         working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
+        loglik, pair_grads = ev.pair_gradients(working_hat)
     else:
         k = p1 + 1 if restriction == PHI_ZERO else p1 + 2
         if init is None:
@@ -470,8 +476,11 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         def working(x):
             return WorkingParams.from_vector(np.concatenate([x, np.zeros(p1 + 2 - k)]), p1)
 
+        last = {}
+
         def evaluate(x):
-            value, score = ev.loglik_and_score(working(x))
+            value, score, blocks = ev._evaluate(working(x), want_grad=True, want_pairs=False)
+            last.update(x=x.copy(), value=value, blocks=blocks)
             return value, score[:k]
 
         box = [(p1, "log(sigma2)", LOG_SIGMA2_BOUND), (p1 + 1, "atanh(phi)", Z_PHI_BOUND)]
@@ -482,16 +491,17 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
                     f"[-{bound:g}, {bound:g}]"
                 )
         neg = _safe_negative(evaluate, k, ls_index=p1, z_index=p1 + 1 if k > p1 + 1 else None)
-        value0, score0, start_pairs = ev._evaluate(
-            working(x0[:k]), want_grad=True, want_pairs=True
-        )
+        start = evaluate(x0[:k])
+        start_pairs = ev._expand(last["blocks"])
         h_inv0 = _bhhh_inverse([(lag, w, grads[:, :k]) for lag, w, grads in start_pairs], n)
         x_hat, _, _, iterations, converged = _minimize_bfgs(
-            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0,
-            start=neg(x0[:k], (value0, score0[:k])),
+            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0, start=neg(x0[:k], start)
         )
         working_hat = working(x_hat)
-    loglik, pair_grads = ev.pair_gradients(working_hat)
+        if np.array_equal(x_hat, last["x"]):
+            loglik, pair_grads = last["value"], ev._expand(last["blocks"])
+        else:  # the line search ran out after evaluating a rejected trial point
+            loglik, pair_grads = ev.pair_gradients(working_hat)
     pair_grads = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pair_grads]
 
     h = _sensitivity_from_pairs(pair_grads, n)

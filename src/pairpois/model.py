@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .quadrature import QuadRule, _latent_points
+from .quadrature import QuadRule, _latent_u, _latent_v
 
 RECTANGULAR = "rectangular"
 TRAPEZOIDAL = "trapezoidal"
@@ -275,8 +275,16 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-def _lag_grid(rule: QuadRule, tau2: float, rho: float):
-    """Node-side factors of the fused kernel at latent correlation ``rho``.
+def _weight_row(rule: QuadRule) -> np.ndarray:
+    """Row 0 of the kernel grid, log w_j w_k - log pi at every cell
+    (j, k) of the tensor rule; it depends on the rule alone."""
+    logw = np.log(rule.weights)
+    return (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
+
+
+def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
+    """The node-side factors of the fused kernel, with every row that
+    does not depend on the latent correlation filled in.
 
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
@@ -288,23 +296,44 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float):
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
     log y2!.  The moment matrix M (q^2, 9) has columns
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
-    always built: the kernel has one mode.
+    always built: the kernel has one mode.  This sets the weight row and
+    everything of u, which depend on tau2 alone;
+    :func:`_set_lag_rows` writes the v rows of one correlation over them.
     """
-    x = rule.nodes
-    q = x.shape[0]
-    c = math.sqrt(2.0 * tau2)
-    logw = np.log(rule.weights)
-    u, v = _latent_points(x, c, rho)
-    with np.errstate(over="ignore"):
-        exp_u = np.exp(u)
-        exp_v = np.exp(v)
-    grid = np.stack([(logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u, v, exp_v])
-    s = math.sqrt(1.0 - rho * rho)
-    dv = (c * (x[:, None] - (rho / s) * x[None, :])).ravel()
+    u = _latent_u(nodes, c)
+    grid = np.empty((5, u.shape[0]))
+    moments = np.empty((u.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = np.column_stack(
-            [np.ones(q * q), u, exp_u, u * exp_u, v, exp_v, v * exp_v, dv, dv * exp_v]
-        )
+        exp_u = np.exp(u)
+        moments[:, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
+    grid[:3] = weight_row, u, exp_u
+    return grid, moments
+
+
+def _set_lag_rows(grid, moments, nodes: np.ndarray, c: float, rho: float) -> None:
+    """Write the rows of :func:`_pass_grid`'s factors that depend on the
+    latent correlation ``rho``: v, e^v and their moment columns."""
+    v = _latent_v(nodes, c, rho)
+    s = math.sqrt(1.0 - rho * rho)
+    dv = (c * (nodes[:, None] - (rho / s) * nodes[None, :])).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp_v = np.exp(v)
+        # column by column, with no stacked temporary: this runs per lag block
+        grid[3] = v
+        grid[4] = exp_v
+        moments[:, 4] = v
+        moments[:, 5] = exp_v
+        moments[:, 6] = v * exp_v
+        moments[:, 7] = dv
+        moments[:, 8] = dv * exp_v
+
+
+def _lag_grid(rule: QuadRule, tau2: float, rho: float):
+    """The grid and moment matrix of :func:`_pass_grid` at latent
+    variance ``tau2`` and correlation ``rho``."""
+    c = math.sqrt(2.0 * tau2)
+    grid, moments = _pass_grid(rule.nodes, _weight_row(rule), c)
+    _set_lag_rows(grid, moments, rule.nodes, c, rho)
     return grid, moments
 
 
@@ -314,7 +343,7 @@ def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
 
     ``y1``, ``y2`` are the counts as floats, ``eta1``, ``eta2`` the linear
     predictors and ``lgam`` the summed log-factorials of each pair;
-    ``grid`` and ``moments`` come from :func:`_lag_grid`.  ``out`` is a
+    ``grid`` and ``moments`` come from :func:`_pass_grid`.  ``out`` is a
     (pairs, q^2) scratch array that first receives the integrand exponents
     and then, shifted by each row's maximum, their exponentials in place,
     so the pass allocates nothing of the grid's size.  ``failure(row)``
@@ -422,29 +451,62 @@ def _weighted_per_t(pair_grads, n_pairs: int) -> np.ndarray:
     return psi
 
 
+def _lex_groups(keys):
+    """Group the rows of the key columns ``keys``, the last of which sorts
+    first, as in ``np.lexsort``.
+
+    Returns the index of each group's first row, groups in lexicographic
+    order, and each row's group.  Keys compare by value, so -0.0 and 0.0
+    fall in one group, and the sort is stable, so a group's first row is
+    its lowest index: the groups and indices ``np.unique(..., axis=0,
+    return_index=True, return_inverse=True)`` gives on the rows.
+    """
+    order = np.lexsort(keys)
+    first = np.zeros(order.shape[0], dtype=bool)
+    first[0] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
+
+
 class PairwiseEvaluator:
     """Precomputed machinery for one (series, weights, rule) triple.
 
     Groups the lag-i pairs by their distinct (count, covariate) content
     so each distinct pair density is evaluated once per parameter value;
     on covariate-free data this collapses hundreds of pairs to a few
-    dozen grid evaluations.
+    dozen grid evaluations.  The grouping runs on integer ranks: the
+    counts and the covariate rows are each ranked once, in lexicographic
+    order, and each lag's pairs are grouped by a stable sort on the four
+    rank columns (y1, y2, X1, X2) of their two time points
+    (:func:`_lex_groups`).  Ranks keep the order of the values (-0.0 and
+    0.0 share a rank), so the distinct pairs, their order and their
+    first occurrences are those of ``np.unique(axis=0)`` on the float
+    rows (y1, y2, X1, X2); no combined key is formed, so none can
+    overflow.
 
     Each lag block of distinct pairs runs a fused kernel of two matrix
     products.  A (pairs, 5) matrix of per-pair terms times a (5, q^2)
     node grid gives every integrand exponent; the row maxima are
     subtracted and the exponentials taken in place; and the result times
     a (q^2, 9) matrix of node moments gives each pair's normalising sum
-    and the posterior means the score needs.  The only array of
-    pairs x q^2 size is one scratch buffer, sized for the largest block,
-    that each evaluation allocates once and every block reuses; the
-    evaluator itself holds no mutable state, so all public methods are
-    pure functions of the working parameters.  The per-t sums run in a
-    fixed order, so results are bit-reproducible.  Every method runs the
-    kernel in its one mode, score moments included, and differs only in
-    what it accumulates: :meth:`loglik` is bit-equal to the loglik that
-    :meth:`loglik_and_score` and :meth:`pair_gradients` (the fit path)
-    report at the same point.
+    and the posterior means the score needs.  The grid's log-weight row
+    depends on the rule alone and is built with the evaluator; the rows
+    of u = sqrt(2 tau2) x_j are built once per evaluation; only the rows
+    of v, which depend on the lag through rho = phi^lag, are built per
+    lag block (:func:`_pass_grid`, :func:`_set_lag_rows`).  The only
+    array of pairs x q^2 size is one scratch buffer, sized for the
+    largest block, that each evaluation allocates once and every block
+    reuses; the evaluator itself holds no mutable state, so all public
+    methods are pure functions of the working parameters.  The per-t
+    sums run in a fixed order, so results are bit-reproducible.  Every
+    method runs the kernel in its one mode, score moments included, and
+    differs only in what it accumulates: :meth:`loglik` is bit-equal to
+    the loglik that :meth:`loglik_and_score` and :meth:`pair_gradients`
+    (the fit path) report at the same point.
 
     ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
     point like any other: every node maps to the origin and the tensor
@@ -467,22 +529,22 @@ class PairwiseEvaluator:
         self.n_pairs = n - weights.m_d
         self.n_coef = series.n_coef
         self.dim = series.n_coef + 2
+        self._weight_row = _weight_row(rule)
 
         y = series.y
-        X = series.X
-        lgam = _log_factorial(y)
+        y_first, y_rank = _lex_groups((y,))
+        x_rank = _lex_groups(series.X.T[::-1])[1]  # column 0 sorts first
+        lgam = _log_factorial(y[y_first])[y_rank]
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._blocks = []
         for lag, w_lag in zip(weights.lags, weights.w):
             idx2 = outer
             idx1 = outer - lag
-            same_x = np.all(X[idx1] == X[idx2], axis=1)
-            swap = same_x & (y[idx1] > y[idx2])
+            swap = (x_rank[idx1] == x_rank[idx2]) & (y[idx1] > y[idx2])
             a1 = np.where(swap, idx2, idx1)
             a2 = np.where(swap, idx1, idx2)
-            key = np.column_stack([y[a1], y[a2], X[a1], X[a2]])
-            _, rep, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            rep, inverse = _lex_groups((x_rank[a2], x_rank[a1], y_rank[a2], y_rank[a1]))
             i1, i2 = a1[rep], a2[rep]
             self._blocks.append(
                 {
@@ -512,14 +574,14 @@ class PairwiseEvaluator:
             lag=lag,
         )
 
-    def _block_terms(self, block, eta, buf, tau2, phi):
+    def _block_terms(self, block, eta, buf, grid, moments, c, phi):
         """Log density and working-scale gradient pieces for the distinct
-        pairs of one lag block."""
+        pairs of one lag block; ``grid`` and ``moments`` are the pass's
+        factors, whose v rows this writes for the block's lag."""
         X = self.series.X
         i1, i2 = block["i1"], block["i2"]
         lag = block["lag"]
-        rho = phi**lag
-        grid, moments = _lag_grid(self.rule, tau2, rho)
+        _set_lag_rows(grid, moments, self.rule.nodes, c, phi**lag)
         logp, derivs = _fused_pairs(
             block["y1"], block["y2"], eta[i1], eta[i2], block["lgam"], grid, moments,
             buf[: i1.shape[0]], lambda row: self._underflow(block, row),
@@ -533,24 +595,39 @@ class PairwiseEvaluator:
 
     def _evaluate(self, working: WorkingParams, want_grad: bool, want_pairs: bool):
         """One kernel pass over every lag block; the flags choose only
-        whether the score and the per-pair scores are accumulated."""
+        whether the score is accumulated and whether the per-pair scores
+        are expanded.
+
+        Returns the loglik, the score (None without ``want_grad``) and,
+        per lag, (lag, weight, scores): the scores have one row per pair
+        of the series with ``want_pairs``, and one row per distinct pair
+        of the block otherwise, for :meth:`_expand` to spread later.
+        """
         params = working.to_params()
-        tau2 = params.tau2
         phi = params.phi
+        c = math.sqrt(2.0 * params.tau2)
         eta = self.series.X @ params.beta
-        buf = np.empty((self._max_block, self.rule.nodes.shape[0] ** 2))
+        buf = np.empty((self._max_block, self._weight_row.shape[0]))
+        grid, moments = _pass_grid(self.rule.nodes, self._weight_row, c)
 
         loglik = 0.0
         score = np.zeros(self.dim) if want_grad else None
-        pair_grads = [] if want_pairs else None
+        block_grads = []
         for block in self._blocks:
-            logp, grads = self._block_terms(block, eta, buf, tau2, phi)
+            logp, grads = self._block_terms(block, eta, buf, grid, moments, c, phi)
             loglik += block["w"] * float(block["counts"] @ logp)
             if want_grad:
                 score += block["w"] * (block["counts"] @ grads)
-            if want_pairs:
-                pair_grads.append((block["lag"], block["w"], grads[block["inverse"]]))
-        return loglik, score, pair_grads
+            block_grads.append((block["lag"], block["w"], grads))
+        return loglik, score, self._expand(block_grads) if want_pairs else block_grads
+
+    def _expand(self, block_grads):
+        """Per-lag scores of every pair from the per-distinct-pair scores
+        of each block, as :meth:`_evaluate` returns them."""
+        return [
+            (lag, w_lag, grads[block["inverse"]])
+            for block, (lag, w_lag, grads) in zip(self._blocks, block_grads)
+        ]
 
     # -- public surface ----------------------------------------------------
 

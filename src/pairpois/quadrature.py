@@ -108,18 +108,22 @@ def gauss_hermite(order: int) -> QuadRule:
     return QuadRule(order=order, nodes=nodes, weights=weights)
 
 
-def _latent_points(nodes: np.ndarray, scale: float, rho: float):
-    """The latent pair at each cell (j, k) of the tensor rule on ``nodes``.
+def _latent_u(nodes: np.ndarray, scale: float) -> np.ndarray:
+    """The first latent value u = scale x_j at each cell (j, k) of the
+    tensor rule on ``nodes``, flattened row-major in j, k.  It does not
+    depend on the correlation."""
+    return np.repeat(scale * nodes, nodes.shape[0])
 
-    Returns the flattened (row-major in j, k) arrays
-    u = scale x_j and v = scale (rho x_j + sqrt(1 - rho^2) x_k): the
-    nodes mapped through the Cholesky factor of [[1, rho], [rho, 1]].
-    With ``scale = 0`` every cell sits at the origin.
+
+def _latent_v(nodes: np.ndarray, scale: float, rho: float) -> np.ndarray:
+    """The second latent value v = scale (rho x_j + sqrt(1 - rho^2) x_k)
+    at each cell (j, k), flattened like :func:`_latent_u`.
+
+    Together, (u, v) are the nodes mapped through the Cholesky factor of
+    [[1, rho], [rho, 1]]; with ``scale = 0`` every cell sits at the origin.
     """
     s = math.sqrt(1.0 - rho * rho)
-    u = np.repeat(scale * nodes, nodes.shape[0])
-    v = (scale * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
-    return u, v
+    return (scale * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
 
 
 def bivariate_normal_rule(rule: QuadRule, tau2: float, rho: float) -> BivariateRule:
@@ -140,7 +144,8 @@ def bivariate_normal_rule(rule: QuadRule, tau2: float, rho: float) -> BivariateR
     if not abs(rho) < 1:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
 
-    points = np.column_stack(_latent_points(rule.nodes, math.sqrt(2.0 * tau2), rho))
+    scale = math.sqrt(2.0 * tau2)
+    points = np.column_stack([_latent_u(rule.nodes, scale), _latent_v(rule.nodes, scale, rho)])
     weights = np.outer(rule.weights, rule.weights).ravel() / math.pi
 
     points.setflags(write=False)

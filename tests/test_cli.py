@@ -397,6 +397,30 @@ def test_predict_rejects_report_missing_model_key(tmp_path, greek_report, capsys
     assert "quad_order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit,fragment",
+    [
+        (lambda report: report.pop("n_train"), "fit report has no 'n_train'"),
+        (lambda report: report["estimates"].update(sigma2="x"),
+         "fit report 'estimates.sigma2' is not valid"),
+        (lambda report: report["estimates"].update(phi=2.0), "phi must lie in (-1, 1)"),
+    ],
+    ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range"],
+)
+def test_predict_names_report_and_key_of_bad_entry(tmp_path, greek_report, capsys, edit,
+                                                   fragment):
+    report = json.loads(greek_report.read_text())
+    edit(report)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    capsys.readouterr()
+    rc = cli.main(["predict", str(bad), "--output", str(tmp_path / "b.csv"), "--n-sim", "10"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {bad}: {fragment}")
+
+
 def test_predict_band_columns_and_exceedance(tmp_path, greek_report):
     band_path = tmp_path / "band.csv"
     rc = cli.main(

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import pairpois as pp
 from pairpois import cli, estimation
 from pairpois.estimation import _bhhh_inverse, _minimize_bfgs, _safe_negative
-from pairpois.model import PairwiseEvaluator
+from pairpois.model import PairwiseEvaluator, _weighted_per_t
 
 W1 = pp.make_weights(1, "rect")
 RULE20 = pp.gauss_hermite(20)
@@ -389,13 +389,13 @@ def greek_series():
 
 def test_bhhh_start_greek_fit_needs_few_evaluations(monkeypatch):
     calls = []
-    real = PairwiseEvaluator.loglik_and_score
+    real = PairwiseEvaluator._evaluate
 
-    def counted(self, working):
+    def counted(self, working, want_grad, want_pairs):
         calls.append(1)
-        return real(self, working)
+        return real(self, working, want_grad, want_pairs)
 
-    monkeypatch.setattr(PairwiseEvaluator, "loglik_and_score", counted)
+    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", counted)
     fit = pp.fit(greek_series(), pp.make_weights(5, "trap"), quad_order=20)
     assert fit.converged
     assert len(calls) <= 16  # 44 from an identity start
@@ -445,6 +445,78 @@ def test_bhhh_start_point_is_evaluated_once(monkeypatch):
     fit = pp.fit(series, pp.make_weights(5, "trap"), quad_order=20)
     assert fit.converged
     assert sum(np.array_equal(x, x0) for x in points) == 1
+
+
+def count_passes(monkeypatch):
+    """Record every kernel pass, and the number run when BFGS starts and
+    when it returns."""
+    passes, at_bfgs = [], []
+    real_evaluate = PairwiseEvaluator._evaluate
+    real_bfgs = estimation._minimize_bfgs
+
+    def recorded(self, working, want_grad, want_pairs):
+        passes.append(working.as_vector())
+        return real_evaluate(self, working, want_grad, want_pairs)
+
+    def bfgs(*args, **kwargs):
+        at_bfgs.append(len(passes))
+        out = real_bfgs(*args, **kwargs)
+        at_bfgs.append(len(passes))
+        return out
+
+    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", recorded)
+    monkeypatch.setattr(estimation, "_minimize_bfgs", bfgs)
+    return passes, at_bfgs
+
+
+def assert_is_explicit_pass_result(fit, series, weights):
+    """The fit's loglik and sandwich, bit for bit, from one explicit
+    ``pair_gradients`` pass at its estimate."""
+    k = fit.H_hat.shape[0]
+    n = series.n
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(fit.quad_order))
+    loglik, pairs = ev.pair_gradients(fit.working_hat)
+    pairs = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pairs]
+    h = estimation._sensitivity_from_pairs(pairs, n)
+    psi = _weighted_per_t(pairs, n - weights.m_d)
+    j = estimation._variability_from_psi(psi, n, fit.hac_lags)
+    godambe = h @ np.linalg.solve(j, h)
+    assert fit.loglik == loglik
+    assert np.array_equal(fit.H_hat, h)
+    assert np.array_equal(fit.J_hat, j)
+    assert np.array_equal(fit.godambe, 0.5 * (godambe + godambe.T))
+    assert np.array_equal(fit.se, pp.robust_se(h, j, n, fit.working_hat), equal_nan=True)
+    assert fit.clic == estimation._clic_value(loglik, np.linalg.solve(h, j))
+
+
+@pytest.mark.parametrize("case", ["greek", "study"])
+def test_fit_runs_no_pass_after_bfgs(monkeypatch, case):
+    # one start pass, then one per BFGS evaluation; the loglik and the
+    # sandwich come from the last of them, which BFGS accepted
+    if case == "greek":
+        series, weights = greek_series(), pp.make_weights(5, "trap")
+    else:
+        series, weights = pp.simulate_scenario(5, 500, 1, 3), pp.make_weights(3, "trap")
+    passes, at_bfgs = count_passes(monkeypatch)
+    fit = pp.fit(series, weights, quad_order=20)
+    assert fit.converged
+    assert at_bfgs[0] == 1
+    assert len(passes) == at_bfgs[1] > 1
+    assert np.array_equal(passes[-1], fit.working_hat.as_vector())
+    assert_is_explicit_pass_result(fit, series, weights)
+
+
+def test_fit_after_exhausted_line_search_runs_one_more_pass(monkeypatch):
+    # this boundary fit stops when the line search runs out: its last
+    # pass was at a rejected trial point, so one more runs at the estimate
+    series, weights = pp.simulate_scenario(9, 500, 504), pp.make_weights(3, "trap")
+    passes, at_bfgs = count_passes(monkeypatch)
+    fit = pp.fit(series, weights, quad_order=20)
+    assert not fit.converged and fit.iterations < estimation.DEFAULT_MAX_ITER
+    assert len(passes) == at_bfgs[1] + 1
+    assert not np.array_equal(passes[-2], passes[-1])
+    assert np.array_equal(passes[-1], fit.working_hat.as_vector())
+    assert_is_explicit_pass_result(fit, series, weights)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,10 @@ reduces it with einsum.  The fused kernel reorders the same sums (two
 matrix products and a per-pair constant added after the log-sum-exp), so
 the two agree to rounding: the tolerances below were fixed from float64
 before the fused kernel was written.
+
+``float_key_blocks`` keeps the earlier pair grouping, ``np.unique`` over
+the float rows (y1, y2, X1, X2) of each lag; the rank grouping must give
+the same blocks exactly.
 """
 import math
 import pathlib
@@ -203,3 +207,84 @@ def test_fused_kernel_failure_location_matches_broadcast():
         errors.append((info.value.time_index, info.value.lag))
     assert errors[0] == errors[1]
     assert errors[0] == (23, 1)
+
+
+# ---------------------------------------------------------------------------
+# pair grouping
+
+
+def float_key_blocks(series, weights):
+    """The evaluator's pair grouping as first written: ``np.unique`` over
+    the float rows (y1, y2, X1, X2) of each lag."""
+    y = series.y
+    X = series.X
+    outer = np.arange(weights.m_d, series.n)
+    blocks = []
+    for lag in weights.lags:
+        idx2 = outer
+        idx1 = outer - lag
+        same_x = np.all(X[idx1] == X[idx2], axis=1)
+        swap = same_x & (y[idx1] > y[idx2])
+        a1 = np.where(swap, idx2, idx1)
+        a2 = np.where(swap, idx1, idx2)
+        key = np.column_stack([y[a1], y[a2], X[a1], X[a2]])
+        _, rep, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        blocks.append(
+            {
+                "i1": a1[rep],
+                "i2": a2[rep],
+                "inverse": inverse,
+                "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
+            }
+        )
+    return blocks
+
+
+def assert_grouping_matches_float_key(series, weights):
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(5))
+    ref = float_key_blocks(series, weights)
+    assert len(ev._blocks) == len(ref)
+    for block, want in zip(ev._blocks, ref):
+        for name in ("i1", "i2", "inverse", "counts"):
+            assert np.array_equal(block[name], want[name]), name
+
+
+def tied_counts_series(n=240):
+    """Few distinct counts, each seen at several covariate rows."""
+    t = np.arange(n)
+    X = np.column_stack([np.ones(n), t % 3 == 0, (t % 5) / 4.0]).astype(float)
+    return pp.CountSeries(y=(t * 7) % 4, X=X)
+
+
+def signed_zero_series(n=120):
+    """A covariate that is -0.0 at even and 0.0 at odd times, 1.0 every
+    seventh: -0.0 and 0.0 rows are equal and must share pairs."""
+    t = np.arange(n)
+    z = np.where(t % 2 == 0, -0.0, 0.0)
+    z[t % 7 == 0] = 1.0
+    return pp.CountSeries(y=t % 3, X=np.column_stack([np.ones(n), z]))
+
+
+@pytest.mark.parametrize(
+    "make,weights",
+    [
+        (greek_series, pp.make_weights(5, "trap")),
+        (tied_counts_series, pp.make_weights(3, "trap")),
+        (signed_zero_series, pp.make_weights(2, "rect")),
+        (lambda: pp.simulate_scenario(5, 500, seed=2024), pp.make_weights(3, "trap")),
+    ],
+    ids=["greek", "tied_counts", "signed_zero", "constant_x"],
+)
+def test_rank_grouping_matches_float_key(make, weights):
+    assert_grouping_matches_float_key(make(), weights)
+
+
+def test_rank_grouping_of_long_series_matches_float_key():
+    # distinct counts and distinct covariate rows: a single int64 key
+    # (ry1 * ny + ry2) * nX^2 + rX1 * nX + rX2 would overflow here
+    n = 60_000
+    assert n**4 > np.iinfo(np.int64).max
+    rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(n), np.arange(n) / n])
+    series = pp.CountSeries(y=rng.permutation(n), X=X)
+    assert_grouping_matches_float_key(series, pp.make_weights(2, "trap"))
