@@ -29,8 +29,6 @@ from .model import (
     PairWeights,
     PairwiseEvaluator,
     Params,
-    RECTANGULAR,
-    TRAPEZOIDAL,
     WorkingParams,
     autocorrelation,
     dispersion_index,
@@ -39,18 +37,15 @@ from .model import (
     marginal_var,
     pair_log_density,
     pairwise_loglik,
-    pairwise_score,
-    per_t_score,
     poisson_log_pmf,
 )
-from .quadrature import BivariateRule, QuadRule, bivariate_normal_rule, gauss_hermite
-from .scenarios import SCENARIOS, ScenarioSpec, run_scenario_study, simulate_scenario
-from .simulate import PredictionBand, SimConfig, latent_paths, predict, simulate_replicates, simulate_series
+from .quadrature import gauss_hermite
+from .scenarios import SCENARIOS, run_scenario_study, simulate_scenario
+from .simulate import PredictionBand, SimConfig, latent_paths, predict, simulate_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateRule",
     "CountSeries",
     "DataFormatError",
     "FitResult",
@@ -63,16 +58,11 @@ __all__ = [
     "PairwiseEvaluator",
     "Params",
     "PredictionBand",
-    "QuadRule",
-    "RECTANGULAR",
     "SCENARIOS",
-    "ScenarioSpec",
     "SimConfig",
     "SingularMatrixError",
-    "TRAPEZOIDAL",
     "WorkingParams",
     "autocorrelation",
-    "bivariate_normal_rule",
     "clic",
     "default_hac_lags",
     "dispersion_index",
@@ -86,15 +76,12 @@ __all__ = [
     "moment_init",
     "pair_log_density",
     "pairwise_loglik",
-    "pairwise_score",
-    "per_t_score",
     "poisson_irls",
     "poisson_log_pmf",
     "predict",
     "robust_se",
     "run_scenario_study",
     "sensitivity_H",
-    "simulate_replicates",
     "simulate_scenario",
     "simulate_series",
     "variability_J",

@@ -79,6 +79,9 @@ def read_count_csv(path: str) -> ParsedData:
                 f"{path}: line 1: header must start with 'date,count', got {','.join(header)!r}"
             )
         cov_names = header[2:]
+        duplicates = sorted({name for name in cov_names if cov_names.count(name) > 1})
+        if duplicates:
+            raise DataFormatError(f"{path}: line 1: duplicate covariate columns {duplicates}")
 
         months: list[str] = []
         counts: list[int] = []
@@ -330,6 +333,8 @@ def cmd_fit(args) -> int:
         restriction=_RESTRICTIONS[args.restriction],
         hac_lags=args.hac_lags,
     )
+    if spec.harmonics and spec.period < 3:
+        raise DataFormatError(f"--period must be at least 3 months, got {spec.period}")
     if spec.level_shift is not None:
         shift = month_to_ordinal(spec.level_shift)
         if not (month_to_ordinal(months_train[0]) < shift <= month_to_ordinal(months_train[-1])):

@@ -479,7 +479,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         last = {}
 
         def evaluate(x):
-            value, score, blocks = ev._evaluate(working(x), want_grad=True, want_pairs=False)
+            value, score, blocks = ev._evaluate(working(x))
             last.update(x=x.copy(), value=value, blocks=blocks)
             return value, score[:k]
 

@@ -289,7 +289,10 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
     c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
-    latent covariance, by the map :func:`bivariate_normal_rule` uses.
+    latent covariance (:func:`quadrature._latent_u`,
+    :func:`quadrature._latent_v`).  With the weight row, this grid is the
+    bivariate-normal rule: e^(row 0) are the probability weights
+    w_j w_k / pi and rows 1 and 3 the latent points (u, v).
     The grid G (5, q^2) has rows
     [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
     [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
@@ -503,10 +506,11 @@ class PairwiseEvaluator:
     reuses; the evaluator itself holds no mutable state, so all public
     methods are pure functions of the working parameters.  The per-t
     sums run in a fixed order, so results are bit-reproducible.  Every
-    method runs the kernel in its one mode, score moments included, and
-    differs only in what it accumulates: :meth:`loglik` is bit-equal to
-    the loglik that :meth:`loglik_and_score` and :meth:`pair_gradients`
-    (the fit path) report at the same point.
+    method runs the same pass, :meth:`_evaluate`, which returns the
+    loglik, the score and the per-distinct-pair scores together; the
+    methods differ only in what they return, so :meth:`loglik` is
+    bit-equal to the loglik that :meth:`loglik_and_score` and
+    :meth:`pair_gradients` (the fit path) report at the same point.
 
     ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
     point like any other: every node maps to the origin and the tensor
@@ -593,15 +597,12 @@ class PairwiseEvaluator:
         grads[:, self.n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
         return logp, grads
 
-    def _evaluate(self, working: WorkingParams, want_grad: bool, want_pairs: bool):
-        """One kernel pass over every lag block; the flags choose only
-        whether the score is accumulated and whether the per-pair scores
-        are expanded.
+    def _evaluate(self, working: WorkingParams):
+        """One kernel pass over every lag block.
 
-        Returns the loglik, the score (None without ``want_grad``) and,
-        per lag, (lag, weight, scores): the scores have one row per pair
-        of the series with ``want_pairs``, and one row per distinct pair
-        of the block otherwise, for :meth:`_expand` to spread later.
+        Returns the loglik, the score and, per lag, (lag, weight, scores)
+        with one row of scores per distinct pair of the block, for
+        :meth:`_expand` to spread to every pair of the series.
         """
         params = working.to_params()
         phi = params.phi
@@ -611,15 +612,14 @@ class PairwiseEvaluator:
         grid, moments = _pass_grid(self.rule.nodes, self._weight_row, c)
 
         loglik = 0.0
-        score = np.zeros(self.dim) if want_grad else None
+        score = np.zeros(self.dim)
         block_grads = []
         for block in self._blocks:
             logp, grads = self._block_terms(block, eta, buf, grid, moments, c, phi)
             loglik += block["w"] * float(block["counts"] @ logp)
-            if want_grad:
-                score += block["w"] * (block["counts"] @ grads)
+            score += block["w"] * (block["counts"] @ grads)
             block_grads.append((block["lag"], block["w"], grads))
-        return loglik, score, self._expand(block_grads) if want_pairs else block_grads
+        return loglik, score, block_grads
 
     def _expand(self, block_grads):
         """Per-lag scores of every pair from the per-distinct-pair scores
@@ -632,23 +632,24 @@ class PairwiseEvaluator:
     # -- public surface ----------------------------------------------------
 
     def loglik(self, working: WorkingParams) -> float:
-        value, _, _ = self._evaluate(working, want_grad=False, want_pairs=False)
-        return value
+        return self._evaluate(working)[0]
 
     def loglik_and_score(self, working: WorkingParams) -> tuple[float, np.ndarray]:
-        value, score, _ = self._evaluate(working, want_grad=True, want_pairs=False)
-        return value, score
+        """The loglik and its exact gradient in the working parameters
+        (beta, log sigma2, atanh phi), differentiated through the fixed
+        nodes, the Cholesky map and the log-sum-exp."""
+        return self._evaluate(working)[:2]
 
     def pair_gradients(self, working: WorkingParams):
         """Log-likelihood plus, per lag, the (n_pairs, dim) matrix of
         per-pair score contributions (weight not applied)."""
-        value, _, pairs = self._evaluate(working, want_grad=False, want_pairs=True)
-        return value, pairs
+        value, _, block_grads = self._evaluate(working)
+        return value, self._expand(block_grads)
 
     def per_t_scores(self, working: WorkingParams) -> np.ndarray:
-        """Weighted per-time score terms, one row per t = m_d+1 .. n."""
-        _, pairs = self.pair_gradients(working)
-        return _weighted_per_t(pairs, self.n_pairs)
+        """Weighted per-time score terms, one row per t = m_d+1 .. n;
+        they sum to the score."""
+        return _weighted_per_t(self.pair_gradients(working)[1], self.n_pairs)
 
 
 def pairwise_loglik(
@@ -664,33 +665,9 @@ def pairwise_loglik(
     same point.  ``sigma2 = 0`` (tau2 = 0) needs no special case: the
     evaluator integrates the point mass exactly, giving the weighted sum
     of Poisson-product log-likelihoods up to rounding.
+
+    This builds a :class:`PairwiseEvaluator` for the one call.  For the
+    score, the per-time scores, or repeated evaluations, build the
+    evaluator once and call its methods.
     """
     return PairwiseEvaluator(series, weights, rule).loglik(params.to_working())
-
-
-def pairwise_score(
-    series: CountSeries, working: WorkingParams, weights: PairWeights, rule: QuadRule
-) -> np.ndarray:
-    """Exact gradient of the quadrature-approximated pairwise log-likelihood
-    with respect to the working parameters (beta, log sigma2, atanh phi).
-
-    Differentiates through the fixed Hermite nodes, the closed-form 2x2
-    Cholesky transform of the latent covariance, and the log-sum-exp, so
-    it agrees with finite differences of :func:`pairwise_loglik` to
-    near machine precision.
-    """
-    _, score = PairwiseEvaluator(series, weights, rule).loglik_and_score(working)
-    return score
-
-
-def per_t_score(
-    series: CountSeries, t: int, working: WorkingParams, weights: PairWeights, rule: QuadRule
-) -> np.ndarray:
-    """The t-th summand of the pairwise score (t is 1-based, m_d < t <= n).
-
-    Summing over every admissible t recovers :func:`pairwise_score`.
-    """
-    if not (weights.m_d < t <= series.n):
-        raise ValueError(f"t must satisfy {weights.m_d} < t <= {series.n}, got {t}")
-    ev = PairwiseEvaluator(series, weights, rule)
-    return ev.per_t_scores(working)[t - weights.m_d - 1]

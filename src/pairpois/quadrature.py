@@ -1,17 +1,18 @@
-"""Gauss-Hermite rules and their transform to bivariate-normal expectations.
+"""Gauss-Hermite rules and the map of their tensor nodes to latent pairs.
 
 Rules follow the physicists' convention: an order-n rule integrates
 f(x) exp(-x^2) exactly for polynomials f of degree <= 2n - 1, and the
-weights sum to sqrt(pi).  The bivariate transform maps a tensor product
-of two one-dimensional rules onto the stationary law of two latent
-values with common variance tau2 and correlation rho.
+weights sum to sqrt(pi).  :func:`_latent_u` and :func:`_latent_v` map the
+tensor product of two one-dimensional rules onto the stationary law of
+two latent values with common variance tau2 and correlation rho; the
+pair-density kernel in :mod:`pairpois.model` builds its bivariate rule
+from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -29,30 +30,6 @@ class QuadRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-
-
-@dataclass(frozen=True)
-class BivariateRule:
-    """Cubature rule for E[f(u, v)] with (u, v) centered bivariate normal.
-
-    ``points`` is an (order**2, 2) array of (u, v) evaluation points and
-    ``weights`` the matching probability weights (they sum to one).  The
-    rule reproduces the covariance tau2 * [[1, rho], [rho, 1]] exactly
-    for order >= 2.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    tau2: float
-    rho: float
-
-    @property
-    def order(self) -> int:
-        return int(round(math.sqrt(self.points.shape[0])))
-
-    def expect(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        """Approximate E[f(u, v)] under the bivariate normal law."""
-        return float(np.sum(self.weights * f(self.points[:, 0], self.points[:, 1])))
 
 
 @lru_cache(maxsize=None)
@@ -124,30 +101,3 @@ def _latent_v(nodes: np.ndarray, scale: float, rho: float) -> np.ndarray:
     """
     s = math.sqrt(1.0 - rho * rho)
     return (scale * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
-
-
-def bivariate_normal_rule(rule: QuadRule, tau2: float, rho: float) -> BivariateRule:
-    """Transform a 1-D rule into a rule for a centered bivariate normal.
-
-    The tensor-product Hermite nodes x are mapped through
-    z = sqrt(2) * L * x, with L the lower-triangular square root of
-    tau2 * [[1, rho], [rho, 1]]; the product weights are divided by pi
-    so they form a probability measure.
-
-    Raises
-    ------
-    ValueError
-        If ``tau2 <= 0`` or ``abs(rho) >= 1``.
-    """
-    if not tau2 > 0:
-        raise ValueError(f"tau2 must be positive, got {tau2}")
-    if not abs(rho) < 1:
-        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-
-    scale = math.sqrt(2.0 * tau2)
-    points = np.column_stack([_latent_u(rule.nodes, scale), _latent_v(rule.nodes, scale, rho)])
-    weights = np.outer(rule.weights, rule.weights).ravel() / math.pi
-
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return BivariateRule(points=points, weights=weights, tau2=float(tau2), rho=float(rho))

@@ -112,6 +112,7 @@ def _fit_argv(tmp_path, text, *flags):
 
 
 FIVE_ROWS = "date,count\n" + "".join(f"2000-0{m},{m}\n" for m in range(1, 6))
+TWO_Z_COLUMNS = "date,count,z,z\n" + "".join(f"2000-0{m},{m},{m},{-m}\n" for m in range(1, 6))
 
 
 def _not_json(tmp_path):
@@ -132,6 +133,15 @@ GUARD_CASES = {
     "holdout_covers_data": lambda tmp: (
         _fit_argv(tmp, FIVE_ROWS, "--holdout-months", "5"), 1,
         "holdout of 5 months leaves no training data"),
+    "duplicate_covariate": lambda tmp: (
+        _fit_argv(tmp, TWO_Z_COLUMNS, "--covariates", "z"), 1,
+        "line 1: duplicate covariate columns ['z']"),
+    "period_zero": lambda tmp: (
+        _fit_argv(tmp, FIVE_ROWS, "--harmonics", "--period", "0"), 1,
+        "--period must be at least 3 months, got 0"),
+    "period_two": lambda tmp: (
+        _fit_argv(tmp, FIVE_ROWS, "--harmonics", "--period", "2"), 1,
+        "--period must be at least 3 months, got 2"),
     "absent_covariate": lambda tmp: (
         _fit_argv(tmp, FIVE_ROWS, "--covariates", "w"), 1, "covariate column 'w' not available"),
     "report_not_fit": lambda tmp: (

@@ -87,7 +87,7 @@ def test_sensitivity_single_pair_degenerate():
     series = pp.CountSeries(y=np.array([2, 4]), X=np.ones((2, 1)))
     working = pp.SCENARIOS[5].params.to_working()
     h = pp.sensitivity_H(series, working, W1, RULE20)
-    g = pp.per_t_score(series, 2, working, W1, RULE20)  # w_1 = 1
+    g = PairwiseEvaluator(series, W1, RULE20).per_t_scores(working)[2 - W1.m_d - 1]  # w_1 = 1
     assert_allclose(h, np.outer(g, g) / 2.0, rtol=0, atol=1e-12)
 
 
@@ -343,7 +343,7 @@ def test_fit_godambe_consistency():
 def test_fit_score_small_at_optimum():
     series = pp.simulate_scenario(5, 500, seed=14)
     fit = pp.fit(series, W1, quad_order=20)
-    score = pp.pairwise_score(series, fit.working_hat, W1, RULE20)
+    score = PairwiseEvaluator(series, W1, RULE20).loglik_and_score(fit.working_hat)[1]
     assert np.max(np.abs(score)) <= 1e-4 * max(1.0, abs(fit.loglik))
 
 
@@ -391,9 +391,9 @@ def test_bhhh_start_greek_fit_needs_few_evaluations(monkeypatch):
     calls = []
     real = PairwiseEvaluator._evaluate
 
-    def counted(self, working, want_grad, want_pairs):
+    def counted(self, working):
         calls.append(1)
-        return real(self, working, want_grad, want_pairs)
+        return real(self, working)
 
     monkeypatch.setattr(PairwiseEvaluator, "_evaluate", counted)
     fit = pp.fit(greek_series(), pp.make_weights(5, "trap"), quad_order=20)
@@ -437,9 +437,9 @@ def test_bhhh_start_point_is_evaluated_once(monkeypatch):
     points = []
     real = PairwiseEvaluator._evaluate
 
-    def recorded(self, working, want_grad, want_pairs):
+    def recorded(self, working):
         points.append(working.as_vector())
-        return real(self, working, want_grad, want_pairs)
+        return real(self, working)
 
     monkeypatch.setattr(PairwiseEvaluator, "_evaluate", recorded)
     fit = pp.fit(series, pp.make_weights(5, "trap"), quad_order=20)
@@ -454,9 +454,9 @@ def count_passes(monkeypatch):
     real_evaluate = PairwiseEvaluator._evaluate
     real_bfgs = estimation._minimize_bfgs
 
-    def recorded(self, working, want_grad, want_pairs):
+    def recorded(self, working):
         passes.append(working.as_vector())
-        return real_evaluate(self, working, want_grad, want_pairs)
+        return real_evaluate(self, working)
 
     def bfgs(*args, **kwargs):
         at_bfgs.append(len(passes))

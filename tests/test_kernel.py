@@ -49,9 +49,9 @@ class BroadcastEvaluator(PairwiseEvaluator):
         super().__init__(series, weights, rule)
         self._lgam = gammaln(series.y + 1.0)
 
-    def _block_terms(self, block, eta, u, v, logw2, lag, tau2, phi, want_grad):
-        """Log density and (optionally) working-scale gradient pieces for
-        the distinct pairs of one lag block."""
+    def _block_terms(self, block, eta, u, v, logw2, lag, tau2, phi):
+        """Log density and working-scale gradient pieces for the distinct
+        pairs of one lag block."""
         y = self.series.y
         X = self.series.X
         i1, i2 = block["i1"], block["i2"]
@@ -88,9 +88,6 @@ class BroadcastEvaluator(PairwiseEvaluator):
             total = ew.sum(axis=(1, 2))
             logp = m + np.log(total)
 
-        if not want_grad:
-            return logp, None
-
         pi = ew / total[:, None, None]
         pj = pi.sum(axis=2)
         r1 = y1 - np.einsum("uj,uj->u", pj, exp_a)
@@ -114,7 +111,7 @@ class BroadcastEvaluator(PairwiseEvaluator):
         grads[:, self.n_coef + 1] = g_z
         return logp, grads
 
-    def _evaluate(self, working, want_grad, want_pairs):
+    def _evaluate(self, working):
         params = working.to_params()
         tau2 = params.tau2
         if not tau2 > 0:
@@ -123,22 +120,17 @@ class BroadcastEvaluator(PairwiseEvaluator):
         eta = self.series.X @ params.beta
 
         loglik = 0.0
-        score = np.zeros(self.dim) if want_grad else None
-        pair_grads = [] if want_pairs else None
+        score = np.zeros(self.dim)
+        block_grads = []
         for block in self._blocks:
             lag = block["lag"]
             rho = phi**lag
             u, v, logw2 = _grid_pieces(self.rule, tau2, rho)
-            logp, grads = self._block_terms(
-                block, eta, u, v, logw2, lag, tau2, phi, want_grad or want_pairs
-            )
+            logp, grads = self._block_terms(block, eta, u, v, logw2, lag, tau2, phi)
             loglik += block["w"] * float(block["counts"] @ logp)
-            if want_grad or want_pairs:
-                if want_grad:
-                    score += block["w"] * (block["counts"] @ grads)
-                if want_pairs:
-                    pair_grads.append((lag, block["w"], grads[block["inverse"]]))
-        return loglik, score, pair_grads
+            score += block["w"] * (block["counts"] @ grads)
+            block_grads.append((lag, block["w"], grads))
+        return loglik, score, block_grads
 
 
 def greek_series():

@@ -420,7 +420,7 @@ def test_pairwise_score_at_zero_latent_variance_is_glm_score():
     series = small_series(n=50)
     w = pp.make_weights(1, "rect")
     working = pp.WorkingParams(beta=[0.25], log_sigma2=-math.inf, z_phi=0.0)
-    score = pp.pairwise_score(series, working, w, pp.gauss_hermite(20))
+    score = PairwiseEvaluator(series, w, pp.gauss_hermite(20)).loglik_and_score(working)[1]
     resid = series.y - math.exp(0.25)
     want = float(np.sum(resid[:-1] + resid[1:]))
     assert abs(score[0] - want) <= 1e-12 * max(1.0, abs(want))
@@ -496,7 +496,7 @@ def test_score_glm_limit():
     series = small_series(n=50)
     w = pp.make_weights(1, "rect")
     working = pp.WorkingParams(beta=[0.25], log_sigma2=math.log(1e-12), z_phi=math.atanh(0.8))
-    score = pp.pairwise_score(series, working, w, pp.gauss_hermite(20))
+    score = PairwiseEvaluator(series, w, pp.gauss_hermite(20)).loglik_and_score(working)[1]
     y = series.y.astype(float)
     resid = y - math.exp(0.25)
     want = float(np.sum(resid[:-1] + resid[1:]))
@@ -508,34 +508,11 @@ def test_per_t_scores_sum_to_score():
     w = pp.make_weights(2, "trap")
     rule = pp.gauss_hermite(10)
     working = pp.SCENARIOS[5].params.to_working()
-    total = pp.pairwise_score(series, working, w, rule)
-    summed = sum(
-        pp.per_t_score(series, t, working, w, rule) for t in range(w.m_d + 1, series.n + 1)
-    )
+    ev = PairwiseEvaluator(series, w, rule)
+    total = ev.loglik_and_score(working)[1]
+    psi = ev.per_t_scores(working)
+    summed = sum(psi[t - w.m_d - 1] for t in range(w.m_d + 1, series.n + 1))
     assert_allclose(summed, total, rtol=0, atol=1e-10)
-
-
-def test_per_t_score_range_checked():
-    series = small_series(n=30)
-    w = pp.make_weights(1, "rect")
-    working = pp.SCENARIOS[4].params.to_working()
-    rule = pp.gauss_hermite(5)
-    for bad_t in (0, 1, 31):
-        with pytest.raises(ValueError):
-            pp.per_t_score(series, bad_t, working, w, rule)
-
-
-def test_per_t_score_checks_t_before_building_the_evaluator(monkeypatch):
-    from pairpois import model
-
-    def no_evaluator(*args, **kwargs):
-        raise AssertionError("evaluator built for an out-of-range t")
-
-    monkeypatch.setattr(model, "PairwiseEvaluator", no_evaluator)
-    w = pp.make_weights(2, "rect")
-    with pytest.raises(ValueError, match="t must satisfy"):
-        pp.per_t_score(small_series(n=30), 2, pp.SCENARIOS[4].params.to_working(), w,
-                       pp.gauss_hermite(5))
 
 
 def test_per_t_score_depends_only_on_its_pair_at_d1():
@@ -546,6 +523,6 @@ def test_per_t_score_depends_only_on_its_pair_at_d1():
     y2 = np.array([9, 5, 1, 7, 3, 0])  # same (y_2, y_3) pair at t = 3
     s1 = pp.CountSeries(y=y1, X=np.ones((6, 1)))
     s2 = pp.CountSeries(y=y2, X=np.ones((6, 1)))
-    a = pp.per_t_score(s1, 3, working, w, rule)
-    b = pp.per_t_score(s2, 3, working, w, rule)
+    a = PairwiseEvaluator(s1, w, rule).per_t_scores(working)[3 - w.m_d - 1]
+    b = PairwiseEvaluator(s2, w, rule).per_t_scores(working)[3 - w.m_d - 1]
     assert_allclose(a, b, rtol=0, atol=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairpois import bivariate_normal_rule, gauss_hermite
+from pairpois import gauss_hermite
 from pairpois.model import _lag_grid
 
 SQRT_PI = math.sqrt(math.pi)
@@ -101,11 +101,24 @@ def test_polynomial_exactness(order):
 
 
 # ---------------------------------------------------------------------------
-# bivariate transform
+# the kernel grid as a bivariate-normal rule
+
+
+class GridRule:
+    """The kernel grid of :func:`_lag_grid` read as a cubature rule for
+    E[f(u, v)]: probability weights exp(row 0), points (row 1, row 3)."""
+
+    def __init__(self, rule, tau2, rho):
+        grid, _ = _lag_grid(rule, tau2, rho)
+        self.weights = np.exp(grid[0])
+        self.points = np.column_stack([grid[1], grid[3]])
+
+    def expect(self, f):
+        return float(np.sum(self.weights * f(self.points[:, 0], self.points[:, 1])))
 
 
 def test_bivariate_weights_are_probability_measure():
-    rule = bivariate_normal_rule(gauss_hermite(13), tau2=0.7, rho=-0.4)
+    rule = GridRule(gauss_hermite(13), tau2=0.7, rho=-0.4)
     assert abs(rule.weights.sum() - 1.0) < 1e-10
     assert np.all(rule.weights > 0)
     assert rule.points.shape == (13 * 13, 2)
@@ -113,14 +126,14 @@ def test_bivariate_weights_are_probability_measure():
 
 @pytest.mark.parametrize("tau2,rho", [(1.0, 0.0), (2.0369, 0.5), (0.0645, -0.9), (0.51, 0.99)])
 def test_bivariate_second_moments_exact(tau2, rho):
-    rule = bivariate_normal_rule(gauss_hermite(2), tau2, rho)
+    rule = GridRule(gauss_hermite(2), tau2, rho)
     assert abs(rule.expect(lambda u, v: u * u) - tau2) < 1e-12 * max(1.0, tau2)
     assert abs(rule.expect(lambda u, v: v * v) - tau2) < 1e-12 * max(1.0, tau2)
     assert abs(rule.expect(lambda u, v: u * v) - rho * tau2) < 1e-12 * max(1.0, tau2)
 
 
 def test_independence_factorizes():
-    rule = bivariate_normal_rule(gauss_hermite(11), tau2=0.8, rho=0.0)
+    rule = GridRule(gauss_hermite(11), tau2=0.8, rho=0.0)
     gh = gauss_hermite(11)
     scale = math.sqrt(2 * 0.8)
     f = lambda x: np.cos(x)
@@ -142,14 +155,14 @@ def test_independence_factorizes():
     ],
 )
 def test_odd_functions_integrate_to_zero(f):
-    rule = bivariate_normal_rule(gauss_hermite(14), tau2=1.3, rho=0.6)
+    rule = GridRule(gauss_hermite(14), tau2=1.3, rho=0.6)
     assert abs(rule.expect(f)) < 1e-12
 
 
 def test_lognormal_moment_identity():
     # E exp(u + v) = exp(var(u + v) / 2) = exp(tau2 * (1 + rho))
     tau2, rho = 2.0369, 0.5
-    rule = bivariate_normal_rule(gauss_hermite(20), tau2, rho)
+    rule = GridRule(gauss_hermite(20), tau2, rho)
     assert abs(rule.expect(lambda u, v: np.exp(u + v)) - math.exp(tau2 * (1 + rho))) < 1e-6
 
 
@@ -157,14 +170,12 @@ def test_lognormal_moment_identity():
     "order,tau2,rho", [(1, 0.3, 0.2), (5, 1.7, -0.6), (20, 0.5109, 0.0), (20, 2.0369, 0.729)]
 )
 def test_kernel_grid_uses_bivariate_points(order, tau2, rho):
+    # the nodes mapped through the Cholesky factor of the latent covariance:
+    # u = sqrt(2 tau2) x_j, v = sqrt(2 tau2) (rho x_j + sqrt(1 - rho^2) x_k)
     rule = gauss_hermite(order)
     grid, _ = _lag_grid(rule, tau2, rho)
-    points = bivariate_normal_rule(rule, tau2, rho).points
-    assert np.array_equal(grid[1], points[:, 0])
-    assert np.array_equal(grid[3], points[:, 1])
-
-
-@pytest.mark.parametrize("tau2,rho", [(1.0, 1.0), (1.0, -1.0), (1.0, 1.5), (0.0, 0.5), (-1.0, 0.0)])
-def test_bivariate_invalid_arguments(tau2, rho):
-    with pytest.raises(ValueError):
-        bivariate_normal_rule(gauss_hermite(5), tau2, rho)
+    x_j, x_k = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    scale = math.sqrt(2.0 * tau2)
+    s = math.sqrt(1.0 - rho * rho)
+    assert np.array_equal(grid[1], (scale * x_j).ravel())
+    assert np.array_equal(grid[3], (scale * (rho * x_j + s * x_k)).ravel())

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import pairpois as pp
+from pairpois import simulate
 
 ONE = np.array([1.0])
 
@@ -79,8 +80,8 @@ def test_reproducible_and_replicates_keyed_by_index():
     params = pp.SCENARIOS[5].params
     X = np.ones((200, 1))
     config = pp.SimConfig(params=params, X=X, n_rep=3, seed=42)
-    runs_a = [s.y for s in pp.simulate_replicates(config)]
-    runs_b = [s.y for s in pp.simulate_replicates(config)]
+    runs_a = [s.y for s in simulate.simulate_replicates(config)]
+    runs_b = [s.y for s in simulate.simulate_replicates(config)]
     for a, b in zip(runs_a, runs_b):
         assert np.array_equal(a, b)
     # replicate 0 equals the single-series draw for the same seed
@@ -276,8 +277,6 @@ def test_count_pmf_wide_latent_law(eta):
 def _force(monkeypatch, way):
     # "blocks" draws every law by blocks of counts, "direct" every law by
     # latent values and Poisson counts
-    from pairpois import simulate
-
     if way == "blocks":
         monkeypatch.setattr(simulate, "_PMF_DRAWS", 0.0)
         monkeypatch.setattr(simulate, "_MULTINOMIAL_DRAWS", 0.0)
@@ -324,8 +323,6 @@ def test_draw_histograms_follow_the_law_across_blocks():
 def test_draw_histograms_keep_draws_beyond_last_block(monkeypatch):
     # with a large tail bound each month ends while much of its law lies
     # beyond the block; those draws land on the block's top count
-    from pairpois import simulate
-
     monkeypatch.setattr(simulate, "_TAIL", 0.5)
     _force(monkeypatch, "blocks")
     eta = np.log([2.4, 2.4, 30.0])
@@ -341,8 +338,6 @@ def test_predict_trend_design_work_is_bounded(monkeypatch, mean, tau2):
     # evaluates at most _CHUNK_CELLS cells at once (set low here so that
     # calls are split), and all its counts together cost no more than the
     # n_sim draws per month they replace, at 10 draws per count.
-    from pairpois import simulate
-
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1 << 14)
     calls = []
     rule_sum = simulate._rule_sum

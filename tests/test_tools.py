@@ -1,6 +1,9 @@
 import pathlib
+import re
 import subprocess
 import sys
+
+import pairpois as pp
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
 
@@ -33,3 +36,19 @@ def test_count_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     rows = [line.split() for line in out.splitlines()]
     # import, class, def, the two lines of the assignment, return
     assert rows == [["6", "box.py"], ["0", "empty.py"], ["6", "total"]]
+
+
+def test_public_surface_covers_readme_perfbench_and_tools():
+    # every pp.<name> the README, the benchmark harness and the tools use
+    # is exported, and every exported name resolves
+    root = TOOL.parents[1]
+    files = [root / "README.md", *sorted((root / "perfbench").glob("*.py")),
+             *sorted((root / "tools").glob("*.py"))]
+    used = {name for path in files
+            for name in re.findall(r"\bpp\.([A-Za-z_]\w*)", path.read_text())
+            if not name.startswith("__")}
+    assert used, "no pp.<name> references found"
+    assert sorted(used - set(pp.__all__)) == []
+    for name in pp.__all__:
+        assert hasattr(pp, name), name
+    assert len(set(pp.__all__)) == len(pp.__all__)
