@@ -209,8 +209,7 @@ def build_design(
         values = covariates[name]
         if values.shape[0] != n:
             raise DataFormatError(
-                f"covariate column {name!r} covers {values.shape[0]} months, need {n} "
-                "(supply a future-covariate file for prediction horizons)"
+                f"covariate column {name!r} has {values.shape[0]} values for {n} design months"
             )
         cols.append(values)
         names.append(name)
@@ -409,6 +408,11 @@ def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
     def to_nan(v):
         return math.nan if v is None else float(v)
 
+    def boolean(v):
+        if not isinstance(v, bool):
+            raise TypeError(f"expected true or false, got {v!r}")
+        return v
+
     spec = read("model", ModelSpec.from_json)
     params = Params(
         beta=read("estimates.beta", lambda v: np.asarray(v, dtype=float)),
@@ -430,7 +434,7 @@ def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
         se=se,
         clic=read("clic"),
         iterations=read("iterations"),
-        converged=read("converged"),
+        converged=read("converged", boolean),
         quad_order=spec.quad_order,
         weights=weights,
         hac_lags=read("hac_lags_used"),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,34 +151,17 @@ LOG_SIGMA2_BOUND = 12.0
 Z_PHI_BOUND = 4.0
 
 
-def _safe_negative(evaluate, dim, ls_index=None, z_index=None):
-    """Wrap a loglik-and-score evaluation for minimization.
+class BFGSResult(NamedTuple):
+    """What :func:`_minimize_bfgs` returns: the point it accepted last,
+    the objective, its gradient and the objective's ``aux`` there, the
+    iterations run and whether it converged."""
 
-    Trial points of the backtracking line search can push tanh(z_phi)
-    onto the boundary or overflow exp(log_sigma2); those evaluations
-    (and points outside the working sanity box) report an infinite
-    objective so the step is rejected instead of raised.  So do points
-    where the value is finite but the score is not: at large latent
-    variances e^v overflows in grid cells whose weight underflowed, and
-    the score moments there come out as 0 * inf.  ``neg(x, evaluated)``
-    runs the same checks on a (value, score) pair already computed at x
-    instead of evaluating it again.
-    """
-
-    def neg(x, evaluated=None):
-        if ls_index is not None and abs(x[ls_index]) > LOG_SIGMA2_BOUND:
-            return math.inf, np.zeros(dim)
-        if z_index is not None and abs(x[z_index]) > Z_PHI_BOUND:
-            return math.inf, np.zeros(dim)
-        try:
-            value, score = evaluate(x) if evaluated is None else evaluated
-        except (ValueError, OverflowError, NumericalFailure):
-            return math.inf, np.zeros(dim)
-        if not (np.isfinite(value) and np.all(np.isfinite(score))):
-            return math.inf, np.zeros(dim)
-        return -value, -score
-
-    return neg
+    x: np.ndarray
+    f: float
+    g: np.ndarray
+    aux: object
+    iterations: int
+    converged: bool
 
 
 def _minimize_bfgs(
@@ -185,12 +169,14 @@ def _minimize_bfgs(
     x0: np.ndarray,
     max_iter: int = DEFAULT_MAX_ITER,
     h_inv0: np.ndarray | None = None,
-    start: tuple[float, np.ndarray] | None = None,
-):
+    start: tuple | None = None,
+) -> BFGSResult:
     """BFGS with a backtracking line search and analytic gradients only.
 
-    ``value_and_grad`` returns the objective and its gradient together;
-    ``start`` is that pair at ``x0`` when the caller already has it, so
+    ``value_and_grad(x)`` returns the objective, its gradient and an
+    ``aux`` value that BFGS only carries along (:func:`_fit` passes the
+    kernel pass, so the pass at the estimate comes back with it);
+    ``start`` is that triple at ``x0`` when the caller already has it, so
     x0 is not evaluated again.  The inverse-Hessian estimate starts at
     ``h_inv0``, the identity when omitted; :func:`_fit` passes the
     inverse of the outer-product (BHHH) curvature at ``x0``, so the
@@ -201,34 +187,42 @@ def _minimize_bfgs(
     The line search is Armijo backtracking (Nocedal & Wright 2006,
     Alg. 3.1): it tries the steps 1, 1/2, 1/4, ... down to 1e-14 and
     takes the first with f(x + a d) <= f(x) + 1e-4 a g'd, evaluating f
-    and g together at each trial point.  Without a curvature condition
-    the update can meet s'y <= 0, so it is skipped unless s'y exceeds
-    1e-10 |s| |y|, which keeps the estimate positive definite (ibid.,
-    section 6.1).  When no step gives sufficient decrease the point is
-    numerically stationary and the gradient criterion alone decides.
+    and g together at each trial point.  A trial point whose evaluation
+    raises ``ValueError``, ``OverflowError`` or :class:`NumericalFailure`,
+    or gives a non-finite objective or gradient, is rejected like one
+    without sufficient decrease: a step can push tanh(z_phi) onto the
+    boundary or overflow exp(log_sigma2), and at large latent variances
+    e^v overflows in grid cells whose weight underflowed, so the score
+    moments there come out as 0 * inf while the value stays finite.
+    Without a curvature condition the update can meet s'y <= 0, so it is
+    skipped unless s'y exceeds 1e-10 |s| |y|, which keeps the estimate
+    positive definite (ibid., section 6.1).  When no step gives
+    sufficient decrease the point is numerically stationary and the
+    gradient criterion alone decides.
 
     Declares convergence when the relative objective improvement drops
     below ``RELTOL`` AND the sup-norm of the gradient falls below
-    ``GRAD_RTOL * max(1, |f|)``, and never at a non-finite objective: a
-    start with an infinite objective returns unconverged at once.
-    Search directions are capped at ``MAX_STEP`` in norm: when the
-    likelihood flattens toward the sigma2 -> 0 boundary the
+    ``GRAD_RTOL * max(1, |f|)``, and never at a non-finite point: a
+    start whose objective or gradient is not finite returns unconverged
+    at once.  Search directions are capped at ``MAX_STEP`` in norm: when
+    the likelihood flattens toward the sigma2 -> 0 boundary the
     inverse-Hessian estimate blows up along the flat direction, and an
     uncapped step would park log(sigma2) tens of units deep into the
-    degenerate region.  Returns (x, f, g, iterations, converged).
+    degenerate region.  Returns a :class:`BFGSResult` at the last
+    accepted point (x0 when no step was accepted).
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = value_and_grad(x) if start is None else start
+    f, g, aux = value_and_grad(x) if start is None else start
     dim = x.shape[0]
     h_inv = np.eye(dim) if h_inv0 is None else np.asarray(h_inv0, dtype=float)
 
     def grad_ok(fv, gv):
         return float(np.max(np.abs(gv))) <= GRAD_RTOL * max(1.0, abs(fv))
 
-    if not math.isfinite(f):
-        return x, f, g, 0, False
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        return BFGSResult(x, f, g, aux, 0, False)
     if grad_ok(f, g):
-        return x, f, g, 0, True
+        return BFGSResult(x, f, g, aux, 0, True)
 
     converged = False
     it = 0
@@ -245,8 +239,12 @@ def _minimize_bfgs(
         alpha = 1.0
         while alpha > 1e-14:
             x_new = x + alpha * direction
-            f_new, g_new = value_and_grad(x_new)
-            if f_new <= f + 1e-4 * alpha * slope:
+            try:
+                f_new, g_new, aux_new = value_and_grad(x_new)
+            except (ValueError, OverflowError, NumericalFailure):
+                f_new = math.inf
+            finite = math.isfinite(f_new) and np.all(np.isfinite(g_new))
+            if finite and f_new <= f + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
@@ -262,11 +260,11 @@ def _minimize_bfgs(
             h_inv = v @ h_inv @ v.T + rho * np.outer(step, step)
 
         rel_ok = abs(f - f_new) < RELTOL * (abs(f_new) + RELTOL)
-        x, f, g = x_new, f_new, g_new
+        x, f, g, aux = x_new, f_new, g_new, aux_new
         if rel_ok and grad_ok(f, g):
             converged = True
             break
-    return x, f, g, it, converged
+    return BFGSResult(x, f, g, aux, it, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +355,8 @@ def variability_J(
 
 
 def _check_invertible(h: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(h)):
+        raise SingularMatrixError(f"{label} matrix has non-finite entries", cond=math.inf)
     cond = float(np.linalg.cond(h))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularMatrixError(
@@ -378,7 +378,7 @@ def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> n
     Raises
     ------
     SingularMatrixError
-        If H is numerically singular.
+        If H is numerically singular or not finite.
     """
     _check_invertible(h, "sensitivity")
     return _sandwich_se(h, np.linalg.solve(h, j), n, working)
@@ -434,24 +434,26 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     -inf (sigma2 = 0).  The full model frees all of them, ``phi_zero``
     all but z_phi, and ``independence`` beta alone, which plain Poisson
     IRLS solves.  A latent fit rejects a start whose free coordinates
-    lie outside the working sanity box.  One pass at the start point
-    gives the loglik, the score and the per-pair scores; BFGS starts
-    there from the inverse of the outer-product (BHHH) curvature n * H,
-    or from the identity when that matrix is not positive definite,
-    without evaluating the start again.  Every model then takes the
+    lie outside the working sanity box ``box``; the objective BFGS
+    minimizes reports an infinite value at trial points outside it, so
+    the line search rejects them.  The objective returns the negative
+    loglik and score with the kernel pass they came from, and BFGS hands
+    back the pass of the point it accepted last, which is the estimate.
+    One pass at the start point gives the loglik, the score and the
+    per-pair scores; BFGS starts there from the inverse of the
+    outer-product (BHHH) curvature n * H, or from the identity when that
+    matrix is not positive definite, without evaluating the start again.
+    The independence fit runs one pass at its IRLS estimate: at tau2 = 0
+    the rule integrates the point mass exactly, so its values are the
+    Poisson-product ones up to rounding.  Every model thus takes the
     loglik and the per-pair scores at its estimate from one pass of the
-    one evaluator.  For a latent fit that is the last pass BFGS ran,
-    which is at the estimate unless the line search ran out after a
-    rejected trial point; only then does one more pass run.  Each pass
-    keeps its scores per distinct pair; only those of the start (for the
-    curvature) and of the estimate are spread to every pair.  The
-    independence fit runs one pass at its IRLS estimate: at tau2 = 0 the
-    rule integrates the point mass exactly, so its values are the
-    Poisson-product ones up to rounding.  H, J, the Godambe matrix, the
-    standard errors and CLIC come from the per-pair scores sliced to
-    those k coordinates, the same way for every model.  H is checked for
-    singularity once, and the standard errors and CLIC share one solve
-    for H^-1 J.
+    one evaluator, and no pass runs after the optimizer.  Each pass keeps
+    its scores per distinct pair; only those of the start (for the
+    curvature) and of the estimate are spread to every pair and sliced to
+    the k free coordinates, in one place.  H, J, the Godambe matrix, the
+    standard errors and CLIC come from those, the same way for every
+    model.  H is checked for singularity once, and the standard errors
+    and CLIC share one solve for H^-1 J.
     """
     ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
     if hac_lags is None:
@@ -459,50 +461,46 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     if hac_lags < 0:
         raise ValueError(f"hac_lags must be >= 0, got {hac_lags}")
     n, p1 = series.n, series.n_coef
+    k = {INDEPENDENCE: p1, PHI_ZERO: p1 + 1}.get(restriction, p1 + 2)
+
+    def free_pairs(blocks):
+        return [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in ev._expand(blocks)]
 
     if restriction == INDEPENDENCE:
-        k = p1
         beta, iterations, converged = poisson_irls(series.X, series.y)
         working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
-        loglik, pair_grads = ev.pair_gradients(working_hat)
+        loglik, _, blocks = ev._evaluate(working_hat)
     else:
-        k = p1 + 1 if restriction == PHI_ZERO else p1 + 2
         if init is None:
             init = moment_init(series)
-        x0 = init.to_working().as_vector()
+        x0 = init.to_working().as_vector()[:k]
         if restriction == PHI_ZERO:
             x0[p1] = math.log(max(init.tau2, 1e-4))
-
-        def working(x):
-            return WorkingParams.from_vector(np.concatenate([x, np.zeros(p1 + 2 - k)]), p1)
-
-        last = {}
-
-        def evaluate(x):
-            value, score, blocks = ev._evaluate(working(x))
-            last.update(x=x.copy(), value=value, blocks=blocks)
-            return value, score[:k]
-
         box = [(p1, "log(sigma2)", LOG_SIGMA2_BOUND), (p1 + 1, "atanh(phi)", Z_PHI_BOUND)]
-        for index, name, bound in box[: k - p1]:
+        box = box[: k - p1]
+        for index, name, bound in box:
             if abs(x0[index]) > bound:
                 raise ValueError(
                     f"start {name} = {x0[index]:.6g} lies outside the working sanity box "
                     f"[-{bound:g}, {bound:g}]"
                 )
-        neg = _safe_negative(evaluate, k, ls_index=p1, z_index=p1 + 1 if k > p1 + 1 else None)
-        start = evaluate(x0[:k])
-        start_pairs = ev._expand(last["blocks"])
-        h_inv0 = _bhhh_inverse([(lag, w, grads[:, :k]) for lag, w, grads in start_pairs], n)
-        x_hat, _, _, iterations, converged = _minimize_bfgs(
-            neg, x0[:k], max_iter=max_iter, h_inv0=h_inv0, start=neg(x0[:k], start)
-        )
-        working_hat = working(x_hat)
-        if np.array_equal(x_hat, last["x"]):
-            loglik, pair_grads = last["value"], ev._expand(last["blocks"])
-        else:  # the line search ran out after evaluating a rejected trial point
-            loglik, pair_grads = ev.pair_gradients(working_hat)
-    pair_grads = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pair_grads]
+
+        def working(x):
+            return WorkingParams.from_vector(np.concatenate([x, np.zeros(p1 + 2 - k)]), p1)
+
+        def objective(x):
+            if any(abs(x[index]) > bound for index, _, bound in box):
+                return math.inf, None, None
+            kernel_pass = ev._evaluate(working(x))
+            return -kernel_pass[0], -kernel_pass[1][:k], kernel_pass
+
+        start = objective(x0)
+        h_inv0 = _bhhh_inverse(free_pairs(start[2][2]), n)  # the start pass's block scores
+        result = _minimize_bfgs(objective, x0, max_iter=max_iter, h_inv0=h_inv0, start=start)
+        working_hat = working(result.x)
+        loglik, _, blocks = result.aux
+        iterations, converged = result.iterations, result.converged
+    pair_grads = free_pairs(blocks)
 
     h = _sensitivity_from_pairs(pair_grads, n)
     j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .quadrature import QuadRule, _latent_u, _latent_v
+from .quadrature import QuadRule
 
 RECTANGULAR = "rectangular"
 TRAPEZOIDAL = "trapezoidal"
@@ -289,8 +289,8 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
     c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
-    latent covariance (:func:`quadrature._latent_u`,
-    :func:`quadrature._latent_v`).  With the weight row, this grid is the
+    latent covariance tau2 [[1, rho], [rho, 1]], so with c = 0 every cell
+    sits at the origin.  With the weight row, this grid is the
     bivariate-normal rule: e^(row 0) are the probability weights
     w_j w_k / pi and rows 1 and 3 the latent points (u, v).
     The grid G (5, q^2) has rows
@@ -303,7 +303,7 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
     everything of u, which depend on tau2 alone;
     :func:`_set_lag_rows` writes the v rows of one correlation over them.
     """
-    u = _latent_u(nodes, c)
+    u = np.repeat(c * nodes, nodes.shape[0])
     grid = np.empty((5, u.shape[0]))
     moments = np.empty((u.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,8 +316,8 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
 def _set_lag_rows(grid, moments, nodes: np.ndarray, c: float, rho: float) -> None:
     """Write the rows of :func:`_pass_grid`'s factors that depend on the
     latent correlation ``rho``: v, e^v and their moment columns."""
-    v = _latent_v(nodes, c, rho)
     s = math.sqrt(1.0 - rho * rho)
+    v = (c * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
     dv = (c * (nodes[:, None] - (rho / s) * nodes[None, :])).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         exp_v = np.exp(v)

@@ -1,12 +1,10 @@
-"""Gauss-Hermite rules and the map of their tensor nodes to latent pairs.
+"""Gauss-Hermite rules.
 
 Rules follow the physicists' convention: an order-n rule integrates
 f(x) exp(-x^2) exactly for polynomials f of degree <= 2n - 1, and the
-weights sum to sqrt(pi).  :func:`_latent_u` and :func:`_latent_v` map the
-tensor product of two one-dimensional rules onto the stationary law of
-two latent values with common variance tau2 and correlation rho; the
-pair-density kernel in :mod:`pairpois.model` builds its bivariate rule
-from them.
+weights sum to sqrt(pi).  The pair-density kernel in
+:mod:`pairpois.model` maps the tensor product of two rules onto the
+stationary law of two latent values (:func:`pairpois.model._pass_grid`).
 """
 from __future__ import annotations
 
@@ -83,21 +81,3 @@ def gauss_hermite(order: int) -> QuadRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadRule(order=order, nodes=nodes, weights=weights)
-
-
-def _latent_u(nodes: np.ndarray, scale: float) -> np.ndarray:
-    """The first latent value u = scale x_j at each cell (j, k) of the
-    tensor rule on ``nodes``, flattened row-major in j, k.  It does not
-    depend on the correlation."""
-    return np.repeat(scale * nodes, nodes.shape[0])
-
-
-def _latent_v(nodes: np.ndarray, scale: float, rho: float) -> np.ndarray:
-    """The second latent value v = scale (rho x_j + sqrt(1 - rho^2) x_k)
-    at each cell (j, k), flattened like :func:`_latent_u`.
-
-    Together, (u, v) are the nodes mapped through the Cholesky factor of
-    [[1, rho], [rho, 1]]; with ``scale = 0`` every cell sits at the origin.
-    """
-    s = math.sqrt(1.0 - rho * rho)
-    return (scale * (rho * nodes[:, None] + s * nodes[None, :])).ravel()

@@ -414,8 +414,9 @@ def test_predict_rejects_report_missing_model_key(tmp_path, greek_report, capsys
         (lambda report: report["estimates"].update(sigma2="x"),
          "fit report 'estimates.sigma2' is not valid"),
         (lambda report: report["estimates"].update(phi=2.0), "phi must lie in (-1, 1)"),
+        (lambda report: report.update(converged="false"), "fit report 'converged' is not valid"),
     ],
-    ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range"],
+    ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range", "converged_not_boolean"],
 )
 def test_predict_names_report_and_key_of_bad_entry(tmp_path, greek_report, capsys, edit,
                                                    fragment):
@@ -612,6 +613,15 @@ def test_predict_data_without_covariate_column_names_it(tmp_path, capsys):
     rc, _ = _band(tmp_path, "b.csv", report_path, "--horizon-months", "0", "--data", bare)
     assert rc == 1
     assert "'z'" in capsys.readouterr().err
+
+
+def test_build_design_names_covariate_of_wrong_length():
+    # the subcommands align covariates by month first; a library caller
+    # that passes a column of another length gets told which and by how much
+    spec = cli.ModelSpec(covariates=("z",))
+    with pytest.raises(pp.DataFormatError) as info:
+        cli.build_design(spec, months("2000-01", 7), 7, {"z": np.arange(5.0)})
+    assert str(info.value) == "covariate column 'z' has 5 values for 7 design months"
 
 
 def test_predict_without_covariates_never_reads_future_file(tmp_path, greek_report):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import pairpois as pp
 from pairpois import cli, estimation
-from pairpois.estimation import _bhhh_inverse, _minimize_bfgs, _safe_negative
+from pairpois.estimation import _bhhh_inverse, _minimize_bfgs
 from pairpois.model import PairwiseEvaluator, _weighted_per_t
 
 W1 = pp.make_weights(1, "rect")
@@ -192,6 +192,37 @@ def test_robust_se_singular_sensitivity_raises():
     assert info.value.cond is None or info.value.cond > 1e13
 
 
+def nan_start_fit(restriction):
+    # a start so wide that the score is not finite there: BFGS returns at
+    # once and the sandwich of that pass has NaN entries
+    series = pp.simulate_scenario(5, 500, 3)
+    moments = pp.moment_init(series)
+    weights = pp.make_weights(3, "trap")
+    if restriction is None:
+        init = pp.Params(beta=moments.beta, sigma2=1e5, phi=moments.phi)
+        return pp.fit(series, weights, init=init)
+    init = pp.Params(beta=moments.beta, sigma2=1e4, phi=moments.phi)
+    return pp.fit_restricted(series, weights, restriction=restriction, init=init)
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: nan_start_fit(None),
+        lambda: nan_start_fit(pp.PHI_ZERO),
+        lambda: pp.robust_se(
+            np.full((3, 3), np.nan), np.eye(3), 50,
+            pp.WorkingParams(beta=[0.0], log_sigma2=0.0, z_phi=0.0),
+        ),
+    ],
+    ids=["fit", "fit_phi_zero", "robust_se"],
+)
+def test_non_finite_sensitivity_raises_typed_error(compute):
+    with pytest.raises(pp.SingularMatrixError, match="non-finite") as info:
+        compute()
+    assert info.value.cond == math.inf
+
+
 @pytest.mark.parametrize("restriction", [pp.PHI_ZERO, pp.INDEPENDENCE])
 def test_robust_se_reproduces_restricted_fit_se(restriction):
     series = pp.simulate_scenario(5, 300, seed=16)
@@ -224,15 +255,15 @@ def test_delta_method_consistent_with_reparametrized_fit():
 
     def neg(x):
         value, score = ev.loglik_and_score(to_working(x))
-        return -value, -(jac(x).T @ score)
+        return -value, -(jac(x).T @ score), None
 
     p_hat = fit.params_hat
     x0 = np.array([p_hat.beta[0], math.log(p_hat.tau2), math.atanh(p_hat.phi)])
-    x_new, _, _, _, converged = _minimize_bfgs(neg, x0)
-    assert converged
-    working_new = to_working(x_new)
+    result = _minimize_bfgs(neg, x0)
+    assert result.converged
+    working_new = to_working(result.x)
     _, pairs = ev.pair_gradients(working_new)
-    a = jac(x_new)
+    a = jac(result.x)
     pairs_new = [(lag, w, grads @ a) for lag, w, grads in pairs]
     h = sum(w * (g.T @ g) for _, w, g in pairs_new) / series.n
     psi = sum(w * g for _, w, g in pairs_new)
@@ -271,7 +302,7 @@ def test_fit_recovers_phi_on_scenario5(scenario5_batch):
     assert all(f.converged for f in scenario5_batch)
 
 
-def test_safe_negative_rejects_non_finite_score():
+def test_minimize_bfgs_rejects_non_finite_score():
     # inside the sanity box, but the latent variance is so large that e^v
     # overflows in grid cells whose weight underflowed: the value is finite
     # and the score moments come out as 0 * inf
@@ -280,23 +311,45 @@ def test_safe_negative_rejects_non_finite_score():
     x = np.array([1.0, 6.0, 3.9])
     value, score = ev.loglik_and_score(pp.WorkingParams.from_vector(x, 1))
     assert np.isfinite(value) and not np.all(np.isfinite(score))
-    neg = _safe_negative(
-        lambda v: ev.loglik_and_score(pp.WorkingParams.from_vector(v, 1)), 3,
-        ls_index=1, z_index=2,
-    )
-    f, g = neg(x)
-    assert f == math.inf
-    assert_allclose(g, 0.0, rtol=0, atol=0)
+    trials = []
+
+    def neg(v):
+        trials.append(v.copy())
+        value, score = ev.loglik_and_score(pp.WorkingParams.from_vector(v, 1))
+        return -value, -score, None
+
+    # from x0 the first trial is the unit step onto x, and every trial
+    # value lies far below the start's: only the scores reject the steps
+    x0 = x.copy()
+    x0[2] -= 0.5
+    g0 = np.array([0.0, 0.0, -0.5])
+    result = _minimize_bfgs(neg, x0, h_inv0=np.eye(3), start=(1e6, g0, "start"))
+    assert np.array_equal(trials[0], x)
+    assert_allclose(trials[1], x0 - 0.5 * g0, rtol=0, atol=0)
+    assert not result.converged and result.iterations == 1
+    assert np.array_equal(result.x, x0) and result.f == 1e6 and result.aux == "start"
 
 
-@pytest.mark.parametrize("error", [pp.NumericalFailure("non-finite"), OverflowError("exp")])
-def test_safe_negative_rejects_failed_evaluation(error):
-    def evaluate(x):
-        raise error
+@pytest.mark.parametrize(
+    "error", [pp.NumericalFailure("non-finite"), OverflowError("exp"), ValueError("box")]
+)
+def test_minimize_bfgs_rejects_failed_trial(error):
+    trials = []
 
-    f, g = _safe_negative(evaluate, 2)(np.zeros(2))
-    assert f == math.inf
-    assert_allclose(g, 0.0, rtol=0, atol=0)
+    def quadratic(x):
+        trials.append(x.copy())
+        if len(trials) == 1:
+            raise error
+        return 0.5 * float(x @ x), x.copy(), len(trials)
+
+    x0 = np.array([1.0, -2.0])
+    result = _minimize_bfgs(quadratic, x0, start=(2.5, x0.copy(), 0))
+    # the unit step raised, so the line search halved it instead of raising
+    assert_allclose(trials[0], 0.0, rtol=0, atol=0)
+    assert_allclose(trials[1], 0.5 * x0, rtol=0, atol=0)
+    assert result.converged
+    assert result.aux == len(trials)
+    assert_allclose(result.x, 0.0, rtol=0, atol=1e-8)
 
 
 def test_bhhh_inverse_rejects_non_finite_curvature():
@@ -410,19 +463,19 @@ def test_minimize_bfgs_exact_inverse_hessian_takes_one_unit_step():
     def quadratic(x):
         points.append(x.copy())
         d = x - c
-        return 0.5 * float(d @ a @ d), a @ d
+        return 0.5 * float(d @ a @ d), a @ d, None
 
     x0 = np.zeros(3)
-    x, _, g, iterations, _ = _minimize_bfgs(quadratic, x0, max_iter=1, h_inv0=np.linalg.inv(a))
+    result = _minimize_bfgs(quadratic, x0, max_iter=1, h_inv0=np.linalg.inv(a))
     # the line search accepts the full Newton step at its first probe
-    assert iterations == 1 and len(points) == 2
-    assert_allclose(x, c, rtol=0, atol=1e-14)
-    assert np.max(np.abs(g)) <= 1e-13
+    assert result.iterations == 1 and len(points) == 2
+    assert_allclose(result.x, c, rtol=0, atol=1e-14)
+    assert np.max(np.abs(result.g)) <= 1e-13
 
     points.clear()
-    x, _, _, _, converged = _minimize_bfgs(quadratic, x0, h_inv0=np.linalg.inv(a))
-    assert converged
-    assert_allclose(x, c, rtol=0, atol=1e-14)
+    result = _minimize_bfgs(quadratic, x0, h_inv0=np.linalg.inv(a))
+    assert result.converged
+    assert_allclose(result.x, c, rtol=0, atol=1e-14)
     seeded = len(points)
     points.clear()
     _minimize_bfgs(quadratic, x0)
@@ -489,33 +542,28 @@ def assert_is_explicit_pass_result(fit, series, weights):
     assert fit.clic == estimation._clic_value(loglik, np.linalg.solve(h, j))
 
 
-@pytest.mark.parametrize("case", ["greek", "study"])
+@pytest.mark.parametrize("case", ["greek", "study", "exhausted_line_search"])
 def test_fit_runs_no_pass_after_bfgs(monkeypatch, case):
     # one start pass, then one per BFGS evaluation; the loglik and the
-    # sandwich come from the last of them, which BFGS accepted
+    # sandwich come from the pass BFGS accepted last, which is the last
+    # pass run unless the line search ran out after rejected trial points
     if case == "greek":
         series, weights = greek_series(), pp.make_weights(5, "trap")
-    else:
+    elif case == "study":
         series, weights = pp.simulate_scenario(5, 500, 1, 3), pp.make_weights(3, "trap")
+    else:  # a boundary fit that stops when the line search runs out
+        series, weights = pp.simulate_scenario(9, 500, 504), pp.make_weights(3, "trap")
     passes, at_bfgs = count_passes(monkeypatch)
     fit = pp.fit(series, weights, quad_order=20)
-    assert fit.converged
     assert at_bfgs[0] == 1
     assert len(passes) == at_bfgs[1] > 1
-    assert np.array_equal(passes[-1], fit.working_hat.as_vector())
-    assert_is_explicit_pass_result(fit, series, weights)
-
-
-def test_fit_after_exhausted_line_search_runs_one_more_pass(monkeypatch):
-    # this boundary fit stops when the line search runs out: its last
-    # pass was at a rejected trial point, so one more runs at the estimate
-    series, weights = pp.simulate_scenario(9, 500, 504), pp.make_weights(3, "trap")
-    passes, at_bfgs = count_passes(monkeypatch)
-    fit = pp.fit(series, weights, quad_order=20)
-    assert not fit.converged and fit.iterations < estimation.DEFAULT_MAX_ITER
-    assert len(passes) == at_bfgs[1] + 1
-    assert not np.array_equal(passes[-2], passes[-1])
-    assert np.array_equal(passes[-1], fit.working_hat.as_vector())
+    if case == "exhausted_line_search":
+        assert not fit.converged and fit.iterations < estimation.DEFAULT_MAX_ITER
+        assert not np.array_equal(passes[-1], fit.working_hat.as_vector())
+    else:
+        assert fit.converged
+        assert np.array_equal(passes[-1], fit.working_hat.as_vector())
+    assert any(np.array_equal(x, fit.working_hat.as_vector()) for x in passes)
     assert_is_explicit_pass_result(fit, series, weights)
 
 
@@ -523,8 +571,8 @@ def test_fit_after_exhausted_line_search_runs_one_more_pass(monkeypatch):
     "sigma2,phi,name", [(0.01, 0.9999, "atanh(phi)"), (1e-7, None, "log(sigma2)")]
 )
 def test_start_outside_sanity_box_is_rejected(sigma2, phi, name):
-    # the wrapped objective there is (inf, 0): its zero gradient must not
-    # let the fit report convergence after 0 iterations
+    # the fit must raise there, not let BFGS start at a point it would
+    # reject and report convergence after 0 iterations
     series = pp.simulate_scenario(5, 500, 3)
     weights = pp.make_weights(3, "trap")
     moments = pp.moment_init(series)
@@ -539,13 +587,14 @@ def test_minimize_bfgs_never_converges_at_non_finite_objective():
 
     def infinite(x):
         calls.append(1)
-        return math.inf, np.zeros(2)
+        return math.inf, np.zeros(2), None
 
-    x, f, _, iterations, converged = _minimize_bfgs(infinite, np.ones(2))
-    assert not converged and iterations == 0 and f == math.inf and len(calls) == 1
-    assert_allclose(x, 1.0, rtol=0, atol=0)
-    _, _, _, _, converged = _minimize_bfgs(infinite, np.ones(2), start=(math.inf, np.zeros(2)))
-    assert not converged and len(calls) == 1
+    result = _minimize_bfgs(infinite, np.ones(2))
+    assert not result.converged and result.iterations == 0 and result.f == math.inf
+    assert len(calls) == 1
+    assert_allclose(result.x, 1.0, rtol=0, atol=0)
+    result = _minimize_bfgs(infinite, np.ones(2), start=(math.inf, np.zeros(2), None))
+    assert not result.converged and len(calls) == 1
 
 
 @pytest.mark.parametrize("count", [0, 3])
