@@ -436,9 +436,13 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     IRLS solves.  A latent fit rejects a start whose free coordinates
     lie outside the working sanity box ``box``; the objective BFGS
     minimizes reports an infinite value at trial points outside it, so
-    the line search rejects them.  The objective returns the negative
-    loglik and score with the kernel pass they came from, and BFGS hands
-    back the pass of the point it accepted last, which is the estimate.
+    the line search rejects them.  A start whose loglik or free score
+    coordinates are not finite raises :class:`NumericalFailure`, naming
+    the start and those coordinates, before BFGS runs: no step can be
+    taken from it, and its sandwich would not be finite either.  The
+    objective returns the negative loglik and score with the kernel pass
+    they came from, and BFGS hands back the pass of the point it
+    accepted last, which is the estimate.
     One pass at the start point gives the loglik, the score and the
     per-pair scores; BFGS starts there from the inverse of the
     outer-product (BHHH) curvature n * H, or from the identity when that
@@ -476,7 +480,8 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         x0 = init.to_working().as_vector()[:k]
         if restriction == PHI_ZERO:
             x0[p1] = math.log(max(init.tau2, 1e-4))
-        box = [(p1, "log(sigma2)", LOG_SIGMA2_BOUND), (p1 + 1, "atanh(phi)", Z_PHI_BOUND)]
+        names = [f"beta[{i}]" for i in range(p1)] + ["log(sigma2)", "atanh(phi)"]
+        box = [(p1, names[p1], LOG_SIGMA2_BOUND), (p1 + 1, names[p1 + 1], Z_PHI_BOUND)]
         box = box[: k - p1]
         for index, name, bound in box:
             if abs(x0[index]) > bound:
@@ -495,6 +500,13 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
             return -kernel_pass[0], -kernel_pass[1][:k], kernel_pass
 
         start = objective(x0)
+        bad = [name for name, g in zip(names, start[1]) if not math.isfinite(g)]
+        if not math.isfinite(start[0]) or bad:
+            at = ", ".join(f"{name} = {x:.6g}" for name, x in zip(names, x0))
+            raise NumericalFailure(
+                f"pairwise likelihood is not finite at the start ({at}): "
+                f"loglik {-start[0]:.6g}, score not finite in {', '.join(bad) or 'no coordinate'}"
+            )
         h_inv0 = _bhhh_inverse(free_pairs(start[2][2]), n)  # the start pass's block scores
         result = _minimize_bfgs(objective, x0, max_iter=max_iter, h_inv0=h_inv0, start=start)
         working_hat = working(result.x)
@@ -545,7 +557,8 @@ def fit(
     accepts the unit step at its first trial.  A start outside the
     working sanity box (|log sigma2| or |atanh phi| above its bound),
     or a negative HAC window ``hac_lags``, raises ``ValueError`` before
-    the optimizer runs.  Convergence requires a relative
+    the optimizer runs, and a start whose loglik or score is not finite
+    raises ``NumericalFailure``.  Convergence requires a relative
     log-likelihood improvement below ``RELTOL`` together with
     the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
     max(1, |loglik|)); fits that exhaust ``max_iter`` are returned

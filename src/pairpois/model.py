@@ -9,6 +9,7 @@ score on the unconstrained (working) scale.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -275,6 +276,17 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
+# Scratch budget of one kernel call, in pairs x q^2 cells.  Consecutive
+# lag blocks share a call while their cells fit it, so a pass over a few
+# small blocks pays the per-call cost of numpy once, not per block.
+# 2^17 float64 cells are 1 MiB, half of a 2 MiB per-core L2: the exponent
+# array stays in cache between the kernel's two matrix products.  A block
+# larger than the budget runs alone.  Measured at 20 nodes: 2^18 merges
+# the 194-pair blocks of the Greek d=5 design and slows its passes by about
+# a quarter, while 2^16 splits a covariate-free pass into two calls.
+_GROUP_CELLS = 1 << 17
+
+
 def _weight_row(rule: QuadRule) -> np.ndarray:
     """Row 0 of the kernel grid, log w_j w_k - log pi at every cell
     (j, k) of the tensor rule; it depends on the rule alone."""
@@ -282,9 +294,9 @@ def _weight_row(rule: QuadRule) -> np.ndarray:
     return (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
 
 
-def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
-    """The node-side factors of the fused kernel, with every row that
-    does not depend on the latent correlation filled in.
+def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
+    """The node-side factors of the fused kernel for ``lags`` lags, with
+    every row that does not depend on the latent correlation filled in.
 
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
@@ -293,65 +305,96 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float):
     sits at the origin.  With the weight row, this grid is the
     bivariate-normal rule: e^(row 0) are the probability weights
     w_j w_k / pi and rows 1 and 3 the latent points (u, v).
-    The grid G (5, q^2) has rows
+    A grid G (5, q^2) has rows
     [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
     [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
-    log y2!.  The moment matrix M (q^2, 9) has columns
+    log y2!.  A moment matrix M (q^2, 9) has columns
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
-    always built: the kernel has one mode.  This sets the weight row and
-    everything of u, which depend on tau2 alone;
-    :func:`_set_lag_rows` writes the v rows of one correlation over them.
+    always built: the kernel has one mode.  This returns ``lags`` slots
+    of each, (lags, 5, q^2) and (lags, q^2, 9), one per lag block of a
+    kernel call, with the weight row and everything of u set, which
+    depend on tau2 alone; :func:`_set_lag_rows` writes the v rows of
+    each block's correlation into its slot.
     """
     u = np.repeat(c * nodes, nodes.shape[0])
-    grid = np.empty((5, u.shape[0]))
-    moments = np.empty((u.shape[0], 9))
+    grid = np.empty((lags, 5, u.shape[0]))
+    moments = np.empty((lags, u.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_u = np.exp(u)
-        moments[:, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
-    grid[:3] = weight_row, u, exp_u
+        moments[:, :, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
+    grid[:, :3] = weight_row, u, exp_u
     return grid, moments
 
 
-def _set_lag_rows(grid, moments, nodes: np.ndarray, c: float, rho: float) -> None:
+def _set_lag_rows(grids, moments, nodes: np.ndarray, c: float, rhos) -> None:
     """Write the rows of :func:`_pass_grid`'s factors that depend on the
-    latent correlation ``rho``: v, e^v and their moment columns."""
-    s = math.sqrt(1.0 - rho * rho)
-    v = (c * (rho * nodes[:, None] + s * nodes[None, :])).ravel()
-    dv = (c * (nodes[:, None] - (rho / s) * nodes[None, :])).ravel()
+    latent correlation: v, e^v and their moment columns, at correlation
+    ``rhos[j]`` into slot j, for every lag of a kernel call at once."""
+    lags = len(rhos)
+    rho = np.array(rhos)[:, None, None]
+    s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
+    v = (c * (rho * nodes[:, None] + s * nodes[None, :])).reshape(lags, -1)
+    dv = (c * (nodes[:, None] - (rho / s) * nodes[None, :])).reshape(lags, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         exp_v = np.exp(v)
-        # column by column, with no stacked temporary: this runs per lag block
-        grid[3] = v
-        grid[4] = exp_v
-        moments[:, 4] = v
-        moments[:, 5] = exp_v
-        moments[:, 6] = v * exp_v
-        moments[:, 7] = dv
-        moments[:, 8] = dv * exp_v
+        # straight into the factors, with no stacked temporary
+        grids[:lags, 3] = v
+        grids[:lags, 4] = exp_v
+        moments[:lags, :, 4] = v
+        moments[:lags, :, 5] = exp_v
+        moments[:lags, :, 6] = v * exp_v
+        moments[:lags, :, 7] = dv
+        moments[:lags, :, 8] = dv * exp_v
 
 
 def _lag_grid(rule: QuadRule, tau2: float, rho: float):
     """The grid and moment matrix of :func:`_pass_grid` at latent
     variance ``tau2`` and correlation ``rho``."""
     c = math.sqrt(2.0 * tau2)
-    grid, moments = _pass_grid(rule.nodes, _weight_row(rule), c)
-    _set_lag_rows(grid, moments, rule.nodes, c, rho)
-    return grid, moments
+    grid, moments = _pass_grid(rule.nodes, _weight_row(rule), c, 1)
+    _set_lag_rows(grid, moments, rule.nodes, c, [rho])
+    return grid[0], moments[0]
 
 
-def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
-    """Log densities (and score pieces) of a set of pairs by two matrix
-    products over one scratch array.
+def _pair_group(y1, y2, lgam, sizes):
+    """The inputs of one kernel call that no parameter changes: the
+    counts ``y1``, ``y2`` as floats and the summed log-factorials
+    ``lgam`` of consecutive lag blocks of ``sizes`` pairs each, the
+    constant columns of the per-pair term matrix [1, y1, ., y2, .], and
+    each block's row slice."""
+    terms = np.zeros((y1.shape[0], 5))
+    terms[:, 0] = 1.0
+    terms[:, 1] = y1
+    terms[:, 3] = y2
+    ends = itertools.accumulate(sizes)
+    slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    return {
+        "y1": y1,
+        "y2": y2,
+        "lgam": lgam,
+        "terms": terms,
+        "sizes": np.array(sizes),
+        "slices": slices,
+    }
 
-    ``y1``, ``y2`` are the counts as floats, ``eta1``, ``eta2`` the linear
-    predictors and ``lgam`` the summed log-factorials of each pair;
-    ``grid`` and ``moments`` come from :func:`_pass_grid`.  ``out`` is a
-    (pairs, q^2) scratch array that first receives the integrand exponents
-    and then, shifted by each row's maximum, their exponentials in place,
-    so the pass allocates nothing of the grid's size.  ``failure(row)``
-    builds the exception raised when every term of a row underflows even
-    in log space.
+
+def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
+    """Log densities (and score pieces) of the pairs of a group of lag
+    blocks by two matrix products per block over one scratch array.
+
+    ``group`` comes from :func:`_pair_group`, ``eta1``, ``eta2`` are the
+    linear predictors of its pairs, and ``grids[j]``, ``moments[j]`` are
+    the factors of :func:`_pass_grid` with the v rows of block j's lag
+    written.  Only the two matrix products depend on the lag; each runs
+    on its block's own rows, with the shapes a block alone would give.
+    Everything elementwise runs once over the group.  ``out`` is a
+    scratch array of at least (pairs, q^2) that first receives the
+    integrand exponents and then, shifted by each row's maximum, their
+    exponentials in place, so the pass allocates nothing of the grid's
+    size.  ``failure(row)`` builds the exception raised when every term
+    of a row underflows even in log space; the row is the group's
+    first such row, so the earliest block's.
 
     Returns the log density of each pair and the (pairs, 4) derivatives
     of it with respect to eta1, eta2, log c and rho (c = sqrt(2 tau2)).
@@ -359,20 +402,27 @@ def _fused_pairs(y1, y2, eta1, eta2, lgam, grid, moments, out, failure):
     normalising sum the derivatives divide by, so a loglik-only caller
     gets bit for bit the value the score pass reports.
     """
+    y1, y2 = group["y1"], group["y2"]
+    slices = group["slices"]
+    out = out[: y1.shape[0]]
+    sums = np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
         exp_eta2 = np.exp(eta2)
-        np.matmul(
-            np.column_stack([np.ones_like(y1), y1, -exp_eta1, y2, -exp_eta2]), grid, out=out
-        )
+        terms = group["terms"].copy()
+        np.negative(exp_eta1, out=terms[:, 2])
+        np.negative(exp_eta2, out=terms[:, 4])
+        for rows, grid in zip(slices, grids):
+            np.matmul(terms[rows], grid, out=out[rows])
         m = out.max(axis=1)
         bad = ~np.isfinite(m)
         if np.any(bad):
             raise failure(int(np.argmax(bad)))
         out -= m[:, None]
         np.exp(out, out=out)
-        constant = y1 * eta1 + y2 * eta2 - lgam
-        sums = out @ moments
+        constant = y1 * eta1 + y2 * eta2 - group["lgam"]
+        for rows, moment in zip(slices, moments):
+            np.matmul(out[rows], moment, out=sums[rows])
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
         logp = m + np.log(total) + constant
@@ -400,10 +450,10 @@ def pair_log_density(
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
     the full grid) so that large counts cannot underflow.  This is the
-    kernel :class:`PairwiseEvaluator` runs, called for one pair.  At
-    tau2 = 0 the latent pair is a point mass at the origin, which the
-    rule integrates exactly: the density is the product of two Poisson
-    probabilities, up to rounding.
+    kernel :class:`PairwiseEvaluator` runs, called for a group of one
+    pair.  At tau2 = 0 the latent pair is a point mass at the origin,
+    which the rule integrates exactly: the density is the product of two
+    Poisson probabilities, up to rounding.
 
     When the two covariate rows are identical the arguments are ordered
     canonically first, which makes the exchange symmetry
@@ -431,8 +481,8 @@ def pair_log_density(
     lgam = _log_factorial(y)
     grid, moments = _lag_grid(rule, params.tau2, params.phi**lag)
     logp, _ = _fused_pairs(
-        y[:1], y[1:], eta[:1], eta[1:], lgam[:1] + lgam[1:], grid, moments,
-        np.empty((1, grid.shape[1])),
+        _pair_group(y[:1], y[1:], lgam[:1] + lgam[1:], [1]), eta[:1], eta[1:],
+        [grid], [moments], np.empty((1, grid.shape[1])),
         lambda _: NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
         ),
@@ -500,14 +550,26 @@ class PairwiseEvaluator:
     depends on the rule alone and is built with the evaluator; the rows
     of u = sqrt(2 tau2) x_j are built once per evaluation; only the rows
     of v, which depend on the lag through rho = phi^lag, are built per
-    lag block (:func:`_pass_grid`, :func:`_set_lag_rows`).  The only
-    array of pairs x q^2 size is one scratch buffer, sized for the
-    largest block, that each evaluation allocates once and every block
-    reuses; the evaluator itself holds no mutable state, so all public
-    methods are pure functions of the working parameters.  The per-t
-    sums run in a fixed order, so results are bit-reproducible.  Every
-    method runs the same pass, :meth:`_evaluate`, which returns the
-    loglik, the score and the per-distinct-pair scores together; the
+    lag block, into a slot of its own (:func:`_pass_grid`,
+    :func:`_set_lag_rows`).
+
+    Consecutive lag blocks, in lag order, are packed into groups whose
+    pairs x q^2 cells fit the scratch budget ``_GROUP_CELLS``, and the
+    kernel runs once per group (:func:`_fused_pairs`): each block's two
+    matrix products run on its own rows of the group, and every
+    elementwise step runs once over the group.  Blocks of a few dozen
+    distinct pairs (covariate-free series) thus share one call; a block
+    larger than the budget runs alone.  A group keeps its concatenated
+    pairs, counts, log-factorials, constant term columns and covariate
+    rows, so a pass rebuilds none of them.  The only array of pairs x
+    q^2 size is one scratch buffer, sized for the largest group, that
+    each evaluation allocates once and every group reuses; the
+    evaluator itself holds no mutable state, so all public methods are
+    pure functions of the working parameters.  The loglik and score sum
+    block by block in lag order and the per-t sums run in a fixed order,
+    so results are bit-reproducible and do not depend on the grouping.
+    Every method runs the same pass, :meth:`_evaluate`, which returns
+    the loglik, the score and the per-distinct-pair scores together; the
     methods differ only in what they return, so :meth:`loglik` is
     bit-equal to the loglik that :meth:`loglik_and_score` and
     :meth:`pair_gradients` (the fit path) report at the same point.
@@ -563,14 +625,47 @@ class PairwiseEvaluator:
                     "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
                 }
             )
-        self._max_block = max(block["i1"].shape[0] for block in self._blocks)
+        q2 = self._weight_row.shape[0]
+        runs, rows = [[]], 0
+        for block in self._blocks:
+            size = block["i1"].shape[0]
+            if runs[-1] and (rows + size) * q2 > _GROUP_CELLS:
+                runs.append([])
+                rows = 0
+            runs[-1].append(block)
+            rows += size
+        self._groups = [self._group(run) for run in runs]
+        self._max_rows = max(group["y1"].shape[0] for group in self._groups)
+        self._max_lags = max(len(group["blocks"]) for group in self._groups)
+
+    def _group(self, blocks):
+        """One kernel call's inputs for consecutive lag blocks."""
+
+        def joined(key):
+            return np.concatenate([block[key] for block in blocks])
+
+        i1, i2 = joined("i1"), joined("i2")
+        group = _pair_group(
+            joined("y1"), joined("y2"), joined("lgam"), [block["i1"].shape[0] for block in blocks]
+        )
+        group.update(
+            blocks=blocks,
+            lags=[block["lag"] for block in blocks],
+            i1=i1,
+            i2=i2,
+            X1=self.series.X[i1],
+            X2=self.series.X[i2],
+        )
+        return group
 
     # -- core passes -------------------------------------------------------
 
-    def _underflow(self, block, row: int) -> NumericalFailure:
-        """The failure for distinct pair ``row`` of a block, located at the
-        first time index that uses it."""
-        pos = int(np.nonzero(block["inverse"] == row)[0][0])
+    def _underflow(self, group, row: int) -> NumericalFailure:
+        """The failure for row ``row`` of a group, the distinct pair of
+        one of its blocks, located at the first time index that uses it."""
+        j = next(j for j, rows in enumerate(group["slices"]) if row < rows.stop)
+        block = group["blocks"][j]
+        pos = int(np.nonzero(block["inverse"] == row - group["slices"][j].start)[0][0])
         lag = block["lag"]
         return NumericalFailure(
             f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
@@ -578,27 +673,8 @@ class PairwiseEvaluator:
             lag=lag,
         )
 
-    def _block_terms(self, block, eta, buf, grid, moments, c, phi):
-        """Log density and working-scale gradient pieces for the distinct
-        pairs of one lag block; ``grid`` and ``moments`` are the pass's
-        factors, whose v rows this writes for the block's lag."""
-        X = self.series.X
-        i1, i2 = block["i1"], block["i2"]
-        lag = block["lag"]
-        _set_lag_rows(grid, moments, self.rule.nodes, c, phi**lag)
-        logp, derivs = _fused_pairs(
-            block["y1"], block["y2"], eta[i1], eta[i2], block["lgam"], grid, moments,
-            buf[: i1.shape[0]], lambda row: self._underflow(block, row),
-        )
-        drho_dz = lag * phi ** (lag - 1) * (1.0 - phi * phi)
-        grads = np.empty((i1.shape[0], self.dim))
-        grads[:, : self.n_coef] = derivs[:, :1] * X[i1] + derivs[:, 1:2] * X[i2]
-        grads[:, self.n_coef] = 0.5 * derivs[:, 2]
-        grads[:, self.n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
-        return logp, grads
-
     def _evaluate(self, working: WorkingParams):
-        """One kernel pass over every lag block.
+        """One kernel pass over every group of lag blocks.
 
         Returns the loglik, the score and, per lag, (lag, weight, scores)
         with one row of scores per distinct pair of the block, for
@@ -607,18 +683,32 @@ class PairwiseEvaluator:
         params = working.to_params()
         phi = params.phi
         c = math.sqrt(2.0 * params.tau2)
+        nodes = self.rule.nodes
         eta = self.series.X @ params.beta
-        buf = np.empty((self._max_block, self._weight_row.shape[0]))
-        grid, moments = _pass_grid(self.rule.nodes, self._weight_row, c)
+        buf = np.empty((self._max_rows, self._weight_row.shape[0]))
+        grids, moments = _pass_grid(nodes, self._weight_row, c, self._max_lags)
+        n_coef = self.n_coef
 
         loglik = 0.0
         score = np.zeros(self.dim)
         block_grads = []
-        for block in self._blocks:
-            logp, grads = self._block_terms(block, eta, buf, grid, moments, c, phi)
-            loglik += block["w"] * float(block["counts"] @ logp)
-            score += block["w"] * (block["counts"] @ grads)
-            block_grads.append((block["lag"], block["w"], grads))
+        for group in self._groups:
+            _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in group["lags"]])
+            logp, derivs = _fused_pairs(
+                group, eta[group["i1"]], eta[group["i2"]], grids, moments, buf,
+                lambda row: self._underflow(group, row),
+            )
+            drho_dz = np.array(
+                [lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in group["lags"]]
+            ).repeat(group["sizes"])
+            grads = np.empty((logp.shape[0], self.dim))
+            grads[:, :n_coef] = derivs[:, :1] * group["X1"] + derivs[:, 1:2] * group["X2"]
+            grads[:, n_coef] = 0.5 * derivs[:, 2]
+            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
+            for block, rows in zip(group["blocks"], group["slices"]):
+                loglik += block["w"] * float(block["counts"] @ logp[rows])
+                score += block["w"] * (block["counts"] @ grads[rows])
+                block_grads.append((block["lag"], block["w"], grads[rows]))
         return loglik, score, block_grads
 
     def _expand(self, block_grads):
@@ -661,8 +751,10 @@ def pairwise_loglik(
     pairs whose later member falls at or before m_d are excluded, which
     matches the indexing the variance theory assumes.  The value is that
     of :meth:`PairwiseEvaluator.loglik`, which runs the fit path's one
-    kernel mode, so it is bit-equal to the loglik a fit reports at the
-    same point.  ``sigma2 = 0`` (tau2 = 0) needs no special case: the
+    grouped kernel (one call per group of consecutive lag blocks within
+    the scratch budget, summed block by block in lag order), so it is
+    bit-equal to the loglik a fit reports at the same point.
+    ``sigma2 = 0`` (tau2 = 0) needs no special case: the
     evaluator integrates the point mass exactly, giving the weighted sum
     of Poisson-product log-likelihoods up to rounding.
 

@@ -683,6 +683,22 @@ def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
     assert not cell.converged.any()
 
 
+def test_study_cell_records_non_finite_start_as_numerical(monkeypatch):
+    from pairpois import estimation, scenarios
+
+    real_fit = estimation.fit
+
+    def wide_start_fit(series, weights, quad_order):
+        moments = pp.moment_init(series)
+        init = pp.Params(beta=moments.beta, sigma2=1e5, phi=moments.phi)
+        return real_fit(series, weights, quad_order=quad_order, init=init)
+
+    monkeypatch.setattr(estimation, "fit", wide_start_fit)
+    cell = scenarios.run_study_cell(5, 1, 500, 3, "trap", 20, 3)
+    assert list(cell.outcomes) == ["numerical"]
+    assert not cell.converged.any()
+
+
 def test_study_cell_counts_failures_by_reason(monkeypatch):
     from pairpois import estimation, scenarios
 

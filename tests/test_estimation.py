@@ -193,8 +193,7 @@ def test_robust_se_singular_sensitivity_raises():
 
 
 def nan_start_fit(restriction):
-    # a start so wide that the score is not finite there: BFGS returns at
-    # once and the sandwich of that pass has NaN entries
+    # a start so wide that the score is not finite there
     series = pp.simulate_scenario(5, 500, 3)
     moments = pp.moment_init(series)
     weights = pp.make_weights(3, "trap")
@@ -205,17 +204,25 @@ def nan_start_fit(restriction):
     return pp.fit_restricted(series, weights, restriction=restriction, init=init)
 
 
+@pytest.mark.parametrize("restriction", [None, pp.PHI_ZERO], ids=["fit", "fit_phi_zero"])
+def test_non_finite_start_raises_located_failure(restriction):
+    with pytest.raises(pp.NumericalFailure, match="not finite at the start") as info:
+        nan_start_fit(restriction)
+    message = str(info.value)
+    assert "beta[0] = 0.18797, log(sigma2) = " in message
+    assert message.endswith("score not finite in beta[0], log(sigma2)" +
+                            (", atanh(phi)" if restriction is None else ""))
+
+
 @pytest.mark.parametrize(
     "compute",
     [
-        lambda: nan_start_fit(None),
-        lambda: nan_start_fit(pp.PHI_ZERO),
         lambda: pp.robust_se(
             np.full((3, 3), np.nan), np.eye(3), 50,
             pp.WorkingParams(beta=[0.0], log_sigma2=0.0, z_phi=0.0),
         ),
     ],
-    ids=["fit", "fit_phi_zero", "robust_se"],
+    ids=["robust_se"],
 )
 def test_non_finite_sensitivity_raises_typed_error(compute):
     with pytest.raises(pp.SingularMatrixError, match="non-finite") as info:

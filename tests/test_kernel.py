@@ -19,7 +19,7 @@ import pytest
 from scipy.special import gammaln
 
 import pairpois as pp
-from pairpois import cli
+from pairpois import cli, model
 from pairpois.errors import NumericalFailure
 from pairpois.model import PairwiseEvaluator
 
@@ -182,23 +182,72 @@ def test_fused_kernel_matches_broadcast_on_greek_design():
     assert_kernels_agree(series, pp.make_weights(5, "trap"), 20, points)
 
 
-def test_fused_kernel_failure_location_matches_broadcast():
-    # one covariate spike drives the linear predictor to 800 at t = 23, so
-    # exp() overflows at every node for the pairs that contain it
+def failure_location(spike):
+    """Drive the linear predictor to 800 at 0-based time ``spike`` and
+    return the (time_index, lag) both kernels report; exp() overflows
+    there at every node for the pairs that contain that time."""
     n = 40
     z = np.zeros(n)
-    z[22] = 1.0
+    z[spike] = 1.0
     series = pp.CountSeries(y=np.arange(n) % 4, X=np.column_stack([np.ones(n), z]))
     working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
     rule = pp.gauss_hermite(5)
     weights = pp.make_weights(2, "trap")
+    assert [len(group["blocks"]) for group in PairwiseEvaluator(series, weights, rule)._groups] == [3]
     errors = []
     for cls in (PairwiseEvaluator, BroadcastEvaluator):
         with pytest.raises(NumericalFailure) as info:
             cls(series, weights, rule).loglik_and_score(working)
         errors.append((info.value.time_index, info.value.lag))
     assert errors[0] == errors[1]
-    assert errors[0] == (23, 1)
+    return errors[0]
+
+
+def test_fused_kernel_failure_location_matches_broadcast():
+    # one covariate spike at t = 23, so the first lag block fails
+    assert failure_location(22) == (23, 1)
+
+
+def test_fused_kernel_failure_in_later_block_of_group_matches_broadcast():
+    # the spike at t = 3 lies before the window m_d = 4, so only the
+    # pairs of lags 2 and 3 reach it: the failing pairs lie in the second
+    # and third blocks of the one group, and the earliest block is named
+    assert failure_location(2) == (5, 2)
+
+
+def assert_bitwise_equal(a, b):
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bitwise_equal(x, y)
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "make,weights,q,several",
+    [
+        (lambda: pp.simulate_scenario(5, 500, seed=2024), pp.make_weights(3, "trap"), 20, True),
+        (greek_series, pp.make_weights(5, "trap"), 20, False),
+        (greek_series, pp.make_weights(5, "trap"), 10, True),
+    ],
+    ids=["constant_x", "greek", "greek_q10"],
+)
+def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkeypatch):
+    # the same evaluator with every lag block in a kernel call of its own
+    series = make()
+    rule = pp.gauss_hermite(q)
+    grouped = PairwiseEvaluator(series, weights, rule)
+    monkeypatch.setattr(model, "_GROUP_CELLS", 1)
+    alone = PairwiseEvaluator(series, weights, rule)
+    assert len(alone._groups) == len(alone._blocks)
+    assert (len(grouped._groups) < len(grouped._blocks)) == several
+    for working in trial_points(pp.moment_init(series)):
+        for method in ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores"):
+            assert_bitwise_equal(getattr(grouped, method)(working), getattr(alone, method)(working))
 
 
 # ---------------------------------------------------------------------------
