@@ -315,7 +315,9 @@ def _print_fit_table(result: estimation.FitResult, coef_names: list[str], disper
 def cmd_fit(args) -> int:
     data = read_count_csv(args.data)
     holdout = args.holdout_months
-    if holdout < 0 or holdout >= data.n:
+    if holdout < 0:
+        raise DataFormatError(f"holdout of {holdout} months must be non-negative")
+    if holdout >= data.n:
         raise DataFormatError(f"holdout of {holdout} months leaves no training data")
     n_train = data.n - holdout
     months_train = data.months[:n_train]

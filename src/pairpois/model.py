@@ -286,6 +286,11 @@ _LOG_PI = math.log(math.pi)
 # a quarter, while 2^16 splits a covariate-free pass into two calls.
 _GROUP_CELLS = 1 << 17
 
+# Floor of the kernel's shifted exponents (:func:`_fused_pairs`).  Below
+# about -708 numpy's float64 exp leaves its vector path: 13-111 ns per
+# element against about 1 ns (numpy 2.4.6 on a 2-vCPU Xeon VM).
+_EXP_FLOOR = -700.0
+
 
 def _weight_row(rule: QuadRule) -> np.ndarray:
     """Row 0 of the kernel grid, log w_j w_k - log pi at every cell
@@ -313,9 +318,9 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
     always built: the kernel has one mode.  This returns ``lags`` slots
     of each, (lags, 5, q^2) and (lags, q^2, 9), one per lag block of a
-    kernel call, with the weight row and everything of u set, which
-    depend on tau2 alone; :func:`_set_lag_rows` writes the v rows of
-    each block's correlation into its slot.
+    pass, with the weight row and everything of u set, which depend on
+    tau2 alone; :func:`_set_lag_rows` writes the v rows of each block's
+    correlation into its slot.
     """
     u = np.repeat(c * nodes, nodes.shape[0])
     grid = np.empty((lags, 5, u.shape[0]))
@@ -330,7 +335,7 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
 def _set_lag_rows(grids, moments, nodes: np.ndarray, c: float, rhos) -> None:
     """Write the rows of :func:`_pass_grid`'s factors that depend on the
     latent correlation: v, e^v and their moment columns, at correlation
-    ``rhos[j]`` into slot j, for every lag of a kernel call at once."""
+    ``rhos[j]`` into slot j, for every lag of a pass at once."""
     lags = len(rhos)
     rho = np.array(rhos)[:, None, None]
     s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
@@ -396,6 +401,22 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
     of a row underflows even in log space; the row is the group's
     first such row, so the earliest block's.
 
+    Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
+    before the exponential, which keeps numpy's exp on its vector path
+    (below about -708 it costs 10-100 times more per element).  This
+    changes no bit of a finite result: a floored cell adds at most
+    e^-700 times its moment to sums whose largest term, the row maximum's
+    e^0 = 1, is far above that; ``np.maximum`` passes NaN on.  The
+    floor runs only when some grid corner lies below it.  A cell's
+    exponent is log w_j + log w_k plus one concave Poisson term in u_j and
+    one in v_jk, each linear in the nodes, and the Gauss-Hermite log
+    weights have decreasing slopes in the nodes, so every grid line is
+    concave and each row's minimum sits at one of the four corners
+    (j, k) in {0, q-1}^2.  Where the moments overflow (e^v beyond about
+    1e280) a floored cell can turn a NaN score into an infinite one, or
+    move a moment that large; only line-search trials far from any
+    estimate reach there.
+
     Returns the log density of each pair and the (pairs, 4) derivatives
     of it with respect to eta1, eta2, log c and rho (c = sqrt(2 tau2)).
     The log density is read from column 0 of ``out @ moments``, the same
@@ -419,6 +440,10 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
         if np.any(bad):
             raise failure(int(np.argmax(bad)))
         out -= m[:, None]
+        q2 = out.shape[1]
+        q = math.isqrt(q2)
+        if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
+            np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
         constant = y1 * eta1 + y2 * eta2 - group["lgam"]
         for rows, moment in zip(slices, moments):
@@ -426,12 +451,13 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
         logp = m + np.log(total) + constant
-    s_u, s_eu, s_ueu, s_v, s_ev, s_vev, s_dv, s_dvev = mean.T
-    derivs = np.empty((y1.shape[0], 4))
-    derivs[:, 0] = y1 - exp_eta1 * s_eu
-    derivs[:, 1] = y2 - exp_eta2 * s_ev
-    derivs[:, 2] = (y1 * s_u - exp_eta1 * s_ueu) + (y2 * s_v - exp_eta2 * s_vev)
-    derivs[:, 3] = y2 * s_dv - exp_eta2 * s_dvev
+        # moments that overflowed make a score non-finite, as the callers check
+        s_u, s_eu, s_ueu, s_v, s_ev, s_vev, s_dv, s_dvev = mean.T
+        derivs = np.empty((y1.shape[0], 4))
+        derivs[:, 0] = y1 - exp_eta1 * s_eu
+        derivs[:, 1] = y2 - exp_eta2 * s_ev
+        derivs[:, 2] = (y1 * s_u - exp_eta1 * s_ueu) + (y2 * s_v - exp_eta2 * s_vev)
+        derivs[:, 3] = y2 * s_dv - exp_eta2 * s_dvev
     return logp, derivs
 
 
@@ -549,30 +575,35 @@ class PairwiseEvaluator:
     and the posterior means the score needs.  The grid's log-weight row
     depends on the rule alone and is built with the evaluator; the rows
     of u = sqrt(2 tau2) x_j are built once per evaluation; only the rows
-    of v, which depend on the lag through rho = phi^lag, are built per
-    lag block, into a slot of its own (:func:`_pass_grid`,
-    :func:`_set_lag_rows`).
+    of v, which depend on the lag through rho = phi^lag, differ per lag
+    block, and each evaluation writes them for every lag at once, one
+    slot per block (:func:`_pass_grid`, :func:`_set_lag_rows`).
+    Shifted exponents are floored at ``_EXP_FLOOR`` = -700 before the
+    exponential, where a grid corner shows that some fall below it: this
+    keeps numpy's exp on its fast path at high dispersion and changes no
+    bit of a finite result (:func:`_fused_pairs`).
 
     Consecutive lag blocks, in lag order, are packed into groups whose
     pairs x q^2 cells fit the scratch budget ``_GROUP_CELLS``, and the
     kernel runs once per group (:func:`_fused_pairs`): each block's two
-    matrix products run on its own rows of the group, and every
-    elementwise step runs once over the group.  Blocks of a few dozen
-    distinct pairs (covariate-free series) thus share one call; a block
-    larger than the budget runs alone.  A group keeps its concatenated
-    pairs, counts, log-factorials, constant term columns and covariate
-    rows, so a pass rebuilds none of them.  The only array of pairs x
-    q^2 size is one scratch buffer, sized for the largest group, that
-    each evaluation allocates once and every group reuses; the
-    evaluator itself holds no mutable state, so all public methods are
-    pure functions of the working parameters.  The loglik and score sum
-    block by block in lag order and the per-t sums run in a fixed order,
-    so results are bit-reproducible and do not depend on the grouping.
-    Every method runs the same pass, :meth:`_evaluate`, which returns
-    the loglik, the score and the per-distinct-pair scores together; the
-    methods differ only in what they return, so :meth:`loglik` is
-    bit-equal to the loglik that :meth:`loglik_and_score` and
-    :meth:`pair_gradients` (the fit path) report at the same point.
+    matrix products run on its own rows of the group, with its own slot
+    of the pass's grids, and every elementwise step runs once over the
+    group.  Blocks of a few dozen distinct pairs (covariate-free series)
+    thus share one call; a block larger than the budget runs alone.  A
+    group keeps its concatenated pairs, counts, log-factorials, constant
+    term columns and covariate rows, so a pass rebuilds none of them.
+    The only array of pairs x q^2 size is one scratch buffer, sized for
+    the largest group, that each evaluation allocates once and every
+    group reuses; the evaluator itself holds no mutable state, so all
+    public methods are pure functions of the working parameters.  The
+    loglik and score sum block by block in lag order and the per-t sums
+    run in a fixed order, so results are bit-reproducible and do not
+    depend on the grouping.  Every method runs the same pass,
+    :meth:`_evaluate`, which returns the loglik, the score and the
+    per-distinct-pair scores together; the methods differ only in what
+    they return, so :meth:`loglik` is bit-equal to the loglik that
+    :meth:`loglik_and_score` and :meth:`pair_gradients` (the fit path)
+    report at the same point.
 
     ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
     point like any other: every node maps to the origin and the tensor
@@ -634,12 +665,13 @@ class PairwiseEvaluator:
                 rows = 0
             runs[-1].append(block)
             rows += size
-        self._groups = [self._group(run) for run in runs]
+        starts = itertools.accumulate([len(run) for run in runs[:-1]], initial=0)
+        self._groups = [self._group(run, start) for run, start in zip(runs, starts)]
         self._max_rows = max(group["y1"].shape[0] for group in self._groups)
-        self._max_lags = max(len(group["blocks"]) for group in self._groups)
 
-    def _group(self, blocks):
-        """One kernel call's inputs for consecutive lag blocks."""
+    def _group(self, blocks, start: int):
+        """One kernel call's inputs for consecutive lag blocks, the first
+        of which is lag block ``start`` of the evaluator."""
 
         def joined(key):
             return np.concatenate([block[key] for block in blocks])
@@ -650,7 +682,7 @@ class PairwiseEvaluator:
         )
         group.update(
             blocks=blocks,
-            lags=[block["lag"] for block in blocks],
+            slots=slice(start, start + len(blocks)),
             i1=i1,
             i2=i2,
             X1=self.series.X[i1],
@@ -686,25 +718,28 @@ class PairwiseEvaluator:
         nodes = self.rule.nodes
         eta = self.series.X @ params.beta
         buf = np.empty((self._max_rows, self._weight_row.shape[0]))
-        grids, moments = _pass_grid(nodes, self._weight_row, c, self._max_lags)
+        lags = [block["lag"] for block in self._blocks]
+        grids, moments = _pass_grid(nodes, self._weight_row, c, len(lags))
+        _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in lags])
+        drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in lags])
         n_coef = self.n_coef
 
         loglik = 0.0
         score = np.zeros(self.dim)
         block_grads = []
         for group in self._groups:
-            _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in group["lags"]])
+            slots = group["slots"]
             logp, derivs = _fused_pairs(
-                group, eta[group["i1"]], eta[group["i2"]], grids, moments, buf,
+                group, eta[group["i1"]], eta[group["i2"]], grids[slots], moments[slots], buf,
                 lambda row: self._underflow(group, row),
             )
-            drho_dz = np.array(
-                [lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in group["lags"]]
-            ).repeat(group["sizes"])
             grads = np.empty((logp.shape[0], self.dim))
-            grads[:, :n_coef] = derivs[:, :1] * group["X1"] + derivs[:, 1:2] * group["X2"]
-            grads[:, n_coef] = 0.5 * derivs[:, 2]
-            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
+                grads[:, :n_coef] = derivs[:, :1] * group["X1"] + derivs[:, 1:2] * group["X2"]
+                grads[:, n_coef] = 0.5 * derivs[:, 2]
+                grads[:, n_coef + 1] = (
+                    phi * derivs[:, 2] + drho_dz[slots].repeat(group["sizes"]) * derivs[:, 3]
+                )
             for block, rows in zip(group["blocks"], group["slices"]):
                 loglik += block["w"] * float(block["counts"] @ logp[rows])
                 score += block["w"] * (block["counts"] @ grads[rows])

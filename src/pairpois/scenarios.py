@@ -116,7 +116,10 @@ def run_study_cell(
     returned flagged), ``"numerical"`` (``NumericalFailure``) or
     ``"singular"`` (any other typed failure: ``SingularMatrixError`` or
     ``LinAlgError``).  Results are deterministic functions of the seed.
+    ``n_series`` below 1 raises ``ValueError``.
     """
+    if n_series < 1:
+        raise ValueError(f"n_series must be at least 1, got {n_series}")
     weights = make_weights(d, scheme)
     estimates = np.full((n_series, 4), np.nan)
     ses = np.full((n_series, 4), np.nan)

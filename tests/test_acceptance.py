@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,14 +295,14 @@ def test_criterion_9_bundled_data_reproduction(tmp_path):
         rc = cli.main(["fit", data_path, "--output", f"{stem}.json",
                        "--holdout-months", "12", *info["fit_args"]])
         ok &= rc == 0
-        fit_report = json.loads(open(f"{stem}.json").read())
+        fit_report = json.loads(Path(f"{stem}.json").read_text())
         clics = {"full": fit_report["clic"]}
         for restriction in ("phi0", "indep"):
             rc = cli.main(["fit", data_path, "--output", f"{stem}_{restriction}.json",
                            "--holdout-months", "12", "--restriction", restriction,
                            *info["fit_args"]])
             ok &= rc == 0
-            clics[restriction] = json.loads(open(f"{stem}_{restriction}.json").read())["clic"]
+            clics[restriction] = json.loads(Path(f"{stem}_{restriction}.json").read_text())["clic"]
 
         rc = cli.main(["predict", f"{stem}.json", "--output", f"{stem}_band.csv",
                        "--horizon-months", "12", "--n-sim", "10000", "--seed", "1",

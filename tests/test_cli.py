@@ -133,6 +133,12 @@ GUARD_CASES = {
     "holdout_covers_data": lambda tmp: (
         _fit_argv(tmp, FIVE_ROWS, "--holdout-months", "5"), 1,
         "holdout of 5 months leaves no training data"),
+    "holdout_negative": lambda tmp: (
+        _fit_argv(tmp, FIVE_ROWS, "--holdout-months", "-3"), 1,
+        "holdout of -3 months must be non-negative"),
+    "scenarios_no_series": lambda tmp: (
+        ["scenarios", "--ids", "5", "--n-series", "0", "--output", str(tmp / "study.csv")], 1,
+        "n_series must be at least 1, got 0"),
     "duplicate_covariate": lambda tmp: (
         _fit_argv(tmp, TWO_Z_COLUMNS, "--covariates", "z"), 1,
         "line 1: duplicate covariate columns ['z']"),

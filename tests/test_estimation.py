@@ -311,8 +311,9 @@ def test_fit_recovers_phi_on_scenario5(scenario5_batch):
 
 def test_minimize_bfgs_rejects_non_finite_score():
     # inside the sanity box, but the latent variance is so large that e^v
-    # overflows in grid cells whose weight underflowed: the value is finite
-    # and the score moments come out as 0 * inf
+    # overflows in grid cells of negligible weight: the value is finite,
+    # and the score moments come out infinite (weights floored at e^-700)
+    # or NaN (0 * inf, weights that underflowed)
     series = pp.simulate_scenario(1, 500, 7, 0)
     ev = PairwiseEvaluator(series, pp.make_weights(3, "trap"), RULE20)
     x = np.array([1.0, 6.0, 3.9])

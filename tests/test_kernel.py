@@ -22,6 +22,7 @@ import pairpois as pp
 from pairpois import cli, model
 from pairpois.errors import NumericalFailure
 from pairpois.model import PairwiseEvaluator
+from pairpois.quadrature import MAX_ORDER
 
 LOGLIK_RTOL = 1e-12
 SCORE_ATOL = 1e-9  # times max(1, sup-norm of the reference)
@@ -248,6 +249,85 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     for working in trial_points(pp.moment_init(series)):
         for method in ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores"):
             assert_bitwise_equal(getattr(grouped, method)(working), getattr(alone, method)(working))
+
+
+# ---------------------------------------------------------------------------
+# exponent floor
+
+
+def shifted_exponents(ev, working):
+    """Each lag block's integrand exponents less their row maxima, as a
+    (pairs, q, q) array, built by broadcasting as ``BroadcastEvaluator``
+    builds them."""
+    params = working.to_params()
+    eta = ev.series.X @ params.beta
+    y = ev.series.y.astype(float)
+    out = []
+    for block in ev._blocks:
+        i1, i2 = block["i1"], block["i2"]
+        u, v, logw2 = _grid_pieces(ev.rule, params.tau2, params.phi ** block["lag"])
+        a = eta[i1][:, None] + u[None, :]
+        b = eta[i2][:, None, None] + v[None, :, :]
+        term = (
+            logw2[None, :, :]
+            + (y[i1][:, None] * a - np.exp(a))[:, :, None]
+            + y[i2][:, None, None] * b
+            - np.exp(b)
+        )
+        out.append(term - term.max(axis=(1, 2))[:, None, None])
+    return out
+
+
+def test_exp_floor_changes_no_bit(monkeypatch):
+    # scenario 3 (D = 10): a fifth or more of the cells lie below the floor
+    # at the start and at the point with the larger latent variance
+    series = pp.simulate_scenario(3, 500, seed=2024)
+    ev = PairwiseEvaluator(series, pp.make_weights(3, "trap"), pp.gauss_hermite(20))
+    t = int(np.argmax(series.y[1:])) + 1  # the lag-1 pair with the largest later count
+    pair = (int(series.y[t - 1]), int(series.y[t]), series.X[t - 1], series.X[t], 1)
+    points = trial_points(pp.moment_init(series))
+
+    def results():
+        return [
+            [getattr(ev, method)(working) for method in
+             ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores")]
+            + [pp.pair_log_density(*pair, working.to_params(), ev.rule)]
+            for working in points
+        ]
+
+    floored = results()
+    for working, values in zip(points, floored):
+        assert np.all(np.isfinite(values[1][1]))
+    assert any(
+        min(float(e.min()) for e in shifted_exponents(ev, working)) < model._EXP_FLOOR
+        for working in points
+    )
+    monkeypatch.setattr(model, "_EXP_FLOOR", -math.inf)  # the floor never runs
+    assert_bitwise_equal(floored, results())
+
+
+def test_exp_floor_is_not_reached_on_greek_design_at_start():
+    series = greek_series()
+    ev = PairwiseEvaluator(series, pp.make_weights(5, "trap"), pp.gauss_hermite(20))
+    exponents = shifted_exponents(ev, pp.moment_init(series).to_working())
+    assert min(float(e.min()) for e in exponents) >= model._EXP_FLOOR
+
+
+def test_log_weights_have_decreasing_slopes_in_the_nodes():
+    for q in range(1, MAX_ORDER + 1):
+        rule = pp.gauss_hermite(q)
+        slopes = np.diff(np.log(rule.weights)) / np.diff(rule.nodes)
+        assert np.all(np.diff(slopes) < 0), q
+
+
+def test_row_minimum_of_exponents_sits_at_a_grid_corner():
+    # one D = 10 pass, at the trial point with the larger latent variance
+    series = pp.simulate_scenario(3, 500, seed=2024)
+    ev = PairwiseEvaluator(series, pp.make_weights(3, "trap"), pp.gauss_hermite(20))
+    for e in shifted_exponents(ev, trial_points(pp.moment_init(series))[1]):
+        corners = e[:, [0, -1]][:, :, [0, -1]]
+        assert np.array_equal(e.min(axis=(1, 2)), corners.min(axis=(1, 2)))
+        assert e.min() < model._EXP_FLOOR
 
 
 # ---------------------------------------------------------------------------
