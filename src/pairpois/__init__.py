@@ -1,7 +1,7 @@
 """Latent AR(1) Poisson count time-series models fitted by maximum
 weighted pairwise likelihood, with robust (sandwich/HAC) standard
-errors, CLIC model selection, and prediction bands of per-month draws
-from the fitted marginal law."""
+errors, CLIC model selection, and exact prediction bands from each
+month's fitted marginal law."""
 
 from .errors import (
     DataFormatError,

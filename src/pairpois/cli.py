@@ -472,7 +472,7 @@ def cmd_predict(args) -> int:
             spec.covariates, months_all, data, args.future_covariates
         )
     X_all, _ = build_design(spec, months_all, n_train, covariates)
-    band = predict(result, None, n_sim=args.n_sim, seed=args.seed, X_insample=X_all)
+    band = predict(result, None, X_insample=X_all)
 
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -609,12 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--max-iter", type=int, default=estimation.DEFAULT_MAX_ITER)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pred = sub.add_parser("predict", help="prediction band of per-month draws from the fitted marginal law")
+    p_pred = sub.add_parser("predict", help="exact prediction band from the fitted marginal law")
     p_pred.add_argument("report", help="JSON fit report from the fit subcommand")
     p_pred.add_argument("--output", required=True, help="path for the band CSV")
     p_pred.add_argument("--horizon-months", type=int, default=12)
-    p_pred.add_argument("--n-sim", type=int, default=10_000)
-    p_pred.add_argument("--seed", type=int, default=1)
+    p_pred.add_argument("--n-sim", type=int, default=10_000, help="ignored: the band is exact")
+    p_pred.add_argument("--seed", type=int, default=1, help="ignored: the band is exact")
     p_pred.add_argument("--data", default=None,
                         help="CSV with observed counts for exceedance flags; its covariate "
                              "columns are matched to band months by date")

@@ -1,5 +1,5 @@
 """Simulation from the latent AR(1) Poisson model, and prediction bands
-made of per-month draws from the fitted marginal law."""
+computed exactly from each month's fitted marginal law."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,6 @@ import numpy as np
 from .errors import NotConvergedError
 from .model import CountSeries, Params, poisson_log_pmf
 
-DEFAULT_PREDICT_SIMS = 10_000
 # The trapezoid rule of _count_pmf, in units of the integrand's scale at
 # its mode.  It reaches 8 sqrt(1 + tau2) on each side, so at least 8 in z
 # where the modal rate is small and the integrand keeps the normal's
@@ -27,21 +26,21 @@ DEFAULT_PREDICT_SIMS = 10_000
 _RULE_STEP = 0.5
 _WIDE_TAU2 = 2.06
 _WIDE_STEP = 0.35
-# A month's draws end at the first block of counts beyond which its law
-# has less mass than this.  It lies above the 1.5e-13 by which the rule
-# misses the D=10 sums, so months end on this test, not on the backstop.
-_TAIL = 1e-12
-_BLOCK = 64  # counts per block of the histogram draw, at least
-# cells of the rule, (count, node), or of the draws, (month, count) or
-# (draw), held at once, at most
+# cells evaluated at once, at most: (count, node) or (law, node) of a
+# rule, or (law, count) of a Poisson sum
 _CHUNK_CELLS = 1 << 20
-# Costs in direct draws of a count (90 ns): of one count's probability
-# (1.2 us), shared by the months of one law, and of one count of one
-# month's multinomial (0.12 us); measured in predicts of 216-month designs
-# on a 2-vCPU VM.  A law whose block draws would cost more than n_sim
-# direct draws per month is drawn directly.
-_PMF_DRAWS = 13.0
-_MULTINOMIAL_DRAWS = 1.3
+# The trapezoid rule of _lognormal_cdf, in s = log G, G ~ Gamma(k + 1):
+# the step is _GAMMA_STEP times the narrower of the rule's two factors,
+# the log-gamma density (sd 1/sqrt(k + 1)) and the normal cdf in s (scale
+# tau).  At counts below 3 the step stays at most _GAMMA_STEP / 2, where
+# the log-gamma density's strip of analyticity (half-width pi/2), not its
+# sd, bounds the rule's error: with 1/sqrt(k + 1) alone the cdf at k = 0
+# is off by 8.9e-9 at tau2 = 2.04.  With the cap, the cdf is within
+# 1.5e-13 of the _count_pmf cumsum on the scenario laws (D = 10, 1 and
+# 0.1), about the reference's own error, within 2e-14 at exp(eta) = 2000
+# (tau2 0.0645 and 0.511), and within 5e-15 at tau2 = 8.
+_GAMMA_STEP = 0.5
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -65,27 +64,30 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PredictionBand:
-    """Per-time predicted means and empirical upper bounds.
+    """Per-month marginal means and upper bounds of the fitted law.
 
-    ``upper95`` is ``quantile(0.95)``, the nearest-rank quantile of the
-    drawn counts, so bounds are integers and exceedance checks are
+    The count of month t is Poisson(exp(eta[t] + u)) with u ~ N(0,
+    tau2).  ``point`` is its mean exp(eta + tau2 / 2) and ``upper95`` is
+    ``quantile(0.95)``.  Bounds are integers, so exceedance checks are
     unambiguous.
     """
 
-    point: np.ndarray
-    n_sim: int
-    _cum_counts: np.ndarray  # (horizon, max_count+1) cumulative table
+    eta: np.ndarray
+    tau2: float
+    point: np.ndarray = field(init=False)
     upper95: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "point", np.exp(self.eta + 0.5 * self.tau2))
         object.__setattr__(self, "upper95", self.quantile(0.95))
 
     def quantile(self, level: float) -> np.ndarray:
-        """Nearest-rank quantile of the drawn counts at each time."""
+        """Smallest count k with P(Y_t <= k) >= ``level`` at each month."""
         if not 0.0 < level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        rank = math.ceil(level * self.n_sim)
-        return np.argmax(self._cum_counts >= rank, axis=1).astype(float)
+        # months with equal eta share one law
+        levels, law = np.unique(self.eta, return_inverse=True)
+        return _quantile(levels, self.tau2, level)[law]
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -147,7 +149,8 @@ def simulate_replicates(config: SimConfig):
 
 def _count_pmf(k, eta, tau2: float) -> np.ndarray:
     """P(Y = k) for Y | u ~ Poisson(exp(eta + u)) and u ~ N(0, tau2),
-    elementwise over ``k`` and ``eta`` broadcast together.
+    elementwise over ``k`` and ``eta`` broadcast together.  The tests
+    invert its cumsum as the reference for the exact bands.
 
     With u = tau z, the integrand of each count over z is log-concave.
     Its mode z_k, where the rate is lambda_k, solves z = tau (k -
@@ -192,90 +195,96 @@ def _rule_sum(kf: np.ndarray, eta: np.ndarray, tau2: float, nodes: np.ndarray,
     return np.exp(log_terms).sum(axis=-1) * scale * (step / math.sqrt(2.0 * math.pi))
 
 
-def _draw_histograms(eta: np.ndarray, tau2: float, n_sim: int, rng) -> np.ndarray:
-    """Histograms of ``n_sim`` independent draws of each month's count.
+def _lognormal_cdf(k: np.ndarray, eta: np.ndarray, tau: float) -> np.ndarray:
+    """P(Y <= k) for Y | u ~ Poisson(exp(eta + u)) and u ~ N(0, tau^2),
+    tau > 0, elementwise over 1-D ``k`` and ``eta``.
 
-    Row t of the returned (horizon, K) table counts the draws of month t
-    equal to 0, 1, ..., K - 1.  Months with equal eta share one law.
-
-    A law whose draws spread over so many counts that the block draws
-    below would cost more is drawn directly: n_sim latent values and a
-    Poisson count on each, per month.  The other laws are drawn by
-    blocks of counts, from each law's own lower tail (less than 1e-15 of
-    the mass lies below it), ``_BLOCK`` counts wide or a quarter of the
-    counts covered so far if that is more: the draws not yet placed split
-    over the block's counts and "beyond it" as one multinomial,
-    conditional on lying at or above the block, so the histogram has the
-    law of ``n_sim`` iid draws.  A block covers at most ``_CHUNK_CELLS``
-    (month, count) cells.  A month stops at the first block beyond which
-    its law has less than ``_TAIL`` mass; the draws that mass would take
-    land on the block's top count.
+    Y <= k exactly when the (k + 1)-th arrival of a unit-rate Poisson
+    process comes after time exp(eta + u), so P(Y <= k) = E[Phi((log G -
+    eta) / tau)] with G ~ Gamma(k + 1, 1).  The expectation is a trapezoid
+    rule in s = log G (step: ``_GAMMA_STEP``), from 8.5 log-gamma sd plus
+    36 / (k + 1) below the mode log(k + 1), where the density's slower
+    left tail has fallen below exp(-36) of its peak, to 8.5 sd above it.
+    The density weights are normalised by their own sum, so no log-gamma
+    constant is needed.  Phi is computed only where |(s - eta) / tau| <
+    9; beyond, it is 0 or 1 to 1e-19.  At most ``_CHUNK_CELLS`` cells are
+    evaluated at once.
     """
-    levels, level_of, months = np.unique(eta, return_inverse=True, return_counts=True)
+    a = k + 1.0
+    log_a = np.log(a)
+    sd = 1.0 / np.sqrt(a)
+    left = 8.5 * sd + 36.0 / a
+    width = left + 8.5 * sd
+    step = _GAMMA_STEP * np.minimum(sd, min(0.5, tau))
+    n_nodes = int(np.max(np.ceil(width / step))) + 1
+    t = np.linspace(0.0, 1.0, n_nodes)
+    cdf = np.empty(a.shape)
+    rows = max(1, _CHUNK_CELLS // n_nodes)
+    for i in range(0, a.size, rows):
+        c = slice(i, i + rows)
+        s = (log_a[c] - left[c])[:, None] + width[c, None] * t
+        weight = np.exp(a[c, None] * (s - log_a[c, None] + 1.0) - np.exp(s))
+        x = (s - eta[c, None]) / tau
+        phi = (x > 0.0).astype(float)
+        band = np.abs(x) < 9.0
+        phi[band] = 0.5 * _erfc(x[band] / -math.sqrt(2.0)).astype(float)
+        cdf[c] = (weight * phi).sum(axis=1) / weight.sum(axis=1)
+    return cdf
+
+
+def _quantile(levels: np.ndarray, tau2: float, level: float) -> np.ndarray:
+    """Smallest k with P(Y <= k) >= ``level`` for each law Y | u ~
+    Poisson(exp(levels + u)), u ~ N(0, tau2).
+
+    Cantelli's inequality brackets k by the law's mean and sd: P(Y <= lo)
+    < level <= P(Y <= hi).  At tau2 > 0 the bracket is bisected on the
+    cdf of :func:`_lognormal_cdf`.  At tau2 = 0 the law is Poisson, and
+    its pmf is summed from 8.5 sd below the mean (less than exp(-36) of
+    the mass lies below) up to ``hi``, over at most ``_CHUNK_CELLS``
+    (law, count) cells at once.
+    """
+    mean = np.exp(levels + 0.5 * tau2)
+    sd = np.sqrt(mean + mean * mean * math.expm1(tau2))
+    lo = np.maximum(np.floor(mean - sd * math.sqrt((1.0 - level) / level)) - 1.0, -1.0)
+    hi = np.ceil(mean + sd * math.sqrt(level / (1.0 - level)))
+    if tau2 == 0.0:
+        low = np.floor(np.maximum(mean - 8.5 * sd, 0.0))
+        counts = np.arange(int(np.max(hi - low)) + 1)
+        rows = max(1, _CHUNK_CELLS // counts.size)
+        for i in range(0, levels.size, rows):
+            c = slice(i, i + rows)
+            pmf = np.exp(poisson_log_pmf(low[c, None] + counts, levels[c, None]))
+            hi[c] = low[c] + np.sum(np.cumsum(pmf, axis=1) < level, axis=1)
+        return hi
     tau = math.sqrt(tau2)
-    # below `low` lie u < -8 tau (6e-16 of the mass) and Poisson counts
-    # 8.5 sd below their mean (less than exp(-36))
-    rate = np.exp(levels - 8.0 * tau)
-    low = np.floor(np.maximum(rate - 8.5 * np.sqrt(rate), 0.0)).astype(np.int64)
-    high = np.exp(levels + 4.0 * tau)
-    span = high + 4.0 * np.sqrt(high) - low
-    direct = span * (_PMF_DRAWS / months + _MULTINOMIAL_DRAWS) > n_sim
-    pieces = []  # (months, first count of each, histogram block)
-    for t in np.flatnonzero(direct[level_of]):
-        for done in range(0, n_sim, _CHUNK_CELLS):
-            z = rng.standard_normal(min(_CHUNK_CELLS, n_sim - done))
-            draws = np.bincount(rng.poisson(np.exp(eta[t] + tau * z)))
-            pieces.append((np.array([t]), np.zeros(1, dtype=np.int64), draws[None]))
-    left = np.where(direct[level_of], 0, n_sim)
-    below = np.zeros(levels.shape[0])  # law mass from `low` up to `pos`, per level
-    pos = low.copy()
-    while left.any():
-        rows = np.flatnonzero(left)
-        active = np.unique(level_of[rows])
-        covered = int(np.max(pos[active] - low[active]))
-        width = max(_BLOCK, min(covered // 4, _CHUNK_CELLS // rows.size))
-        pmf = _count_pmf(pos[active, None] + np.arange(width), levels[active, None], tau2)
-        mass = pmf.sum(axis=1)
-        below[active] += mass
-        beyond = np.maximum(1.0 - below[active], 0.0)
-        # past the median, a block of almost no mass also ends the month,
-        # so rounding in the pmf's total cannot keep a month going
-        last = (beyond < _TAIL) | ((mass < _TAIL) & (below[active] > 0.5))
-        law = np.searchsorted(active, level_of[rows])
-        probs = np.column_stack([pmf, beyond]) / (mass + beyond)[:, None]
-        hist = rng.multinomial(left[rows], probs[law])
-        ends = last[law]
-        hist[ends, -2] += hist[ends, -1]
-        left[rows] = np.where(ends, 0, hist[:, -1])
-        pieces.append((rows, pos[level_of[rows]], hist[:, :-1]))
-        pos[active] += width
-    n_counts = max(int(np.max(first + hist.shape[1])) for _, first, hist in pieces)
-    table = np.zeros((eta.shape[0], n_counts), dtype=np.int64)
-    for rows, first, hist in pieces:
-        table[rows[:, None], first[:, None] + np.arange(hist.shape[1])] += hist
-    return table
+    while True:
+        i = np.flatnonzero(hi - lo > 1.0)
+        if i.size == 0:
+            return hi
+        mid = np.floor(0.5 * (lo[i] + hi[i]))
+        below = _lognormal_cdf(mid, levels[i], tau) < level
+        lo[i] = np.where(below, mid, lo[i])
+        hi[i] = np.where(below, hi[i], mid)
 
 
 def predict(
     fit,
     X_future: np.ndarray | None,
-    n_sim: int = DEFAULT_PREDICT_SIMS,
+    n_sim: int = 10_000,
     seed: int = 0,
     *,
     X_insample: np.ndarray | None = None,
 ) -> PredictionBand:
-    """Per-month draws from the fitted marginal law over the in-sample +
-    future horizon.
+    """The fitted marginal law of each month over the in-sample + future
+    horizon.
 
     Whatever phi is, the count of month t is marginally
     Poisson-lognormal: Poisson(exp(x_t' beta + u)) with u ~ N(0, tau2),
-    unconditional on the observed counts.  For each month ``n_sim``
-    independent draws are made from that law as one histogram, and the
-    band reports the mean of the draws with their nearest-rank 95% upper
-    bound.  Months are drawn independently of each other, which the
-    per-month statistics cannot tell from draws of whole latent paths.
-    The horizon is the concatenation of the ``X_insample`` rows (if
-    given) and the ``X_future`` rows (if given); at least one block is
+    unconditional on the observed counts.  The band reports that law's
+    mean and its 95% quantile, both computed exactly (see
+    :class:`PredictionBand`), so ``n_sim`` and ``seed`` are accepted and
+    ignored.  The horizon is the concatenation of the ``X_insample`` rows
+    (if given) and the ``X_future`` rows (if given); at least one block is
     required, and a horizon of no rows raises ``ValueError``.
 
     Refuses non-converged fits.
@@ -284,8 +293,6 @@ def predict(
         raise NotConvergedError(
             "prediction requires a converged fit; refit or inspect the diagnostics"
         )
-    if n_sim < 1:
-        raise ValueError("n_sim must be >= 1")
     params = fit.params_hat
     blocks = []
     if X_insample is not None:
@@ -297,11 +304,4 @@ def predict(
     X_all = np.vstack(blocks)
     if X_all.shape[0] < 1:
         raise ValueError(f"horizon must be >= 1, got {X_all.shape[0]}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    counts = _draw_histograms(X_all @ params.beta, params.tau2, n_sim, rng)
-    point = counts @ np.arange(counts.shape[1]) / n_sim
-    # summed in place: once `point` is taken the counts are not needed, and
-    # the table can be hundreds of MB at counts in the thousands
-    np.cumsum(counts, axis=1, out=counts)
-    return PredictionBand(point=point, n_sim=n_sim, _cum_counts=counts)
+    return PredictionBand(eta=X_all @ params.beta, tau2=params.tau2)

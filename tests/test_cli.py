@@ -483,19 +483,6 @@ def test_predict_without_observations_leaves_flags_empty(tmp_path, greek_report)
     assert all(row["observed"] == "" and row["exceeds"] == "" for row in rows)
 
 
-def test_predict_single_simulation_smoke(tmp_path, greek_report):
-    band_path = tmp_path / "band1.csv"
-    rc = cli.main(
-        ["predict", str(greek_report), "--output", str(band_path),
-         "--horizon-months", "1", "--n-sim", "1", "--seed", "5"]
-    )
-    assert rc == 0
-    with open(band_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    for row in rows:
-        assert float(row["point"]) == float(row["upper95"])
-
-
 def test_predict_demands_future_covariates(tmp_path, capsys):
     n = 120
     dates = months("2000-01", n)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -146,23 +147,10 @@ def test_predict_refuses_non_converged_fit():
         pp.predict(broken, None, n_sim=100, seed=1, X_insample=series.X[:5])
 
 
-def test_predict_single_simulation_smoke():
-    fit, series = fitted_scenario5()
-    band = pp.predict(fit, None, n_sim=1, seed=2, X_insample=series.X[:6])
-    # one simulated path: the band degenerates onto it
-    assert_allclose(band.point, band.upper95, rtol=0, atol=0)
-    assert np.all(band.point == band.point.astype(int))
-
-
-def test_predict_rejects_no_draws():
-    fit, series = fitted_scenario5()
-    with pytest.raises(ValueError, match="n_sim must be >= 1"):
-        pp.predict(fit, None, n_sim=0, seed=1, X_insample=series.X[:3])
-
-
 @pytest.mark.parametrize("level", [0.0, 1.0])
 def test_band_quantile_rejects_closed_levels(level):
-    band = pp.PredictionBand(point=np.array([1.0]), n_sim=4, _cum_counts=np.array([[1, 4]]))
+    # Poisson(0.1): P(Y = 0) = 0.905, P(Y <= 1) = 0.995
+    band = pp.PredictionBand(eta=np.array([math.log(0.1)]), tau2=0.0)
     assert band.upper95.tolist() == [1.0]
     with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
         band.quantile(level)
@@ -180,6 +168,10 @@ def test_predict_deterministic():
     b = pp.predict(fit, None, n_sim=5_000, seed=11, X_insample=series.X[:12])
     assert np.array_equal(a.point, b.point)
     assert np.array_equal(a.upper95, b.upper95)
+    # the band is exact: n_sim and seed are ignored
+    c = pp.predict(fit, None, n_sim=7, seed=12, X_insample=series.X[:12])
+    assert a.point.tobytes() == c.point.tobytes()
+    assert a.upper95.tobytes() == c.upper95.tobytes()
 
 
 def test_sim_config_validation():
@@ -274,86 +266,132 @@ def test_count_pmf_wide_latent_law(eta):
         assert abs(pmf[k] - float(stats.poisson.pmf(k, rate) @ weight)) <= 1e-13
 
 
-def _force(monkeypatch, way):
-    # "blocks" draws every law by blocks of counts, "direct" every law by
-    # latent values and Poisson counts
-    if way == "blocks":
-        monkeypatch.setattr(simulate, "_PMF_DRAWS", 0.0)
-        monkeypatch.setattr(simulate, "_MULTINOMIAL_DRAWS", 0.0)
+@pytest.mark.parametrize(
+    "eta,tau2",
+    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].tau2) for s in (1, 5)] + [HIGH_COUNT, (-10.0, 8.0)],
+    ids=["scenario1", "scenario5", "high_count", "rare_wide"],
+)
+def test_lognormal_cdf_is_the_count_pmf_cumsum(eta, tau2):
+    # every count below the cdf's 1 - 1e-9 point; at small counts this
+    # holds only with the cap on the rule's step (scenario 1 is off by
+    # 8.9e-9 at k = 0 without it) and with the reach of 36 / (k + 1)
+    # below the log-gamma mode (rare_wide)
+    n_counts = min(int(math.exp(eta + 8.0 * math.sqrt(tau2))) + 64, 20_000)
+    want = np.cumsum(_law_pmf(eta, tau2, n_counts))
+    k = np.flatnonzero(want < 1.0 - 1e-9)
+    got = simulate._lognormal_cdf(k.astype(float), np.full(k.size, float(eta)), math.sqrt(tau2))
+    assert np.max(np.abs(got - want[k])) <= 5e-13
+
+
+# Exact bands.  Each law is (design, params, months checked); the band's
+# quantiles are compared with the inversion of the _count_pmf cumsum, or
+# with scipy's Poisson quantile at tau2 = 0.
+def _trend(mean, slope, tau2, horizon=216):
+    X = np.column_stack([np.ones(horizon), np.linspace(-1.0, 1.0, horizon)])
+    return X, pp.Params(beta=[math.log(mean), slope], sigma2=tau2, phi=0.0)
+
+
+def _scenario_law(sid):
+    return lambda tmp_path: (np.ones((3, 1)), pp.SCENARIOS[sid].params, slice(None))
+
+
+def _trend_law(mean, slope, tau2, months=slice(None)):
+    return lambda tmp_path: (*_trend(mean, slope, tau2), months)
+
+
+def _bundled_law(country, *fit_args):
+    # the acceptance-criterion-9 fit of a bundled series, over its 216 months
+    def law(tmp_path):
+        from pairpois import cli
+
+        data = pathlib.Path(pp.__file__).parent / "data" / f"{country}_imd.csv"
+        report_path = tmp_path / "fit.json"
+        rc = cli.main(["fit", str(data), "--output", str(report_path),
+                       "--holdout-months", "12", *fit_args])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        result, spec = cli._result_from_report(report)
+        X, _ = cli.build_design(spec, cli.read_count_csv(str(data)).months, report["n_train"])
+        return X, result.params_hat, slice(None)
+
+    return law
+
+
+EXACT_LAWS = {
+    **{f"scenario{sid}": _scenario_law(sid) for sid in (1, 3, 5, 8)},
+    "greece": _bundled_law("greece", "-d", "1", "--weights", "trap", "--nodes", "10",
+                           "--trend", "--harmonics"),
+    "italy": _bundled_law("italy", "-d", "2", "--weights", "trap", "--nodes", "10",
+                          "--harmonics", "--level-shift", "2005-03"),
+    "high_count": lambda tmp_path: (
+        np.ones((3, 1)), pp.Params(beta=[HIGH_COUNT[0]], sigma2=HIGH_COUNT[1], phi=0.0),
+        slice(None)),
+    # the reference costs a rule evaluation per count, so at counts in the
+    # thousands three months stand for the 216
+    "trend2000_tau2_0.02": _trend_law(2000.0, 0.5, 0.02, [0, 107, 215]),
+    "trend2000_tau2_0.511": _trend_law(2000.0, 0.5, 0.511, [0, 107, 215]),
+    "tau2_floor": _trend_law(15.0, 1.5, math.exp(-pp.estimation.LOG_SIGMA2_BOUND)),
+    "independence": _trend_law(30.0, 4.0, 0.0),
+}
+LEVELS = (0.90, 0.95, 0.99)
+
+
+def _pmf_quantiles(eta, tau2):
+    from pairpois.simulate import _count_pmf
+
+    rate = np.exp(eta - 8.0 * math.sqrt(tau2))
+    # below `low` lie u < -8 tau and counts 8.5 sd below their mean, less
+    # than 1e-15 of the mass; by Cantelli's inequality P(Y > high) < 0.01
+    low = np.floor(np.maximum(rate - 8.5 * np.sqrt(rate), 0.0))
+    mean = np.exp(eta + 0.5 * tau2)
+    high = np.ceil(mean + 10.0 * np.sqrt(mean + mean * mean * math.expm1(tau2)))
+    k = low[:, None] + np.arange(int(np.max(high - low)) + 1)
+    cdf = np.cumsum(_count_pmf(k, eta[:, None], tau2), axis=1)
+    return [low + np.sum(cdf < level, axis=1) for level in LEVELS]
+
+
+@pytest.mark.parametrize("law", EXACT_LAWS.values(), ids=EXACT_LAWS.keys())
+def test_band_is_the_exact_law(tmp_path, law):
+    X, params, months = law(tmp_path)
+    fit = types.SimpleNamespace(converged=True, params_hat=params)
+    band = pp.predict(fit, None, X_insample=X)
+    assert_allclose(band.point, [pp.marginal_mean(x, params) for x in X], rtol=1e-12, atol=0)
+    got = [band.quantile(0.90)[months], band.upper95[months], band.quantile(0.99)[months]]
+    eta = X[months] @ params.beta
+    if params.tau2 == 0.0:
+        want = [stats.poisson.ppf(level, np.exp(eta)) for level in LEVELS]
     else:
-        monkeypatch.setattr(simulate, "_PMF_DRAWS", math.inf)
-
-
-@pytest.mark.parametrize("way", ["blocks", "direct"])
-def test_predict_high_count_design_matches_law(monkeypatch, way):
-    _force(monkeypatch, way)
-    eta, tau2 = HIGH_COUNT
-    fit = types.SimpleNamespace(
-        converged=True, params_hat=pp.Params(beta=[eta], sigma2=tau2, phi=0.0)
-    )
-    n_sim = 10_000
-    band = pp.predict(fit, np.ones((3, 1)), n_sim=n_sim, seed=4)
-    assert np.all(np.isfinite(band.point)) and np.all(np.isfinite(band.upper95))
-    params = fit.params_hat
-    mean, var = pp.marginal_mean(ONE, params), pp.marginal_var(ONE, params)
-    assert np.all(np.abs(band.point - mean) <= 4 * math.sqrt(var / n_sim))
-    tol = 4 * math.sqrt(0.95 * 0.05 / n_sim)
-    for q in band.upper95.astype(int):
-        below, at = _dual_cdf(eta, tau2, [q - 1, q])
-        assert below <= 0.95 + tol and at >= 0.95 - tol
-
-
-def test_draw_histograms_follow_the_law_across_blocks():
-    # D=10 at exp(eta) = 2.4: about 1% of the mass lies beyond the first
-    # block of counts, and draws reach several blocks further
-    from pairpois.simulate import _count_pmf, _draw_histograms
-
-    eta, tau2, n_sim = math.log(2.4), pp.SCENARIOS[1].tau2, 200_000
-    hist = _draw_histograms(np.array([eta]), tau2, n_sim, np.random.default_rng(8))[0]
-    assert hist.sum() == n_sim
-    expected = n_sim * _count_pmf(np.arange(hist.shape[0]), eta, tau2)
-    cells = int(np.argmax(expected < 10))  # pool the tail from there on
-    observed = np.append(hist[:cells], hist[cells:].sum())
-    expected = np.append(expected[:cells], n_sim - expected[:cells].sum())
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    df = cells
-    assert chi2 <= df + 6 * math.sqrt(2 * df)
-
-
-def test_draw_histograms_keep_draws_beyond_last_block(monkeypatch):
-    # with a large tail bound each month ends while much of its law lies
-    # beyond the block; those draws land on the block's top count
-    monkeypatch.setattr(simulate, "_TAIL", 0.5)
-    _force(monkeypatch, "blocks")
-    eta = np.log([2.4, 2.4, 30.0])
-    hist = simulate._draw_histograms(eta, pp.SCENARIOS[1].tau2, 5_000, np.random.default_rng(2))
-    assert np.all(hist.sum(axis=1) == 5_000)
-    top = simulate._BLOCK - 1
-    assert hist.shape[1] == simulate._BLOCK and np.all(hist[:, top] > 0.005 * 5_000)
+        want = _pmf_quantiles(eta, params.tau2)
+    for level, g, w in zip(LEVELS, got, want):
+        assert np.array_equal(g, w), level
 
 
 @pytest.mark.parametrize("mean,tau2", [(2000.0, 0.511), (2000.0, 0.02), (20.0, 0.6)])
 def test_predict_trend_design_work_is_bounded(monkeypatch, mean, tau2):
-    # 216 months with a trend: each month has its own law.  The rule
-    # evaluates at most _CHUNK_CELLS cells at once (set low here so that
-    # calls are split), and all its counts together cost no more than the
-    # n_sim draws per month they replace, at 10 draws per count.
-    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1 << 14)
-    calls = []
-    rule_sum = simulate._rule_sum
+    # 216 months with a trend: each month has its own law.  Each cdf call
+    # halves every month's Cantelli bracket, and the rule evaluates at most
+    # _CHUNK_CELLS cells at once (set low here so that calls are split),
+    # which leaves the band as it is.
+    X, params = _trend(mean, 0.5, tau2)
+    fit = types.SimpleNamespace(converged=True, params_hat=params)
+    whole = pp.predict(fit, None, X_insample=X)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1 << 12)
+    calls, erfc_cells = [], []
+    cdf, erfc = simulate._lognormal_cdf, simulate._erfc
 
-    def recorded(kf, eta, tau2, nodes, step):
-        calls.append((kf.size, kf.size * nodes.size))
-        return rule_sum(kf, eta, tau2, nodes, step)
+    def recorded_cdf(k, eta, tau):
+        calls.append(k.size)
+        return cdf(k, eta, tau)
 
-    monkeypatch.setattr(simulate, "_rule_sum", recorded)
-    horizon, n_sim = 216, 10_000
-    X = np.column_stack([np.ones(horizon), np.linspace(-1.0, 1.0, horizon)])
-    params = pp.Params(beta=[math.log(mean), 0.5], sigma2=tau2, phi=0.0)
-    band = pp.predict(types.SimpleNamespace(converged=True, params_hat=params), None,
-                      n_sim=n_sim, seed=6, X_insample=X)
-    assert all(cells <= 1 << 14 for _, cells in calls)
-    assert sum(counts for counts, _ in calls) * 10 <= horizon * n_sim
-    mean_t = np.array([pp.marginal_mean(x, params) for x in X])
-    sd_t = np.sqrt([pp.marginal_var(x, params) for x in X])
-    assert np.all(np.abs(band.point - mean_t) <= 5 * sd_t / math.sqrt(n_sim))
+    def recorded_erfc(x):
+        erfc_cells.append(x.size)
+        return erfc(x)
+
+    monkeypatch.setattr(simulate, "_lognormal_cdf", recorded_cdf)
+    monkeypatch.setattr(simulate, "_erfc", recorded_erfc)
+    split = pp.predict(fit, None, X_insample=X)
+    assert split.upper95.tobytes() == whole.upper95.tobytes()
+    assert max(erfc_cells) <= 1 << 12 and len(erfc_cells) > len(calls)
+    sd = max(math.sqrt(pp.marginal_var(x, params)) for x in X)
+    bracket = sd * (math.sqrt(19.0) + math.sqrt(1.0 / 19.0)) + 3.0
+    assert len(calls) <= math.ceil(math.log2(bracket)) and max(calls) <= X.shape[0]
