@@ -366,6 +366,33 @@ def test_band_is_the_exact_law(tmp_path, law):
         assert np.array_equal(g, w), level
 
 
+@pytest.mark.parametrize("way", ["blocks", "direct"])
+def test_predict_high_count_design_matches_law(monkeypatch, way):
+    # three months near exp(eta) = 2000, each its own law.  "blocks"
+    # evaluates the rule one law at a time, "direct" each cdf call at once;
+    # both give the exact law.
+    eta, tau2 = HIGH_COUNT
+    X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+    params = pp.Params(beta=[eta, 0.1], sigma2=tau2, phi=0.0)
+    calls, erfc_calls = [], []
+    if way == "blocks":
+        monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1)
+        cdf, erfc = simulate._lognormal_cdf, simulate._erfc
+        monkeypatch.setattr(simulate, "_lognormal_cdf",
+                            lambda k, e, tau: (calls.append(k.size), cdf(k, e, tau))[1])
+        monkeypatch.setattr(simulate, "_erfc", lambda x: (erfc_calls.append(x.size), erfc(x))[1])
+    band = pp.predict(types.SimpleNamespace(converged=True, params_hat=params), X)
+    if way == "blocks":
+        assert len(erfc_calls) == sum(calls) > len(calls)
+    assert np.all(np.isfinite(band.point)) and np.all(np.isfinite(band.upper95))
+    assert_allclose(band.point, [pp.marginal_mean(x, params) for x in X], rtol=1e-12, atol=0)
+    eta_t = X @ params.beta
+    for e, q in zip(eta_t, band.upper95.astype(int)):
+        assert _quantile(lambda k: _dual_cdf(e, tau2, k), q)
+    for level, w in zip(LEVELS, _pmf_quantiles(eta_t, tau2)):
+        assert np.array_equal(band.quantile(level), w), level
+
+
 @pytest.mark.parametrize("mean,tau2", [(2000.0, 0.511), (2000.0, 0.02), (20.0, 0.6)])
 def test_predict_trend_design_work_is_bounded(monkeypatch, mean, tau2):
     # 216 months with a trend: each month has its own law.  Each cdf call
