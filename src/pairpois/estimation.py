@@ -587,7 +587,10 @@ def fit_restricted(
     so the pair densities are Poisson products up to rounding.  Hence
     ``quad_order`` must be a valid rule order for this restriction too,
     and a mean e^eta that overflows raises a located
-    ``NumericalFailure``.
+    ``NumericalFailure``.  Both restrictions hold phi at 0, where every
+    lag's latent pair is uncorrelated and the tensor rule is exactly the
+    product of two 1-D rules, so their passes run the 1-D rule once per
+    time point instead of over every distinct pair's q^2 cells.
     """
     if restriction not in (PHI_ZERO, INDEPENDENCE):
         raise ValueError(f"unknown restriction {restriction!r}")

@@ -461,6 +461,49 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
     return logp, derivs
 
 
+def _marginal_terms(rule: QuadRule, c: float, y, lgam, eta):
+    """Per-time factors of the pair rule at latent correlation 0.
+
+    At rho = 0 the latent pair (u, v) has independent N(0, tau2) members,
+    and the cells of :func:`_pass_grid` sit at u = c x_j, v = c x_k with
+    weights w_j w_k / pi: the tensor rule is the product of the 1-D rule
+    in u with itself.  A pair's log density is then the sum of its two
+    members' 1-D log integrals, and each posterior mean of the fused
+    kernel the product of the members' 1-D means.  This runs the 1-D rule
+    once per time t, over the (n, q) exponents log w_j - log(pi)/2 +
+    y_t u_j - e^(eta_t) e^(u_j), and returns whether each row's maximum
+    is finite, with four length-n arrays: the log integral, its
+    derivatives in eta and (the member's share) in log c, and E[u].
+    """
+    u = c * rule.nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp_u = np.exp(u)
+        exp_eta = np.exp(eta)
+        expo = (np.log(rule.weights) - 0.5 * _LOG_PI) + y[:, None] * u - exp_eta[:, None] * exp_u
+        m = expo.max(axis=1)
+        sums = np.exp(expo - m[:, None]) @ np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
+        s_u, s_eu, s_ueu = (sums[:, 1:] / sums[:, :1]).T
+        logp = m + np.log(sums[:, 0]) + y * eta - lgam
+        return np.isfinite(m), (logp, y - exp_eta * s_eu, y * s_u - exp_eta * s_ueu, s_u)
+
+
+def _product_pairs(i1, i2, finite, marginal, failure):
+    """What :func:`_fused_pairs` returns at latent correlation 0 for the
+    pairs of time points ``i1``, ``i2``, gathered from the per-time rows
+    of :func:`_marginal_terms` at each pair's members.  The rho derivative
+    keeps the fused kernel's form E[dv/drho] d/d eta2 with dv/drho = u_j
+    there, the first member's nodes.  ``failure(row)`` is raised for the
+    first pair with a member whose exponents have no finite maximum."""
+    bad = ~(finite[i1] & finite[i2])
+    if np.any(bad):
+        raise failure(int(np.argmax(bad)))
+    logp, d_eta, d_logc, s_u = marginal
+    d_eta2 = d_eta[i2]
+    with np.errstate(invalid="ignore"):  # an infinite moment times 0
+        derivs = np.column_stack([d_eta[i1], d_eta2, d_logc[i1] + d_logc[i2], s_u[i1] * d_eta2])
+    return logp[i1] + logp[i2], derivs
+
+
 def pair_log_density(
     y1: int,
     y2: int,
@@ -476,8 +519,10 @@ def pair_log_density(
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
     the full grid) so that large counts cannot underflow.  This is the
-    kernel :class:`PairwiseEvaluator` runs, called for a group of one
-    pair.  At tau2 = 0 the latent pair is a point mass at the origin,
+    tensor kernel :class:`PairwiseEvaluator` runs at phi != 0, called
+    for a group of one pair; it stays on that kernel at phi = 0 too,
+    where the evaluator runs the equal product of 1-D rules instead.
+    At tau2 = 0 the latent pair is a point mass at the origin,
     which the rule integrates exactly: the density is the product of two
     Poisson probabilities, up to rounding.
 
@@ -590,8 +635,11 @@ class PairwiseEvaluator:
     of the pass's grids, and every elementwise step runs once over the
     group.  Blocks of a few dozen distinct pairs (covariate-free series)
     thus share one call; a block larger than the budget runs alone.  A
-    group keeps its concatenated pairs, counts, log-factorials, constant
-    term columns and covariate rows, so a pass rebuilds none of them.
+    group keeps its concatenated counts, log-factorials and constant term
+    columns, and the evaluator the time points and covariate rows of every
+    distinct pair in lag order, so a pass rebuilds none of them.  The
+    kernel's per-pair outputs fill one array for the pass, and the
+    working-scale scores are formed once over it.
     The only array of pairs x q^2 size is one scratch buffer, sized for
     the largest group, that each evaluation allocates once and every
     group reuses; the evaluator itself holds no mutable state, so all
@@ -612,6 +660,17 @@ class PairwiseEvaluator:
     Poisson regression, and zero scores for log sigma2 and z_phi, up to
     rounding.  A pair whose mean e^eta overflows raises a located
     :class:`NumericalFailure` there as everywhere.
+
+    At phi = 0 (the ``phi_zero`` restriction, the independence point with
+    z_phi = 0, or any call at z_phi = 0) the pass skips the tensor kernel.
+    Every lag's latent correlation is then 0, and at rho = 0 the tensor
+    rule is exactly the product of two 1-D rules, one per member of a
+    pair.  So the 1-D rule runs once per time point, over n x q cells, and
+    each distinct pair adds its two members' log integrals and combines
+    their posterior means into the kernel's four derivatives
+    (:func:`_marginal_terms`, :func:`_product_pairs`).  The results equal
+    the tensor kernel's up to rounding; the sums over pairs, the per-pair
+    scores and the failure location are those of the tensor pass.
     """
 
     def __init__(self, series: CountSeries, weights: PairWeights, rule: QuadRule):
@@ -632,9 +691,11 @@ class PairwiseEvaluator:
         y_first, y_rank = _lex_groups((y,))
         x_rank = _lex_groups(series.X.T[::-1])[1]  # column 0 sorts first
         lgam = _log_factorial(y[y_first])[y_rank]
+        self._lgam = lgam
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._blocks = []
+        start = 0
         for lag, w_lag in zip(weights.lags, weights.w):
             idx2 = outer
             idx1 = outer - lag
@@ -654,8 +715,13 @@ class PairwiseEvaluator:
                     "lgam": lgam[i1] + lgam[i2],
                     "inverse": inverse,
                     "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
+                    "rows": slice(start, start + rep.shape[0]),
                 }
             )
+            start += rep.shape[0]
+        self._i1, self._i2 = (np.concatenate([b[key] for b in self._blocks]) for key in ("i1", "i2"))
+        self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
+        self._sizes = np.array([block["i1"].shape[0] for block in self._blocks])
         q2 = self._weight_row.shape[0]
         runs, rows = [[]], 0
         for block in self._blocks:
@@ -676,28 +742,23 @@ class PairwiseEvaluator:
         def joined(key):
             return np.concatenate([block[key] for block in blocks])
 
-        i1, i2 = joined("i1"), joined("i2")
         group = _pair_group(
             joined("y1"), joined("y2"), joined("lgam"), [block["i1"].shape[0] for block in blocks]
         )
         group.update(
             blocks=blocks,
             slots=slice(start, start + len(blocks)),
-            i1=i1,
-            i2=i2,
-            X1=self.series.X[i1],
-            X2=self.series.X[i2],
+            rows=slice(blocks[0]["rows"].start, blocks[-1]["rows"].stop),
         )
         return group
 
     # -- core passes -------------------------------------------------------
 
-    def _underflow(self, group, row: int) -> NumericalFailure:
-        """The failure for row ``row`` of a group, the distinct pair of
-        one of its blocks, located at the first time index that uses it."""
-        j = next(j for j, rows in enumerate(group["slices"]) if row < rows.stop)
-        block = group["blocks"][j]
-        pos = int(np.nonzero(block["inverse"] == row - group["slices"][j].start)[0][0])
+    def _underflow(self, row: int) -> NumericalFailure:
+        """The failure for row ``row`` of the pass, the distinct pair of
+        one lag block, located at the first time index that uses it."""
+        block = next(block for block in self._blocks if row < block["rows"].stop)
+        pos = int(np.nonzero(block["inverse"] == row - block["rows"].start)[0][0])
         lag = block["lag"]
         return NumericalFailure(
             f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
@@ -706,7 +767,8 @@ class PairwiseEvaluator:
         )
 
     def _evaluate(self, working: WorkingParams):
-        """One kernel pass over every group of lag blocks.
+        """One kernel pass over every group of lag blocks, on the product
+        of 1-D rules at phi = 0.
 
         Returns the loglik, the score and, per lag, (lag, weight, scores)
         with one row of scores per distinct pair of the block, for
@@ -717,33 +779,40 @@ class PairwiseEvaluator:
         c = math.sqrt(2.0 * params.tau2)
         nodes = self.rule.nodes
         eta = self.series.X @ params.beta
-        buf = np.empty((self._max_rows, self._weight_row.shape[0]))
         lags = [block["lag"] for block in self._blocks]
-        grids, moments = _pass_grid(nodes, self._weight_row, c, len(lags))
-        _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in lags])
+        if phi == 0.0:
+            logp, derivs = _product_pairs(
+                self._i1, self._i2,
+                *_marginal_terms(self.rule, c, self.series.y, self._lgam, eta), self._underflow,
+            )
+        else:
+            buf = np.empty((self._max_rows, self._weight_row.shape[0]))
+            grids, moments = _pass_grid(nodes, self._weight_row, c, len(lags))
+            _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in lags])
+            eta1, eta2 = eta[self._i1], eta[self._i2]
+            logp, derivs = np.empty(self._i1.shape[0]), np.empty((self._i1.shape[0], 4))
+            for group in self._groups:
+                rows, slots = group["rows"], group["slots"]
+                logp[rows], derivs[rows] = _fused_pairs(
+                    group, eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
+                    lambda row: self._underflow(rows.start + row),
+                )
         drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in lags])
         n_coef = self.n_coef
+        grads = np.empty((logp.shape[0], self.dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
+            grads[:, :n_coef] = derivs[:, :1] * self._X1 + derivs[:, 1:2] * self._X2
+            grads[:, n_coef] = 0.5 * derivs[:, 2]
+            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz.repeat(self._sizes) * derivs[:, 3]
 
         loglik = 0.0
         score = np.zeros(self.dim)
         block_grads = []
-        for group in self._groups:
-            slots = group["slots"]
-            logp, derivs = _fused_pairs(
-                group, eta[group["i1"]], eta[group["i2"]], grids[slots], moments[slots], buf,
-                lambda row: self._underflow(group, row),
-            )
-            grads = np.empty((logp.shape[0], self.dim))
-            with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
-                grads[:, :n_coef] = derivs[:, :1] * group["X1"] + derivs[:, 1:2] * group["X2"]
-                grads[:, n_coef] = 0.5 * derivs[:, 2]
-                grads[:, n_coef + 1] = (
-                    phi * derivs[:, 2] + drho_dz[slots].repeat(group["sizes"]) * derivs[:, 3]
-                )
-            for block, rows in zip(group["blocks"], group["slices"]):
-                loglik += block["w"] * float(block["counts"] @ logp[rows])
-                score += block["w"] * (block["counts"] @ grads[rows])
-                block_grads.append((block["lag"], block["w"], grads[rows]))
+        for block in self._blocks:
+            rows = block["rows"]
+            loglik += block["w"] * float(block["counts"] @ logp[rows])
+            score += block["w"] * (block["counts"] @ grads[rows])
+            block_grads.append((block["lag"], block["w"], grads[rows]))
         return loglik, score, block_grads
 
     def _expand(self, block_grads):
@@ -791,7 +860,9 @@ def pairwise_loglik(
     bit-equal to the loglik a fit reports at the same point.
     ``sigma2 = 0`` (tau2 = 0) needs no special case: the
     evaluator integrates the point mass exactly, giving the weighted sum
-    of Poisson-product log-likelihoods up to rounding.
+    of Poisson-product log-likelihoods up to rounding.  At ``phi = 0`` the
+    evaluator runs the product of two 1-D rules, which is the tensor rule
+    exactly there because the latent pair is uncorrelated at every lag.
 
     This builds a :class:`PairwiseEvaluator` for the one call.  For the
     score, the per-time scores, or repeated evaluations, build the

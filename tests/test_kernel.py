@@ -183,14 +183,18 @@ def test_fused_kernel_matches_broadcast_on_greek_design():
     assert_kernels_agree(series, pp.make_weights(5, "trap"), 20, points)
 
 
-def failure_location(spike):
-    """Drive the linear predictor to 800 at 0-based time ``spike`` and
-    return the (time_index, lag) both kernels report; exp() overflows
-    there at every node for the pairs that contain that time."""
-    n = 40
+def spike_series(spike, n=40):
+    """A covariate that is 1 at 0-based time ``spike`` and 0 elsewhere;
+    with coefficient 800 the linear predictor reaches 800 there and exp()
+    overflows at every node for the pairs that contain that time."""
     z = np.zeros(n)
     z[spike] = 1.0
-    series = pp.CountSeries(y=np.arange(n) % 4, X=np.column_stack([np.ones(n), z]))
+    return pp.CountSeries(y=np.arange(n) % 4, X=np.column_stack([np.ones(n), z]))
+
+
+def failure_location(spike):
+    """The (time_index, lag) both kernels report on ``spike_series``."""
+    series = spike_series(spike)
     working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
     rule = pp.gauss_hermite(5)
     weights = pp.make_weights(2, "trap")
@@ -249,6 +253,68 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     for working in trial_points(pp.moment_init(series)):
         for method in ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores"):
             assert_bitwise_equal(getattr(grouped, method)(working), getattr(alone, method)(working))
+
+
+# ---------------------------------------------------------------------------
+# product rule at phi = 0
+
+# z_phi = 1e-300 gives phi != 0, so the tensor kernel runs, on the grid of
+# rho = 0: rho = 1e-300 at lag 1 and 0 beyond moves no node
+TENSOR_Z_PHI = 1e-300
+PRODUCT_RTOL = 1e-13  # relative to the largest entry of the tensor result
+
+
+def assert_close_to_tensor(got, want):
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_close_to_tensor(a, b)
+        return
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= PRODUCT_RTOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("latent", ["tau2>0", "tau2=0"])
+@pytest.mark.parametrize(
+    "make,weights",
+    [
+        (lambda: pp.simulate_scenario(5, 500, seed=2024), pp.make_weights(3, "trap")),
+        (greek_series, pp.make_weights(5, "trap")),
+    ],
+    ids=["constant_x", "greek"],
+)
+def test_product_rule_at_phi_zero_matches_tensor_kernel(make, weights, latent, monkeypatch):
+    series = make()
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(20))
+    start = pp.moment_init(series).to_working()
+    sigma2s = [start.log_sigma2, start.log_sigma2 + 1.0] if latent == "tau2>0" else [-math.inf]
+    methods = ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores")
+    tensor_calls = []
+    fused = model._fused_pairs
+    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (tensor_calls.append(1), fused(*a))[1])
+    for log_sigma2 in sigma2s:
+        for z_phi in (0.0, TENSOR_Z_PHI):
+            del tensor_calls[:]
+            working = pp.WorkingParams(beta=start.beta, log_sigma2=log_sigma2, z_phi=z_phi)
+            got = [getattr(ev, method)(working) for method in methods]
+            assert bool(tensor_calls) == (z_phi != 0.0)
+            if z_phi == 0.0:
+                product = got
+        assert_close_to_tensor(product, got)
+
+
+@pytest.mark.parametrize("log_sigma2", [math.log(0.1), -math.inf], ids=["tau2>0", "tau2=0"])
+@pytest.mark.parametrize("spike", [22, 2], ids=["first_block", "later_block"])
+def test_product_rule_failure_location_matches_tensor_kernel(spike, log_sigma2):
+    ev = PairwiseEvaluator(spike_series(spike), pp.make_weights(2, "trap"), pp.gauss_hermite(5))
+    errors = []
+    for z_phi in (0.0, TENSOR_Z_PHI):
+        working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=log_sigma2, z_phi=z_phi)
+        with pytest.raises(NumericalFailure) as info:
+            ev.loglik_and_score(working)
+        errors.append((info.value.time_index, info.value.lag))
+    assert errors[0] == errors[1] == {22: (23, 1), 2: (5, 2)}[spike]
 
 
 # ---------------------------------------------------------------------------

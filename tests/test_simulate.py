@@ -283,6 +283,13 @@ def test_lognormal_cdf_is_the_count_pmf_cumsum(eta, tau2):
     assert np.max(np.abs(got - want[k])) <= 5e-13
 
 
+def test_erfc_matches_math_erfc_on_the_cdf_band():
+    # _lognormal_cdf evaluates erfc on |x| < 9 / sqrt(2), about 6.36
+    reference = np.frompyfunc(math.erfc, 1, 1)
+    for x in np.linspace(-6.4, 6.4, 2_000_000).reshape(4, -1):
+        assert np.max(np.abs(simulate._erfc(x) - reference(x).astype(float))) <= 1e-15
+
+
 # Exact bands.  Each law is (design, params, months checked); the band's
 # quantiles are compared with the inversion of the _count_pmf cumsum, or
 # with scipy's Poisson quantile at tau2 = 0.
