@@ -379,7 +379,6 @@ def _pair_group(y1, y2, lgam, sizes):
         "y2": y2,
         "lgam": lgam,
         "terms": terms,
-        "sizes": np.array(sizes),
         "slices": slices,
     }
 
