@@ -13,6 +13,7 @@ import math
 import operator
 import re
 import sys
+import types
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -166,12 +167,6 @@ class ModelSpec:
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelSpec":
-        spec = cls(**{f.name: obj[f.name] for f in fields(cls)})
-        spec.covariates = tuple(spec.covariates)
-        return spec
 
 
 def build_design(
@@ -396,7 +391,18 @@ def _report_value(report: dict, key: str, convert=None):
         raise DataFormatError(f"fit report {key!r} is not valid: {detail}") from None
 
 
-def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
+def _result_from_report(report: dict) -> tuple[types.SimpleNamespace, ModelSpec]:
+    """What ``predict`` uses of a fit report: the fit, as its estimates
+    ``params_hat`` and its ``converged`` flag, and the model the band's
+    design is built from.  Every other section is left unread.
+
+    Raises
+    ------
+    DataFormatError
+        Naming the key, when an entry is missing or has the wrong type.
+    ValueError
+        When an estimate is out of range for :class:`Params`.
+    """
     version = report.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         found = "no schema_version" if version is None else f"schema_version {version!r}"
@@ -407,42 +413,41 @@ def _result_from_report(report: dict) -> tuple[estimation.FitResult, ModelSpec]:
     def read(key, convert=None):
         return _report_value(report, key, convert)
 
-    def to_nan(v):
-        return math.nan if v is None else float(v)
-
     def boolean(v):
         if not isinstance(v, bool):
             raise TypeError(f"expected true or false, got {v!r}")
         return v
 
-    spec = read("model", ModelSpec.from_json)
+    def integer(v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"expected an integer, got {v!r}")
+        return v
+
+    def month_or_none(v):
+        if v is not None:
+            month_to_ordinal(v)
+        return v
+
+    def column_names(v):
+        if not isinstance(v, list) or not all(isinstance(name, str) for name in v):
+            raise TypeError(f"expected a list of column names, got {v!r}")
+        return tuple(v)
+
+    checks = {"trend": boolean, "harmonics": boolean, "period": integer,
+              "level_shift": month_or_none, "covariates": column_names}
+    spec = ModelSpec(**{f.name: read(f"model.{f.name}", checks.get(f.name))
+                        for f in fields(ModelSpec)})
+    if spec.harmonics and spec.period < 3:
+        raise DataFormatError(
+            f"fit report 'model.period' is not valid: harmonics need at least 3 months, "
+            f"got {spec.period}"
+        )
     params = Params(
         beta=read("estimates.beta", lambda v: np.asarray(v, dtype=float)),
         sigma2=read("estimates.sigma2", float),
         phi=read("estimates.phi", float),
     )
-    weights = make_weights(spec.d, spec.scheme)
-    se = np.array(
-        read("se.beta", lambda v: [to_nan(x) for x in v])
-        + [read(f"se.{name}", to_nan) for name in ("sigma2", "phi", "tau2")]
-    )
-    result = estimation.FitResult(
-        params_hat=params,
-        working_hat=params.to_working(),
-        loglik=read("loglik"),
-        H_hat=read("matrices.H", np.asarray),
-        J_hat=read("matrices.J", np.asarray),
-        godambe=read("matrices.godambe", np.asarray),
-        se=se,
-        clic=read("clic"),
-        iterations=read("iterations"),
-        converged=read("converged", boolean),
-        quad_order=spec.quad_order,
-        weights=weights,
-        hac_lags=read("hac_lags_used"),
-        restriction=spec.restriction,
-    )
-    return result, spec
+    return types.SimpleNamespace(params_hat=params, converged=read("converged", boolean)), spec
 
 
 def cmd_predict(args) -> int:
@@ -472,6 +477,11 @@ def cmd_predict(args) -> int:
             spec.covariates, months_all, data, args.future_covariates
         )
     X_all, _ = build_design(spec, months_all, n_train, covariates)
+    if result.params_hat.n_coef != X_all.shape[1]:
+        raise DataFormatError(
+            f"{args.report}: fit report 'estimates.beta' has {result.params_hat.n_coef} "
+            f"coefficients for {X_all.shape[1]} design columns"
+        )
     band = predict(result, None, X_insample=X_all)
 
     with open(args.output, "w", newline="") as handle:

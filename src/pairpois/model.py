@@ -9,7 +9,6 @@ score on the unconstrained (working) scale.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -362,43 +361,25 @@ def _lag_grid(rule: QuadRule, tau2: float, rho: float):
     return grid[0], moments[0]
 
 
-def _pair_group(y1, y2, lgam, sizes):
-    """The inputs of one kernel call that no parameter changes: the
-    counts ``y1``, ``y2`` as floats and the summed log-factorials
-    ``lgam`` of consecutive lag blocks of ``sizes`` pairs each, the
-    constant columns of the per-pair term matrix [1, y1, ., y2, .], and
-    each block's row slice."""
-    terms = np.zeros((y1.shape[0], 5))
-    terms[:, 0] = 1.0
-    terms[:, 1] = y1
-    terms[:, 3] = y2
-    ends = itertools.accumulate(sizes)
-    slices = [slice(end - size, end) for size, end in zip(sizes, ends)]
-    return {
-        "y1": y1,
-        "y2": y2,
-        "lgam": lgam,
-        "terms": terms,
-        "slices": slices,
-    }
-
-
-def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
+def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failure):
     """Log densities (and score pieces) of the pairs of a group of lag
     blocks by two matrix products per block over one scratch array.
 
-    ``group`` comes from :func:`_pair_group`, ``eta1``, ``eta2`` are the
-    linear predictors of its pairs, and ``grids[j]``, ``moments[j]`` are
-    the factors of :func:`_pass_grid` with the v rows of block j's lag
-    written.  Only the two matrix products depend on the lag; each runs
-    on its block's own rows, with the shapes a block alone would give.
-    Everything elementwise runs once over the group.  ``out`` is a
-    scratch array of at least (pairs, q^2) that first receives the
-    integrand exponents and then, shifted by each row's maximum, their
-    exponentials in place, so the pass allocates nothing of the grid's
-    size.  ``failure(row)`` builds the exception raised when every term
-    of a row underflows even in log space; the row is the group's
-    first such row, so the earliest block's.
+    ``terms`` holds the constant columns of each pair's term matrix
+    [1, y1, ., y2, .], with the counts as floats, ``lgam`` each pair's
+    summed log-factorials log y1! + log y2!, ``block_rows[j]`` the rows
+    of block j, ``eta1``, ``eta2`` the linear predictors of the pairs,
+    and ``grids[j]``, ``moments[j]`` the factors of :func:`_pass_grid`
+    with the v rows of block j's lag written.  Only the two matrix
+    products depend on the lag; each runs on its block's own rows, with
+    the shapes a block alone would give.  Everything elementwise runs
+    once over the group.  ``out`` is a scratch array of at least (pairs,
+    q^2) that first receives the integrand exponents and then, shifted
+    by each row's maximum, their exponentials in place, so the pass
+    allocates nothing of the grid's size.  ``failure(row)`` builds the
+    exception raised when every term of a row underflows even in log
+    space; the row is the group's first such row, so the earliest
+    block's.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
@@ -422,17 +403,16 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
     normalising sum the derivatives divide by, so a loglik-only caller
     gets bit for bit the value the score pass reports.
     """
-    y1, y2 = group["y1"], group["y2"]
-    slices = group["slices"]
+    y1, y2 = terms[:, 1], terms[:, 3]
     out = out[: y1.shape[0]]
     sums = np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
         exp_eta2 = np.exp(eta2)
-        terms = group["terms"].copy()
+        terms = terms.copy()
         np.negative(exp_eta1, out=terms[:, 2])
         np.negative(exp_eta2, out=terms[:, 4])
-        for rows, grid in zip(slices, grids):
+        for rows, grid in zip(block_rows, grids):
             np.matmul(terms[rows], grid, out=out[rows])
         m = out.max(axis=1)
         bad = ~np.isfinite(m)
@@ -444,8 +424,8 @@ def _fused_pairs(group, eta1, eta2, grids, moments, out, failure):
         if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
             np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
-        constant = y1 * eta1 + y2 * eta2 - group["lgam"]
-        for rows, moment in zip(slices, moments):
+        constant = y1 * eta1 + y2 * eta2 - lgam
+        for rows, moment in zip(block_rows, moments):
             np.matmul(out[rows], moment, out=sums[rows])
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
@@ -546,12 +526,11 @@ def pair_log_density(
     if np.array_equal(x1, x2) and y2 < y1:
         y1, y2 = y2, y1
 
-    y = np.array([y1, y2], dtype=float)
     eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
-    lgam = _log_factorial(y)
+    lgam = _log_factorial([y1, y2])
     grid, moments = _lag_grid(rule, params.tau2, params.phi**lag)
     logp, _ = _fused_pairs(
-        _pair_group(y[:1], y[1:], lgam[:1] + lgam[1:], [1]), eta[:1], eta[1:],
+        np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [slice(0, 1)], eta[:1], eta[1:],
         [grid], [moments], np.empty((1, grid.shape[1])),
         lambda _: NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
@@ -633,12 +612,14 @@ class PairwiseEvaluator:
     matrix products run on its own rows of the group, with its own slot
     of the pass's grids, and every elementwise step runs once over the
     group.  Blocks of a few dozen distinct pairs (covariate-free series)
-    thus share one call; a block larger than the budget runs alone.  A
-    group keeps its concatenated counts, log-factorials and constant term
-    columns, and the evaluator the time points and covariate rows of every
-    distinct pair in lag order, so a pass rebuilds none of them.  The
-    kernel's per-pair outputs fill one array for the pass, and the
-    working-scale scores are formed once over it.
+    thus share one call; a block larger than the budget runs alone.  The
+    evaluator keeps one copy of every distinct pair's inputs, in lag
+    order: its time points, covariate rows, summed log-factorials and the
+    constant columns of its term matrix.  A group keeps only its rows of
+    the pass, its slots of the pass's grids and each block's rows within
+    the call, so a pass rebuilds none of the pair inputs.  The kernel's
+    per-pair outputs fill one array for the pass, and the working-scale
+    scores are formed once over it.
     The only array of pairs x q^2 size is one scratch buffer, sized for
     the largest group, that each evaluation allocates once and every
     group reuses; the evaluator itself holds no mutable state, so all
@@ -709,9 +690,6 @@ class PairwiseEvaluator:
                     "w": float(w_lag),
                     "i1": i1,
                     "i2": i2,
-                    "y1": y[i1].astype(float),
-                    "y2": y[i2].astype(float),
-                    "lgam": lgam[i1] + lgam[i2],
                     "inverse": inverse,
                     "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
                     "rows": slice(start, start + rep.shape[0]),
@@ -721,35 +699,22 @@ class PairwiseEvaluator:
         self._i1, self._i2 = (np.concatenate([b[key] for b in self._blocks]) for key in ("i1", "i2"))
         self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
         self._sizes = np.array([block["i1"].shape[0] for block in self._blocks])
+        self._terms = np.zeros((self._i1.shape[0], 5))
+        self._terms[:, 0] = 1.0
+        self._terms[:, 1] = y[self._i1]
+        self._terms[:, 3] = y[self._i2]
+        self._pair_lgam = lgam[self._i1] + lgam[self._i2]
         q2 = self._weight_row.shape[0]
-        runs, rows = [[]], 0
-        for block in self._blocks:
-            size = block["i1"].shape[0]
-            if runs[-1] and (rows + size) * q2 > _GROUP_CELLS:
-                runs.append([])
-                rows = 0
-            runs[-1].append(block)
-            rows += size
-        starts = itertools.accumulate([len(run) for run in runs[:-1]], initial=0)
-        self._groups = [self._group(run, start) for run, start in zip(runs, starts)]
-        self._max_rows = max(group["y1"].shape[0] for group in self._groups)
-
-    def _group(self, blocks, start: int):
-        """One kernel call's inputs for consecutive lag blocks, the first
-        of which is lag block ``start`` of the evaluator."""
-
-        def joined(key):
-            return np.concatenate([block[key] for block in blocks])
-
-        group = _pair_group(
-            joined("y1"), joined("y2"), joined("lgam"), [block["i1"].shape[0] for block in blocks]
-        )
-        group.update(
-            blocks=blocks,
-            slots=slice(start, start + len(blocks)),
-            rows=slice(blocks[0]["rows"].start, blocks[-1]["rows"].stop),
-        )
-        return group
+        self._groups = []
+        for slot, block in enumerate(self._blocks):
+            rows = block["rows"]
+            if not self._groups or (rows.stop - first) * q2 > _GROUP_CELLS:
+                first, first_slot = rows.start, slot
+                self._groups.append({"block_rows": []})
+            group = self._groups[-1]
+            group.update(rows=slice(first, rows.stop), slots=slice(first_slot, slot + 1))
+            group["block_rows"].append(slice(rows.start - first, rows.stop - first))
+        self._max_rows = max(group["rows"].stop - group["rows"].start for group in self._groups)
 
     # -- core passes -------------------------------------------------------
 
@@ -793,7 +758,8 @@ class PairwiseEvaluator:
             for group in self._groups:
                 rows, slots = group["rows"], group["slots"]
                 logp[rows], derivs[rows] = _fused_pairs(
-                    group, eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
+                    self._terms[rows], self._pair_lgam[rows], group["block_rows"],
+                    eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
                     lambda row: self._underflow(rows.start + row),
                 )
         drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in lags])

@@ -10,24 +10,8 @@ import numpy as np
 from .errors import NotConvergedError
 from .model import CountSeries, Params, poisson_log_pmf
 
-# The trapezoid rule of _count_pmf, in units of the integrand's scale at
-# its mode.  It reaches 8 sqrt(1 + tau2) on each side, so at least 8 in z
-# where the modal rate is small and the integrand keeps the normal's
-# curvature, and at least 14 on the left, where the curvature falls
-# toward the normal's.  Chosen on the D=10 laws (scenarios 1 and 3, tau2
-# = 2.04, exp(eta) = 0.54) with a step of 0.5: the pmf sums to 1 within
-# 1.5e-13, and its cdf is within 2.2e-12 of an 80001-point trapezoid
-# reference, about that reference's own error.  With the left end at -13
-# the sum is short by 8e-13; at -12 the cdf is off by 1.5e-11, and with a
-# step of 0.6 by 2e-11.  Past those laws (tau2 > 2.06) the step is 0.35,
-# where 0.5 misses P(Y = 0) by up to 6e-11.  On exp(eta) from 4.5e-5 to
-# 2000 and tau2 from 0 to 20 the pmf is then within 1.3e-13 of a
-# 2M-point trapezoid reference.
-_RULE_STEP = 0.5
-_WIDE_TAU2 = 2.06
-_WIDE_STEP = 0.35
-# cells evaluated at once, at most: (count, node) or (law, node) of a
-# rule, or (law, count) of a Poisson sum
+# cells evaluated at once, at most: (law, node) of the cdf rule, or
+# (law, count) of a Poisson sum
 _CHUNK_CELLS = 1 << 20
 # The trapezoid rule of _lognormal_cdf, in s = log G, G ~ Gamma(k + 1):
 # the step is _GAMMA_STEP times the narrower of the rule's two factors,
@@ -36,9 +20,10 @@ _CHUNK_CELLS = 1 << 20
 # the log-gamma density's strip of analyticity (half-width pi/2), not its
 # sd, bounds the rule's error: with 1/sqrt(k + 1) alone the cdf at k = 0
 # is off by 8.9e-9 at tau2 = 2.04.  With the cap, the cdf is within
-# 1.5e-13 of the _count_pmf cumsum on the scenario laws (D = 10, 1 and
-# 0.1), about the reference's own error, within 2e-14 at exp(eta) = 2000
-# (tau2 0.0645 and 0.511), and within 5e-15 at tau2 = 8.
+# 1.5e-13 of the cumsum of the reference pmf in tests/oracle.py on the
+# scenario laws (D = 10, 1 and 0.1), about the reference's own error,
+# within 2e-14 at exp(eta) = 2000 (tau2 0.0645 and 0.511), and within
+# 5e-15 at tau2 = 8.
 _GAMMA_STEP = 0.5
 # Coefficients of the rational forms of erfc in Cephes' ndtr.c, highest
 # degree first: x T(x^2) / U(x^2) is erf on |x| < 1, and e^(-x^2) P(x) /
@@ -157,54 +142,6 @@ def simulate_replicates(config: SimConfig):
         rng = _replicate_rng(config.seed, r)
         y = _simulate_counts(config.params, config.X, rng)
         yield CountSeries(y=y, X=config.X)
-
-
-def _count_pmf(k, eta, tau2: float) -> np.ndarray:
-    """P(Y = k) for Y | u ~ Poisson(exp(eta + u)) and u ~ N(0, tau2),
-    elementwise over ``k`` and ``eta`` broadcast together.  The tests
-    invert its cumsum as the reference for the exact bands.
-
-    With u = tau z, the integrand of each count over z is log-concave.
-    Its mode z_k, where the rate is lambda_k, solves z = tau (k -
-    lambda_k); Newton's method finds it in a = eta + tau z, where the
-    equation is increasing and convex.  The trapezoid rule (see
-    ``_RULE_STEP``) is centred there with the scale (1 + tau2 (lambda_k
-    + 1))^(-1/2): the integrand's width from its curvature at the mode,
-    kept below 1/tau, the width in z of the factor exp(-lambda).
-    Terms are summed from log space, so a rate whose exp(-lambda)
-    underflows on its own keeps its exact probabilities.  At tau2 = 0 the
-    rule integrates the standard normal to rounding, so the law is
-    Poisson(exp(eta)).  At most ``_CHUNK_CELLS`` cells are evaluated at
-    once.
-    """
-    k, eta = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(eta, dtype=float))
-    step = _RULE_STEP if tau2 <= _WIDE_TAU2 else _WIDE_STEP
-    reach = 8.0 * math.sqrt(1.0 + tau2)
-    nodes = np.arange(-math.ceil(max(14.0, reach) / step), math.ceil(reach / step) + 1) * step
-    kf, ef = k.ravel(), eta.ravel()
-    chunk = max(1, _CHUNK_CELLS // nodes.size)
-    parts = [
-        _rule_sum(kf[i:i + chunk], ef[i:i + chunk], tau2, nodes, step)
-        for i in range(0, kf.size, chunk)
-    ]
-    return np.concatenate(parts).reshape(k.shape)
-
-
-def _rule_sum(kf: np.ndarray, eta: np.ndarray, tau2: float, nodes: np.ndarray,
-              step: float) -> np.ndarray:
-    """:func:`_count_pmf` over 1-D counts ``kf`` and levels ``eta``."""
-    a = np.log(kf + 0.5)
-    for _ in range(100):
-        newton = (a - eta - tau2 * (kf - np.exp(a))) / (1.0 + tau2 * np.exp(a))
-        a -= newton
-        if np.max(np.abs(newton)) < 1e-10:
-            break
-    rate = np.exp(a)
-    tau = math.sqrt(tau2)
-    scale = 1.0 / np.sqrt(1.0 + tau2 * (rate + 1.0))
-    z = (tau * (kf - rate))[:, None] + scale[:, None] * nodes
-    log_terms = poisson_log_pmf(kf[:, None], eta[:, None] + tau * z) - 0.5 * z * z
-    return np.exp(log_terms).sum(axis=-1) * scale * (step / math.sqrt(2.0 * math.pi))
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:

@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 
 import pairpois as pp
-from pairpois import cli, oracle, scenarios
+from pairpois import cli, scenarios
 from pairpois.model import PairwiseEvaluator
 
+import oracle
 from conftest import reporting_vector
 
 C4_SEED = 20250401

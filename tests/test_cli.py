@@ -421,8 +421,21 @@ def test_predict_rejects_report_missing_model_key(tmp_path, greek_report, capsys
          "fit report 'estimates.sigma2' is not valid"),
         (lambda report: report["estimates"].update(phi=2.0), "phi must lie in (-1, 1)"),
         (lambda report: report.update(converged="false"), "fit report 'converged' is not valid"),
+        (lambda report: report["model"].update(period="12"),
+         "fit report 'model.period' is not valid"),
+        (lambda report: report["model"].update(period=2), "fit report 'model.period' is not valid"),
+        (lambda report: report["model"].update(trend="no"),
+         "fit report 'model.trend' is not valid"),
+        (lambda report: report["model"].update(covariates="ab"),
+         "fit report 'model.covariates' is not valid"),
+        (lambda report: report["model"].update(level_shift="2005-13"),
+         "fit report 'model.level_shift' is not valid"),
+        (lambda report: report["estimates"]["beta"].pop(),
+         "fit report 'estimates.beta' has 3 coefficients for 4 design columns"),
     ],
-    ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range", "converged_not_boolean"],
+    ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range", "converged_not_boolean",
+         "period_not_an_integer", "period_below_3_with_harmonics", "trend_not_boolean",
+         "covariates_not_a_list", "level_shift_month_out_of_range", "beta_length_mismatch"],
 )
 def test_predict_names_report_and_key_of_bad_entry(tmp_path, greek_report, capsys, edit,
                                                    fragment):
@@ -436,6 +449,23 @@ def test_predict_names_report_and_key_of_bad_entry(tmp_path, greek_report, capsy
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {bad}: {fragment}")
+
+
+def test_predict_ignores_report_sections_it_does_not_use(tmp_path, greek_report):
+    report = json.loads(greek_report.read_text())
+    for key in ("se", "matrices", "working", "loglik", "clic", "iterations", "hac_lags_used",
+                "X_train"):
+        del report[key]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(report))
+    bands = []
+    for path in (greek_report, bare):
+        band_path = tmp_path / f"{path.stem}_band.csv"
+        rc = cli.main(["predict", str(path), "--output", str(band_path),
+                       "--data", str(DATA_DIR / "greece_imd.csv")])
+        assert rc == 0
+        bands.append(band_path.read_bytes())
+    assert bands[0] == bands[1]
 
 
 def test_predict_band_columns_and_exceedance(tmp_path, greek_report):

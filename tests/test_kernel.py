@@ -198,7 +198,7 @@ def failure_location(spike):
     working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
     rule = pp.gauss_hermite(5)
     weights = pp.make_weights(2, "trap")
-    assert [len(group["blocks"]) for group in PairwiseEvaluator(series, weights, rule)._groups] == [3]
+    assert [len(group["block_rows"]) for group in PairwiseEvaluator(series, weights, rule)._groups] == [3]
     errors = []
     for cls in (PairwiseEvaluator, BroadcastEvaluator):
         with pytest.raises(NumericalFailure) as info:

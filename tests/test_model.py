@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracle
 import pairpois as pp
-from pairpois import oracle
 from pairpois.model import PairwiseEvaluator
 
 ONE = np.array([1.0])

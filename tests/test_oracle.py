@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 import pairpois as pp
-from pairpois import oracle
 
 ONE = np.array([1.0])
 

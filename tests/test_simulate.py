@@ -208,7 +208,7 @@ HIGH_COUNT = (math.log(2000.0), pp.SCENARIOS[8].tau2)
 
 
 def _law_pmf(eta, tau2, n_counts):
-    from pairpois.simulate import _count_pmf
+    from oracle import _count_pmf
 
     return _count_pmf(np.arange(n_counts), eta, tau2)
 
@@ -253,7 +253,7 @@ def test_count_pmf_wide_latent_law(eta):
     # at tau2 = 8 the integrand of a small count keeps the normal's own
     # tails, 8 in z either side of its mode; the reference is a trapezoid
     # rule in z with 1M points
-    from pairpois.simulate import _count_pmf
+    from oracle import _count_pmf
 
     tau2, n_counts = 8.0, 5000
     z = np.arange(-500_000, 500_001) * 4e-5
@@ -344,7 +344,7 @@ LEVELS = (0.90, 0.95, 0.99)
 
 
 def _pmf_quantiles(eta, tau2):
-    from pairpois.simulate import _count_pmf
+    from oracle import _count_pmf
 
     rate = np.exp(eta - 8.0 * math.sqrt(tau2))
     # below `low` lie u < -8 tau and counts 8.5 sd below their mean, less
