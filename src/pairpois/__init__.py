@@ -14,13 +14,11 @@ from .estimation import (
     FitResult,
     INDEPENDENCE,
     PHI_ZERO,
-    clic,
     default_hac_lags,
     fit,
     fit_restricted,
     moment_init,
     poisson_irls,
-    robust_se,
     sensitivity_H,
     variability_J,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "SingularMatrixError",
     "WorkingParams",
     "autocorrelation",
-    "clic",
     "default_hac_lags",
     "dispersion_index",
     "fit",
@@ -79,7 +76,6 @@ __all__ = [
     "poisson_irls",
     "poisson_log_pmf",
     "predict",
-    "robust_se",
     "run_scenario_study",
     "sensitivity_H",
     "simulate_scenario",

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import operator
 import re
 import sys
 import types
@@ -367,6 +366,20 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
+def _integer(v):
+    """A fit report's JSON integer, which is not a boolean."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _number(v) -> float:
+    """A fit report's JSON number, integer or real, which is not a boolean."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
 def _report_value(report: dict, key: str, convert=None):
     """The fit report's entry at ``key``, a dotted path such as
     ``"estimates.sigma2"``, passed through ``convert`` when given.
@@ -418,22 +431,22 @@ def _result_from_report(report: dict) -> tuple[types.SimpleNamespace, ModelSpec]
             raise TypeError(f"expected true or false, got {v!r}")
         return v
 
-    def integer(v):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"expected an integer, got {v!r}")
-        return v
-
     def month_or_none(v):
         if v is not None:
             month_to_ordinal(v)
         return v
+
+    def numbers(v):
+        if not isinstance(v, list):
+            raise TypeError(f"expected a list of numbers, got {v!r}")
+        return np.array([_number(x) for x in v])
 
     def column_names(v):
         if not isinstance(v, list) or not all(isinstance(name, str) for name in v):
             raise TypeError(f"expected a list of column names, got {v!r}")
         return tuple(v)
 
-    checks = {"trend": boolean, "harmonics": boolean, "period": integer,
+    checks = {"trend": boolean, "harmonics": boolean, "period": _integer,
               "level_shift": month_or_none, "covariates": column_names}
     spec = ModelSpec(**{f.name: read(f"model.{f.name}", checks.get(f.name))
                         for f in fields(ModelSpec)})
@@ -443,11 +456,18 @@ def _result_from_report(report: dict) -> tuple[types.SimpleNamespace, ModelSpec]
             f"got {spec.period}"
         )
     params = Params(
-        beta=read("estimates.beta", lambda v: np.asarray(v, dtype=float)),
-        sigma2=read("estimates.sigma2", float),
-        phi=read("estimates.phi", float),
+        beta=read("estimates.beta", numbers),
+        sigma2=read("estimates.sigma2", _number),
+        phi=read("estimates.phi", _number),
     )
     return types.SimpleNamespace(params_hat=params, converged=read("converged", boolean)), spec
+
+
+def _training_length(v) -> int:
+    """A fit report's ``n_train``: the months the fit saw, at least 1."""
+    if _integer(v) < 1:
+        raise ValueError(f"expected at least 1 month, got {v}")
+    return v
 
 
 def cmd_predict(args) -> int:
@@ -463,7 +483,7 @@ def cmd_predict(args) -> int:
         raise DataFormatError(f"{args.report}: not a fit report")
     try:
         result, spec = _result_from_report(report)
-        n_train = _report_value(report, "n_train", operator.index)
+        n_train = _report_value(report, "n_train", _training_length)
         start_ord = _report_value(report, "start_month", month_to_ordinal)
     except (DataFormatError, ValueError) as err:  # ValueError: a value out of range
         raise DataFormatError(f"{args.report}: {err}") from None

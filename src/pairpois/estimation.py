@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotConvergedError, NumericalFailure, SingularMatrixError
+from .errors import NumericalFailure, SingularMatrixError
 from .model import (
     CountSeries,
     PairWeights,
@@ -364,9 +364,10 @@ def _check_invertible(h: np.ndarray, label: str) -> None:
         )
 
 
-def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
+def _sandwich_se(h: np.ndarray, h_inv_j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
     """Robust standard errors on the reporting scale (beta..., sigma2,
-    phi, tau2).
+    phi, tau2), from a sensitivity matrix H that :func:`_check_invertible`
+    passed and the product H^-1 J.
 
     The working-scale variance is the sandwich H^-1 J H^-1 / n; sigma2,
     phi and tau2 are mapped from (log sigma2, atanh phi) by the delta
@@ -374,18 +375,7 @@ def robust_se(h: np.ndarray, j: np.ndarray, n: int, working: WorkingParams) -> n
     log sigma2, z_phi), the ones the fit estimated: k = p+1 for the
     independence fit, p+2 with phi fixed at zero (where tau2 = sigma2),
     p+3 for the full model.  Fixed parameters get NaN.
-
-    Raises
-    ------
-    SingularMatrixError
-        If H is numerically singular or not finite.
     """
-    _check_invertible(h, "sensitivity")
-    return _sandwich_se(h, np.linalg.solve(h, j), n, working)
-
-
-def _sandwich_se(h: np.ndarray, h_inv_j: np.ndarray, n: int, working: WorkingParams) -> np.ndarray:
-    """:func:`robust_se` from an H already checked and the product H^-1 J."""
     avar = np.linalg.solve(h, h_inv_j.T).T / n
     avar = 0.5 * (avar + avar.T)
     params = working.to_params()
@@ -404,22 +394,6 @@ def _sandwich_se(h: np.ndarray, h_inv_j: np.ndarray, n: int, working: WorkingPar
         d[p1 + 1] = 2.0 * phi * tau2
         se[p1 + 2] = math.sqrt(max(float(d @ avar @ d), 0.0))
     return se
-
-
-def _clic_value(loglik: float, h_inv_j: np.ndarray) -> float:
-    return -2.0 * loglik + 2.0 * float(np.trace(h_inv_j))
-
-
-def clic(fit: FitResult) -> float:
-    """Composite likelihood information criterion of a converged fit.
-
-    Equal to -2 * loglik + 2 * trace(H^-1 J); lower is better.  When
-    J = H this reduces to the familiar -2 * loglik + 2 * #parameters.
-    """
-    if not fit.converged:
-        raise NotConvergedError("CLIC requires a converged fit")
-    _check_invertible(fit.H_hat, "sensitivity")
-    return _clic_value(fit.loglik, np.linalg.solve(fit.H_hat, fit.J_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +489,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     pair_grads = free_pairs(blocks)
 
     h = _sensitivity_from_pairs(pair_grads, n)
-    j = _variability_from_psi(_weighted_per_t(pair_grads, n - weights.m_d), n, hac_lags)
+    j = _variability_from_psi(_weighted_per_t(pair_grads), n, hac_lags)
     _check_invertible(h, "sensitivity")
     h_inv_j = np.linalg.solve(h, j)
     se = _sandwich_se(h, h_inv_j, n, working_hat)
@@ -528,7 +502,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         J_hat=j,
         godambe=0.5 * (godambe + godambe.T),
         se=se,
-        clic=_clic_value(loglik, h_inv_j),
+        clic=-2.0 * loglik + 2.0 * float(np.trace(h_inv_j)),
         iterations=iterations,
         converged=converged,
         quad_order=quad_order,

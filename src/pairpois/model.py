@@ -298,9 +298,10 @@ def _weight_row(rule: QuadRule) -> np.ndarray:
     return (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
 
 
-def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
-    """The node-side factors of the fused kernel for ``lags`` lags, with
-    every row that does not depend on the latent correlation filled in.
+def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
+    """The node-side factors of the fused kernel, one slot per latent
+    correlation in ``rhos``: slot j holds the grid and moment matrix of
+    the lag block whose correlation is ``rhos[j]``.
 
     Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
@@ -315,12 +316,13 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
     log y2!.  A moment matrix M (q^2, 9) has columns
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
-    always built: the kernel has one mode.  This returns ``lags`` slots
-    of each, (lags, 5, q^2) and (lags, q^2, 9), one per lag block of a
-    pass, with the weight row and everything of u set, which depend on
-    tau2 alone; :func:`_set_lag_rows` writes the v rows of each block's
-    correlation into its slot.
+    always built: the kernel has one mode.  This returns one slot of
+    each per entry of ``rhos``, (len(rhos), 5, q^2) and (len(rhos), q^2,
+    9).  The weight row and everything of u depend on tau2 alone and are
+    computed once for all slots; v, e^v and their moment columns are
+    computed for all slots in one vectorised step.
     """
+    lags = len(rhos)
     u = np.repeat(c * nodes, nodes.shape[0])
     grid = np.empty((lags, 5, u.shape[0]))
     moments = np.empty((lags, u.shape[0], 9))
@@ -328,14 +330,6 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, lags: int):
         exp_u = np.exp(u)
         moments[:, :, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
     grid[:, :3] = weight_row, u, exp_u
-    return grid, moments
-
-
-def _set_lag_rows(grids, moments, nodes: np.ndarray, c: float, rhos) -> None:
-    """Write the rows of :func:`_pass_grid`'s factors that depend on the
-    latent correlation: v, e^v and their moment columns, at correlation
-    ``rhos[j]`` into slot j, for every lag of a pass at once."""
-    lags = len(rhos)
     rho = np.array(rhos)[:, None, None]
     s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
     v = (c * (rho * nodes[:, None] + s * nodes[None, :])).reshape(lags, -1)
@@ -343,22 +337,14 @@ def _set_lag_rows(grids, moments, nodes: np.ndarray, c: float, rhos) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         exp_v = np.exp(v)
         # straight into the factors, with no stacked temporary
-        grids[:lags, 3] = v
-        grids[:lags, 4] = exp_v
-        moments[:lags, :, 4] = v
-        moments[:lags, :, 5] = exp_v
-        moments[:lags, :, 6] = v * exp_v
-        moments[:lags, :, 7] = dv
-        moments[:lags, :, 8] = dv * exp_v
-
-
-def _lag_grid(rule: QuadRule, tau2: float, rho: float):
-    """The grid and moment matrix of :func:`_pass_grid` at latent
-    variance ``tau2`` and correlation ``rho``."""
-    c = math.sqrt(2.0 * tau2)
-    grid, moments = _pass_grid(rule.nodes, _weight_row(rule), c, 1)
-    _set_lag_rows(grid, moments, rule.nodes, c, [rho])
-    return grid[0], moments[0]
+        grid[:, 3] = v
+        grid[:, 4] = exp_v
+        moments[:, :, 4] = v
+        moments[:, :, 5] = exp_v
+        moments[:, :, 6] = v * exp_v
+        moments[:, :, 7] = dv
+        moments[:, :, 8] = dv * exp_v
+    return grid, moments
 
 
 def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failure):
@@ -369,8 +355,8 @@ def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failu
     [1, y1, ., y2, .], with the counts as floats, ``lgam`` each pair's
     summed log-factorials log y1! + log y2!, ``block_rows[j]`` the rows
     of block j, ``eta1``, ``eta2`` the linear predictors of the pairs,
-    and ``grids[j]``, ``moments[j]`` the factors of :func:`_pass_grid`
-    with the v rows of block j's lag written.  Only the two matrix
+    and ``grids[j]``, ``moments[j]`` the slot of :func:`_pass_grid` at
+    block j's latent correlation.  Only the two matrix
     products depend on the lag; each runs on its block's own rows, with
     the shapes a block alone would give.  Everything elementwise runs
     once over the group.  ``out`` is a scratch array of at least (pairs,
@@ -528,10 +514,11 @@ def pair_log_density(
 
     eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial([y1, y2])
-    grid, moments = _lag_grid(rule, params.tau2, params.phi**lag)
+    c = math.sqrt(2.0 * params.tau2)
+    grids, moments = _pass_grid(rule.nodes, _weight_row(rule), c, [params.phi**lag])
     logp, _ = _fused_pairs(
         np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [slice(0, 1)], eta[:1], eta[1:],
-        [grid], [moments], np.empty((1, grid.shape[1])),
+        grids, moments, np.empty((1, grids.shape[2])),
         lambda _: NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
         ),
@@ -539,7 +526,7 @@ def pair_log_density(
     return float(logp[0])
 
 
-def _weighted_per_t(pair_grads, n_pairs: int) -> np.ndarray:
+def _weighted_per_t(pair_grads) -> np.ndarray:
     """Weighted per-time score terms from per-lag pair scores.
 
     ``pair_grads`` is a list of (lag, weight, (n_pairs, dim) scores) as
@@ -547,7 +534,7 @@ def _weighted_per_t(pair_grads, n_pairs: int) -> np.ndarray:
     of the result sums weight times the score of the pair (t - lag, t)
     over the lags, in list order, for t = m_d+1 .. n.
     """
-    psi = np.zeros((n_pairs, pair_grads[0][2].shape[1]))
+    psi = np.zeros_like(pair_grads[0][2])
     for _, w_lag, grads in pair_grads:
         psi += w_lag * grads
     return psi
@@ -599,8 +586,8 @@ class PairwiseEvaluator:
     depends on the rule alone and is built with the evaluator; the rows
     of u = sqrt(2 tau2) x_j are built once per evaluation; only the rows
     of v, which depend on the lag through rho = phi^lag, differ per lag
-    block, and each evaluation writes them for every lag at once, one
-    slot per block (:func:`_pass_grid`, :func:`_set_lag_rows`).
+    block.  Each evaluation builds the grids of every lag in one call, one
+    slot per block (:func:`_pass_grid`).
     Shifted exponents are floored at ``_EXP_FLOOR`` = -700 before the
     exponential, where a grid corner shows that some fall below it: this
     keeps numpy's exp on its fast path at high dispersion and changes no
@@ -658,11 +645,8 @@ class PairwiseEvaluator:
         if n <= weights.m_d:
             raise ValueError(f"series length {n} must exceed the window m_d = {weights.m_d}")
         self.series = series
-        self.weights = weights
         self.rule = rule
-        self.n = n
         self.m_d = weights.m_d
-        self.n_pairs = n - weights.m_d
         self.n_coef = series.n_coef
         self.dim = series.n_coef + 2
         self._weight_row = _weight_row(rule)
@@ -741,7 +725,6 @@ class PairwiseEvaluator:
         params = working.to_params()
         phi = params.phi
         c = math.sqrt(2.0 * params.tau2)
-        nodes = self.rule.nodes
         eta = self.series.X @ params.beta
         lags = [block["lag"] for block in self._blocks]
         if phi == 0.0:
@@ -751,8 +734,8 @@ class PairwiseEvaluator:
             )
         else:
             buf = np.empty((self._max_rows, self._weight_row.shape[0]))
-            grids, moments = _pass_grid(nodes, self._weight_row, c, len(lags))
-            _set_lag_rows(grids, moments, nodes, c, [phi**lag for lag in lags])
+            rhos = [phi**lag for lag in lags]
+            grids, moments = _pass_grid(self.rule.nodes, self._weight_row, c, rhos)
             eta1, eta2 = eta[self._i1], eta[self._i2]
             logp, derivs = np.empty(self._i1.shape[0]), np.empty((self._i1.shape[0], 4))
             for group in self._groups:
@@ -808,7 +791,7 @@ class PairwiseEvaluator:
     def per_t_scores(self, working: WorkingParams) -> np.ndarray:
         """Weighted per-time score terms, one row per t = m_d+1 .. n;
         they sum to the score."""
-        return _weighted_per_t(self.pair_gradients(working)[1], self.n_pairs)
+        return _weighted_per_t(self.pair_gradients(working)[1])
 
 
 def pairwise_loglik(

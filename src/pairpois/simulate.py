@@ -42,11 +42,11 @@ _ERFC_Q = [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.5493777888
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Settings for a batch of simulated series.
+    """Settings for a simulated series.
 
-    The rows of ``X`` define the horizon; replicate streams are keyed by
-    (seed, replicate index), so any subset of replicates can be drawn
-    independently of the others.
+    The rows of ``X`` define the horizon, and ``seed`` keys the random
+    stream.  ``n_rep`` must be at least 1; :func:`simulate_series` draws
+    one series whatever its value.
     """
 
     params: Params
@@ -87,10 +87,6 @@ class PredictionBand:
         return _quantile(levels, self.tau2, level)[law]
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replicate)))
-
-
 def latent_paths(params: Params, horizon: int, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """Draw stationary latent AR(1) paths, shape (n_paths, horizon).
 
@@ -126,22 +122,11 @@ def _simulate_counts(params: Params, X: np.ndarray, rng: np.random.Generator) ->
 
 
 def simulate_series(config: SimConfig) -> CountSeries:
-    """Simulate one series (replicate index 0) from the model."""
-    rng = _replicate_rng(config.seed, 0)
+    """Simulate one series from the model, on the stream keyed by
+    (seed, 0)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0)))
     y = _simulate_counts(config.params, config.X, rng)
     return CountSeries(y=y, X=config.X)
-
-
-def simulate_replicates(config: SimConfig):
-    """Yield ``config.n_rep`` independent simulated series.
-
-    Replicate r is reproducible on its own from (seed, r); drawing the
-    replicates in any order, or one at a time, gives the same series.
-    """
-    for r in range(config.n_rep):
-        rng = _replicate_rng(config.seed, r)
-        y = _simulate_counts(config.params, config.X, rng)
-        yield CountSeries(y=y, X=config.X)
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:

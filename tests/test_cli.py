@@ -432,10 +432,21 @@ def test_predict_rejects_report_missing_model_key(tmp_path, greek_report, capsys
          "fit report 'model.level_shift' is not valid"),
         (lambda report: report["estimates"]["beta"].pop(),
          "fit report 'estimates.beta' has 3 coefficients for 4 design columns"),
+        (lambda report: report.update(n_train=-5), "fit report 'n_train' is not valid"),
+        (lambda report: report.update(n_train=0), "fit report 'n_train' is not valid"),
+        (lambda report: report.update(n_train=True), "fit report 'n_train' is not valid"),
+        (lambda report: report["estimates"].update(sigma2=True),
+         "fit report 'estimates.sigma2' is not valid"),
+        (lambda report: report["estimates"].update(phi=False),
+         "fit report 'estimates.phi' is not valid"),
+        (lambda report: report["estimates"]["beta"].__setitem__(0, False),
+         "fit report 'estimates.beta' is not valid"),
     ],
     ids=["missing_n_train", "sigma2_not_a_number", "phi_out_of_range", "converged_not_boolean",
          "period_not_an_integer", "period_below_3_with_harmonics", "trend_not_boolean",
-         "covariates_not_a_list", "level_shift_month_out_of_range", "beta_length_mismatch"],
+         "covariates_not_a_list", "level_shift_month_out_of_range", "beta_length_mismatch",
+         "n_train_negative", "n_train_zero", "n_train_boolean", "sigma2_boolean",
+         "phi_boolean", "beta_entry_boolean"],
 )
 def test_predict_names_report_and_key_of_bad_entry(tmp_path, greek_report, capsys, edit,
                                                    fragment):

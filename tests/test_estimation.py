@@ -1,7 +1,6 @@
 import math
 import pathlib
 import re
-import types
 
 import numpy as np
 import pytest
@@ -171,7 +170,7 @@ def test_robust_se_reduces_to_inverse_information():
     a = rng.standard_normal((3, 3))
     h = a @ a.T + 3 * np.eye(3)
     working = pp.WorkingParams(beta=[0.2], log_sigma2=math.log(0.4), z_phi=math.atanh(0.3))
-    se = pp.robust_se(h, h, 100, working)
+    se = estimation._sandwich_se(h, np.linalg.solve(h, h), 100, working)
     avar = np.linalg.inv(h) / 100
     assert abs(se[0] - math.sqrt(avar[0, 0])) < 1e-12
     sigma2 = 0.4
@@ -186,9 +185,8 @@ def test_robust_se_reduces_to_inverse_information():
 def test_robust_se_singular_sensitivity_raises():
     h = np.zeros((3, 3))
     h[0, 0] = 1.0
-    working = pp.WorkingParams(beta=[0.0], log_sigma2=0.0, z_phi=0.0)
     with pytest.raises(pp.SingularMatrixError) as info:
-        pp.robust_se(h, np.eye(3), 50, working)
+        estimation._check_invertible(h, "sensitivity")
     assert info.value.cond is None or info.value.cond > 1e13
 
 
@@ -217,10 +215,7 @@ def test_non_finite_start_raises_located_failure(restriction):
 @pytest.mark.parametrize(
     "compute",
     [
-        lambda: pp.robust_se(
-            np.full((3, 3), np.nan), np.eye(3), 50,
-            pp.WorkingParams(beta=[0.0], log_sigma2=0.0, z_phi=0.0),
-        ),
+        lambda: estimation._check_invertible(np.full((3, 3), np.nan), "sensitivity"),
     ],
     ids=["robust_se"],
 )
@@ -234,7 +229,8 @@ def test_non_finite_sensitivity_raises_typed_error(compute):
 def test_robust_se_reproduces_restricted_fit_se(restriction):
     series = pp.simulate_scenario(5, 300, seed=16)
     fit = pp.fit_restricted(series, W1, quad_order=10, restriction=restriction)
-    se = pp.robust_se(fit.H_hat, fit.J_hat, series.n, fit.working_hat)
+    h_inv_j = np.linalg.solve(fit.H_hat, fit.J_hat)
+    se = estimation._sandwich_se(fit.H_hat, h_inv_j, series.n, fit.working_hat)
     assert np.array_equal(se, fit.se, equal_nan=True)
     assert np.isnan(se).sum() == (1 if restriction == pp.PHI_ZERO else 3)
 
@@ -280,22 +276,6 @@ def test_delta_method_consistent_with_reparametrized_fit():
     tau2_new = working_new.to_params().tau2
     se_tau2_reparam = tau2_new * math.sqrt(avar[1, 1])
     assert abs(se_tau2 - se_tau2_reparam) <= 0.05 * se_tau2
-
-
-def test_clic_reduces_to_aic_form():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4))
-    h = a @ a.T + 4 * np.eye(4)
-    fit = types.SimpleNamespace(converged=True, loglik=-120.0, H_hat=h, J_hat=h)
-    assert abs(pp.clic(fit) - (240.0 + 2 * 4)) < 1e-10
-
-
-def test_clic_requires_convergence():
-    series = pp.simulate_scenario(5, 200, seed=3)
-    fit = pp.fit(series, W1, quad_order=10, max_iter=1)
-    assert not fit.converged
-    with pytest.raises(pp.NotConvergedError):
-        pp.clic(fit)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +519,18 @@ def assert_is_explicit_pass_result(fit, series, weights):
     loglik, pairs = ev.pair_gradients(fit.working_hat)
     pairs = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pairs]
     h = estimation._sensitivity_from_pairs(pairs, n)
-    psi = _weighted_per_t(pairs, n - weights.m_d)
+    psi = _weighted_per_t(pairs)
     j = estimation._variability_from_psi(psi, n, fit.hac_lags)
     godambe = h @ np.linalg.solve(j, h)
     assert fit.loglik == loglik
     assert np.array_equal(fit.H_hat, h)
     assert np.array_equal(fit.J_hat, j)
     assert np.array_equal(fit.godambe, 0.5 * (godambe + godambe.T))
-    assert np.array_equal(fit.se, pp.robust_se(h, j, n, fit.working_hat), equal_nan=True)
-    assert fit.clic == estimation._clic_value(loglik, np.linalg.solve(h, j))
+    h_inv_j = np.linalg.solve(h, j)
+    se = estimation._sandwich_se(h, h_inv_j, n, fit.working_hat)
+    assert np.array_equal(fit.se, se, equal_nan=True)
+    # CLIC = -2 loglik + 2 trace(H^-1 J), which is -2 loglik + 2 dim when J = H
+    assert fit.clic == -2.0 * loglik + 2.0 * float(np.trace(h_inv_j))
 
 
 @pytest.mark.parametrize("case", ["greek", "study", "exhausted_line_search"])
@@ -630,6 +613,19 @@ def test_fit_series_too_short():
 
 # ---------------------------------------------------------------------------
 # restricted fits
+
+
+@pytest.mark.parametrize("case", ["greek", "study"])
+@pytest.mark.parametrize("restriction", [pp.PHI_ZERO, pp.INDEPENDENCE])
+def test_restricted_fit_is_one_explicit_pass(restriction, case):
+    # a restricted fit's loglik, H, J, Godambe matrix, SEs and CLIC come
+    # from one pass at its estimate, as a full fit's do
+    if case == "greek":
+        series, weights = greek_series(), pp.make_weights(5, "trap")
+    else:
+        series, weights = pp.simulate_scenario(5, 500, 1, 3), pp.make_weights(3, "trap")
+    fit = pp.fit_restricted(series, weights, quad_order=20, restriction=restriction)
+    assert_is_explicit_pass_result(fit, series, weights)
 
 
 def test_independence_restriction_matches_irls():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairpois import gauss_hermite
-from pairpois.model import _lag_grid
+from pairpois.model import _pass_grid, _weight_row
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -104,12 +104,19 @@ def test_polynomial_exactness(order):
 # the kernel grid as a bivariate-normal rule
 
 
+def lag_grid(rule, tau2, rho):
+    """Slot 0 of :func:`_pass_grid`, the kernel grid at latent variance
+    ``tau2`` and correlation ``rho``."""
+    grids, _ = _pass_grid(rule.nodes, _weight_row(rule), math.sqrt(2.0 * tau2), [rho])
+    return grids[0]
+
+
 class GridRule:
-    """The kernel grid of :func:`_lag_grid` read as a cubature rule for
+    """The kernel grid of :func:`_pass_grid` read as a cubature rule for
     E[f(u, v)]: probability weights exp(row 0), points (row 1, row 3)."""
 
     def __init__(self, rule, tau2, rho):
-        grid, _ = _lag_grid(rule, tau2, rho)
+        grid = lag_grid(rule, tau2, rho)
         self.weights = np.exp(grid[0])
         self.points = np.column_stack([grid[1], grid[3]])
 
@@ -173,7 +180,7 @@ def test_kernel_grid_uses_bivariate_points(order, tau2, rho):
     # the nodes mapped through the Cholesky factor of the latent covariance:
     # u = sqrt(2 tau2) x_j, v = sqrt(2 tau2) (rho x_j + sqrt(1 - rho^2) x_k)
     rule = gauss_hermite(order)
-    grid, _ = _lag_grid(rule, tau2, rho)
+    grid = lag_grid(rule, tau2, rho)
     x_j, x_k = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     scale = math.sqrt(2.0 * tau2)
     s = math.sqrt(1.0 - rho * rho)

@@ -78,18 +78,24 @@ def test_moment_checks_against_theory():
 
 
 def test_reproducible_and_replicates_keyed_by_index():
-    params = pp.SCENARIOS[5].params
-    X = np.ones((200, 1))
-    config = pp.SimConfig(params=params, X=X, n_rep=3, seed=42)
-    runs_a = [s.y for s in simulate.simulate_replicates(config)]
-    runs_b = [s.y for s in simulate.simulate_replicates(config)]
+    # a scenario replicate's stream is keyed by (seed, scenario, replicate),
+    # so drawing the replicates in any order, or one at a time, gives the
+    # same series
+    runs_a = [pp.simulate_scenario(5, 200, 42, replicate=r).y for r in range(3)]
+    runs_b = [pp.simulate_scenario(5, 200, 42, replicate=r).y for r in (2, 1, 0)][::-1]
     for a, b in zip(runs_a, runs_b):
         assert np.array_equal(a, b)
-    # replicate 0 equals the single-series draw for the same seed
-    single = pp.simulate_series(pp.SimConfig(params=params, X=X, n_rep=1, seed=42))
-    assert np.array_equal(single.y, runs_a[0])
+    # replicate 0 equals the default draw for the same seed
+    assert np.array_equal(pp.simulate_scenario(5, 200, 42).y, runs_a[0])
     # distinct replicates draw from distinct streams
     assert not np.array_equal(runs_a[0], runs_a[1])
+    # simulate_series is reproducible and draws the stream keyed by (seed, 0)
+    params, X = pp.SCENARIOS[5].params, np.ones((200, 1))
+    config = pp.SimConfig(params=params, X=X, n_rep=3, seed=42)
+    single = pp.simulate_series(config)
+    assert np.array_equal(single.y, pp.simulate_series(config).y)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(42, 0)))
+    assert np.array_equal(single.y, simulate._simulate_counts(params, X, rng))
 
 
 def test_latent_paths_stationary_variance():
