@@ -66,8 +66,10 @@ def read_count_csv(path: str) -> ParsedData:
     Months must be consecutive with no gaps or duplicates; counts must
     parse as non-negative integers and covariates as finite numbers.
     Violations raise :class:`DataFormatError` naming the offending line.
+    The file is read as UTF-8, with or without the byte-order mark that
+    spreadsheet programs write.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -271,21 +271,23 @@ def _minimize_bfgs(
 # sandwich pieces
 
 
-def _sensitivity_from_pairs(pair_grads, n: int) -> np.ndarray:
+def _sensitivity_from_pairs(w, pairs: np.ndarray, n: int) -> np.ndarray:
     """Weighted outer-product estimate of the sensitivity matrix.
 
-    Each lag's weight enters once (the second-order identity holds pair
-    by pair), and the sum is divided by the full series length n.
+    ``pairs`` holds the per-pair scores in the layout of
+    :meth:`PairwiseEvaluator.pair_gradients`, (lags, n - m_d, k) for k
+    working coordinates, and ``w`` the lag weights.  Each lag's weight
+    enters once (the second-order identity holds pair by pair), and the
+    sum is divided by the full series length n.
     """
-    dim = pair_grads[0][2].shape[1]
-    h = np.zeros((dim, dim))
-    for _, w_lag, grads in pair_grads:
+    h = np.zeros((pairs.shape[2], pairs.shape[2]))
+    for w_lag, grads in zip(w, pairs):
         h += w_lag * (grads.T @ grads)
     h /= n
     return 0.5 * (h + h.T)
 
 
-def _bhhh_inverse(pair_grads, n: int) -> np.ndarray | None:
+def _bhhh_inverse(w, pairs: np.ndarray, n: int) -> np.ndarray | None:
     """Inverse of the outer-product (BHHH) curvature n * H.
 
     By the pairwise second Bartlett identity this approximates the
@@ -293,7 +295,7 @@ def _bhhh_inverse(pair_grads, n: int) -> np.ndarray | None:
     None when n * H is not finite and positive definite (a constant
     series, say), so the caller can fall back to the identity.
     """
-    curv = n * _sensitivity_from_pairs(pair_grads, n)
+    curv = n * _sensitivity_from_pairs(w, pairs, n)
     if not np.all(np.isfinite(curv)):
         return None
     try:
@@ -330,7 +332,7 @@ def sensitivity_H(
     """
     ev = PairwiseEvaluator(series, weights, rule)
     _, pairs = ev.pair_gradients(working)
-    return _sensitivity_from_pairs(pairs, series.n)
+    return _sensitivity_from_pairs(weights.w, pairs, series.n)
 
 
 def variability_J(
@@ -427,10 +429,10 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     loglik and the per-pair scores at its estimate from one pass of the
     one evaluator, and no pass runs after the optimizer.  Each pass keeps
     its scores per distinct pair; only those of the start (for the
-    curvature) and of the estimate are spread to every pair and sliced to
-    the k free coordinates, in one place.  H, J, the Godambe matrix, the
-    standard errors and CLIC come from those, the same way for every
-    model.  H is checked for singularity once, and the standard errors
+    curvature) and of the estimate are spread to every pair
+    (``ev.pair_scores``) and then sliced to the k free coordinates.  H,
+    J, the Godambe matrix, the standard errors and CLIC come from those,
+    the same way for every model.  H is checked for singularity once, and the standard errors
     and CLIC share one solve for H^-1 J.
     """
     ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
@@ -441,13 +443,10 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     n, p1 = series.n, series.n_coef
     k = {INDEPENDENCE: p1, PHI_ZERO: p1 + 1}.get(restriction, p1 + 2)
 
-    def free_pairs(blocks):
-        return [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in ev._expand(blocks)]
-
     if restriction == INDEPENDENCE:
         beta, iterations, converged = poisson_irls(series.X, series.y)
         working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
-        loglik, _, blocks = ev._evaluate(working_hat)
+        loglik, _, grads = ev._evaluate(working_hat)
     else:
         if init is None:
             init = moment_init(series)
@@ -481,15 +480,17 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
                 f"pairwise likelihood is not finite at the start ({at}): "
                 f"loglik {-start[0]:.6g}, score not finite in {', '.join(bad) or 'no coordinate'}"
             )
-        h_inv0 = _bhhh_inverse(free_pairs(start[2][2]), n)  # the start pass's block scores
+        h_inv0 = _bhhh_inverse(weights.w, ev.pair_scores(start[2][2])[..., :k], n)
         result = _minimize_bfgs(objective, x0, max_iter=max_iter, h_inv0=h_inv0, start=start)
         working_hat = working(result.x)
-        loglik, _, blocks = result.aux
+        loglik, _, grads = result.aux
         iterations, converged = result.iterations, result.converged
-    pair_grads = free_pairs(blocks)
+    # slice after the gather, not before: slicing first changes the memory
+    # layout of H's matrix products, and so their last bits
+    pairs = ev.pair_scores(grads)[..., :k]
 
-    h = _sensitivity_from_pairs(pair_grads, n)
-    j = _variability_from_psi(_weighted_per_t(pair_grads), n, hac_lags)
+    h = _sensitivity_from_pairs(weights.w, pairs, n)
+    j = _variability_from_psi(_weighted_per_t(weights.w, pairs), n, hac_lags)
     _check_invertible(h, "sensitivity")
     h_inv_j = np.linalg.solve(h, j)
     se = _sandwich_se(h, h_inv_j, n, working_hat)

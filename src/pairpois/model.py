@@ -347,25 +347,26 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     return grid, moments
 
 
-def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failure):
+def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out, failure):
     """Log densities (and score pieces) of the pairs of a group of lag
     blocks by two matrix products per block over one scratch array.
 
     ``terms`` holds the constant columns of each pair's term matrix
     [1, y1, ., y2, .], with the counts as floats, ``lgam`` each pair's
-    summed log-factorials log y1! + log y2!, ``block_rows[j]`` the rows
-    of block j, ``eta1``, ``eta2`` the linear predictors of the pairs,
-    and ``grids[j]``, ``moments[j]`` the slot of :func:`_pass_grid` at
-    block j's latent correlation.  Only the two matrix
-    products depend on the lag; each runs on its block's own rows, with
-    the shapes a block alone would give.  Everything elementwise runs
-    once over the group.  ``out`` is a scratch array of at least (pairs,
-    q^2) that first receives the integrand exponents and then, shifted
-    by each row's maximum, their exponentials in place, so the pass
-    allocates nothing of the grid's size.  ``failure(row)`` builds the
-    exception raised when every term of a row underflows even in log
-    space; the row is the group's first such row, so the earliest
-    block's.
+    summed log-factorials log y1! + log y2!, ``eta1``, ``eta2`` the
+    linear predictors of the pairs, and ``offsets`` the row offsets of
+    the blocks in the pass: block j holds rows offsets[j] .. offsets[j+1]
+    - 1, and the group starts at row offsets[0].  ``grids[j]``,
+    ``moments[j]`` are the slots of :func:`_pass_grid` at block j's
+    latent correlation.  Only the two matrix products depend on the
+    lag; each runs on its block's own rows, with the shapes a block alone
+    would give.  Everything elementwise runs once over the group.
+    ``out`` is a scratch array of at least (pairs, q^2) that first
+    receives the integrand exponents and then, shifted by each row's
+    maximum, their exponentials in place, so the pass allocates nothing
+    of the grid's size.  ``failure(row)`` builds the exception raised
+    when every term of a row underflows even in log space; the row is
+    the group's first such row, so the earliest block's.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
@@ -391,6 +392,7 @@ def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failu
     """
     y1, y2 = terms[:, 1], terms[:, 3]
     out = out[: y1.shape[0]]
+    blocks = [slice(a - offsets[0], b - offsets[0]) for a, b in zip(offsets, offsets[1:])]
     sums = np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
@@ -398,7 +400,7 @@ def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failu
         terms = terms.copy()
         np.negative(exp_eta1, out=terms[:, 2])
         np.negative(exp_eta2, out=terms[:, 4])
-        for rows, grid in zip(block_rows, grids):
+        for rows, grid in zip(blocks, grids):
             np.matmul(terms[rows], grid, out=out[rows])
         m = out.max(axis=1)
         bad = ~np.isfinite(m)
@@ -411,7 +413,7 @@ def _fused_pairs(terms, lgam, block_rows, eta1, eta2, grids, moments, out, failu
             np.maximum(out, _EXP_FLOOR, out=out)
         np.exp(out, out=out)
         constant = y1 * eta1 + y2 * eta2 - lgam
-        for rows, moment in zip(block_rows, moments):
+        for rows, moment in zip(blocks, moments):
             np.matmul(out[rows], moment, out=sums[rows])
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
@@ -517,7 +519,7 @@ def pair_log_density(
     c = math.sqrt(2.0 * params.tau2)
     grids, moments = _pass_grid(rule.nodes, _weight_row(rule), c, [params.phi**lag])
     logp, _ = _fused_pairs(
-        np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [slice(0, 1)], eta[:1], eta[1:],
+        np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [0, 1], eta[:1], eta[1:],
         grids, moments, np.empty((1, grids.shape[2])),
         lambda _: NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
@@ -526,16 +528,16 @@ def pair_log_density(
     return float(logp[0])
 
 
-def _weighted_per_t(pair_grads) -> np.ndarray:
-    """Weighted per-time score terms from per-lag pair scores.
+def _weighted_per_t(w, pairs: np.ndarray) -> np.ndarray:
+    """Weighted per-time score terms from per-pair scores.
 
-    ``pair_grads`` is a list of (lag, weight, (n_pairs, dim) scores) as
-    :meth:`PairwiseEvaluator.pair_gradients` returns it; row t - m_d - 1
-    of the result sums weight times the score of the pair (t - lag, t)
-    over the lags, in list order, for t = m_d+1 .. n.
+    ``pairs`` is the (lags, n - m_d, dim) array of
+    :meth:`PairwiseEvaluator.pair_gradients` and ``w`` the lag weights;
+    row t - m_d - 1 of the result sums w[i] times the score of the pair
+    (t - lag_i, t) over the lags, in lag order, for t = m_d+1 .. n.
     """
-    psi = np.zeros_like(pair_grads[0][2])
-    for _, w_lag, grads in pair_grads:
+    psi = np.zeros_like(pairs[0])
+    for w_lag, grads in zip(w, pairs):
         psi += w_lag * grads
     return psi
 
@@ -564,80 +566,48 @@ def _lex_groups(keys):
 class PairwiseEvaluator:
     """Precomputed machinery for one (series, weights, rule) triple.
 
-    Groups the lag-i pairs by their distinct (count, covariate) content
-    so each distinct pair density is evaluated once per parameter value;
-    on covariate-free data this collapses hundreds of pairs to a few
-    dozen grid evaluations.  The grouping runs on integer ranks: the
-    counts and the covariate rows are each ranked once, in lexicographic
-    order, and each lag's pairs are grouped by a stable sort on the four
-    rank columns (y1, y2, X1, X2) of their two time points
-    (:func:`_lex_groups`).  Ranks keep the order of the values (-0.0 and
-    0.0 share a rank), so the distinct pairs, their order and their
-    first occurrences are those of ``np.unique(axis=0)`` on the float
-    rows (y1, y2, X1, X2); no combined key is formed, so none can
-    overflow.
+    The pairs (t - lag, t), t = m_d+1 .. n, of each lag are grouped by
+    their (count, covariate) content, so each distinct pair density is
+    evaluated once per parameter value; on covariate-free data hundreds
+    of pairs collapse to a few dozen.  The distinct pairs of every lag
+    are the rows of one set of arrays, in lag order: lag slot i owns rows
+    ``_first[i] .. _first[i+1] - 1``, ``_counts`` holds each row's
+    multiplicity, and ``_pair_rows[i, t - m_d - 1]`` is the row of the
+    pair (t - lag_i, t), the one index that expands per-row results to
+    every pair.  Each row keeps its time points, covariate rows, summed
+    log-factorials and term-matrix columns, so a pass rebuilds none of
+    them.  The grouping sorts stably on integer ranks of the counts and
+    of the covariate rows (:func:`_lex_groups`), so the distinct pairs,
+    their order and first occurrences are those of ``np.unique(axis=0)``
+    on the float rows (y1, y2, X1, X2), with -0.0 equal to 0.0, and no
+    combined key is formed that could overflow.
 
-    Each lag block of distinct pairs runs a fused kernel of two matrix
-    products.  A (pairs, 5) matrix of per-pair terms times a (5, q^2)
-    node grid gives every integrand exponent; the row maxima are
-    subtracted and the exponentials taken in place; and the result times
-    a (q^2, 9) matrix of node moments gives each pair's normalising sum
-    and the posterior means the score needs.  The grid's log-weight row
-    depends on the rule alone and is built with the evaluator; the rows
-    of u = sqrt(2 tau2) x_j are built once per evaluation; only the rows
-    of v, which depend on the lag through rho = phi^lag, differ per lag
-    block.  Each evaluation builds the grids of every lag in one call, one
-    slot per block (:func:`_pass_grid`).
-    Shifted exponents are floored at ``_EXP_FLOOR`` = -700 before the
-    exponential, where a grid corner shows that some fall below it: this
-    keeps numpy's exp on its fast path at high dispersion and changes no
-    bit of a finite result (:func:`_fused_pairs`).
+    Each lag block runs the fused kernel of two matrix products
+    (:func:`_fused_pairs`) on its slot of the pass's grids, built for
+    every lag in one call (:func:`_pass_grid`).  Consecutive slots whose
+    pairs x q^2 cells fit ``_GROUP_CELLS`` share one kernel call
+    (``_group_slots``), and every call reuses one scratch buffer sized
+    for the largest group.  Shifted exponents are floored at
+    ``_EXP_FLOOR``, which changes no bit of a finite result.  The loglik
+    and score sum slot by slot in lag order, so results are
+    bit-reproducible and do not depend on the grouping.
 
-    Consecutive lag blocks, in lag order, are packed into groups whose
-    pairs x q^2 cells fit the scratch budget ``_GROUP_CELLS``, and the
-    kernel runs once per group (:func:`_fused_pairs`): each block's two
-    matrix products run on its own rows of the group, with its own slot
-    of the pass's grids, and every elementwise step runs once over the
-    group.  Blocks of a few dozen distinct pairs (covariate-free series)
-    thus share one call; a block larger than the budget runs alone.  The
-    evaluator keeps one copy of every distinct pair's inputs, in lag
-    order: its time points, covariate rows, summed log-factorials and the
-    constant columns of its term matrix.  A group keeps only its rows of
-    the pass, its slots of the pass's grids and each block's rows within
-    the call, so a pass rebuilds none of the pair inputs.  The kernel's
-    per-pair outputs fill one array for the pass, and the working-scale
-    scores are formed once over it.
-    The only array of pairs x q^2 size is one scratch buffer, sized for
-    the largest group, that each evaluation allocates once and every
-    group reuses; the evaluator itself holds no mutable state, so all
-    public methods are pure functions of the working parameters.  The
-    loglik and score sum block by block in lag order and the per-t sums
-    run in a fixed order, so results are bit-reproducible and do not
-    depend on the grouping.  Every method runs the same pass,
-    :meth:`_evaluate`, which returns the loglik, the score and the
-    per-distinct-pair scores together; the methods differ only in what
-    they return, so :meth:`loglik` is bit-equal to the loglik that
-    :meth:`loglik_and_score` and :meth:`pair_gradients` (the fit path)
-    report at the same point.
+    Every method runs the one pass :meth:`_evaluate`, which returns the
+    loglik, the score and one (rows, dim) array of scores, which
+    :meth:`pair_scores` expands to every pair; so :meth:`loglik` is
+    bit-equal to the loglik that :meth:`loglik_and_score` and the fit
+    path report at the same point.  The evaluator holds no mutable state.
 
-    ``log_sigma2 = -inf`` (tau2 = 0, the independence boundary) is a
-    point like any other: every node maps to the origin and the tensor
-    weights sum to one, so the kernel integrates the point mass exactly
-    and gives Poisson-product densities, the coefficient scores of a
-    Poisson regression, and zero scores for log sigma2 and z_phi, up to
-    rounding.  A pair whose mean e^eta overflows raises a located
-    :class:`NumericalFailure` there as everywhere.
-
-    At phi = 0 (the ``phi_zero`` restriction, the independence point with
-    z_phi = 0, or any call at z_phi = 0) the pass skips the tensor kernel.
-    Every lag's latent correlation is then 0, and at rho = 0 the tensor
-    rule is exactly the product of two 1-D rules, one per member of a
-    pair.  So the 1-D rule runs once per time point, over n x q cells, and
-    each distinct pair adds its two members' log integrals and combines
-    their posterior means into the kernel's four derivatives
-    (:func:`_marginal_terms`, :func:`_product_pairs`).  The results equal
-    the tensor kernel's up to rounding; the sums over pairs, the per-pair
-    scores and the failure location are those of the tensor pass.
+    ``log_sigma2 = -inf`` (tau2 = 0) is a point like any other: every
+    node maps to the origin and the kernel integrates the point mass
+    exactly, giving Poisson-product densities and zero scores for log
+    sigma2 and z_phi, up to rounding.  At phi = 0 every lag's latent
+    correlation is 0 and the tensor rule is exactly the product of two
+    1-D rules, so the pass runs the 1-D rule once per time point
+    (:func:`_marginal_terms`, :func:`_product_pairs`); its sums, per-pair
+    scores and failure locations are the tensor pass's up to rounding.
+    A pair whose terms all underflow raises a :class:`NumericalFailure`
+    located at the first time index that uses it.
     """
 
     def __init__(self, series: CountSeries, weights: PairWeights, rule: QuadRule):
@@ -658,56 +628,44 @@ class PairwiseEvaluator:
         self._lgam = lgam
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
-        self._blocks = []
-        start = 0
-        for lag, w_lag in zip(weights.lags, weights.w):
-            idx2 = outer
-            idx1 = outer - lag
-            swap = (x_rank[idx1] == x_rank[idx2]) & (y[idx1] > y[idx2])
-            a1 = np.where(swap, idx2, idx1)
-            a2 = np.where(swap, idx1, idx2)
+        self._lags, self._w = weights.lags.tolist(), weights.w.tolist()
+        i1, i2, pair_rows, first = [], [], [], [0]
+        for lag in self._lags:
+            earlier = outer - lag
+            swap = (x_rank[earlier] == x_rank[outer]) & (y[earlier] > y[outer])
+            a1, a2 = np.where(swap, outer, earlier), np.where(swap, earlier, outer)
             rep, inverse = _lex_groups((x_rank[a2], x_rank[a1], y_rank[a2], y_rank[a1]))
-            i1, i2 = a1[rep], a2[rep]
-            self._blocks.append(
-                {
-                    "lag": int(lag),
-                    "w": float(w_lag),
-                    "i1": i1,
-                    "i2": i2,
-                    "inverse": inverse,
-                    "counts": np.bincount(inverse, minlength=rep.shape[0]).astype(float),
-                    "rows": slice(start, start + rep.shape[0]),
-                }
-            )
-            start += rep.shape[0]
-        self._i1, self._i2 = (np.concatenate([b[key] for b in self._blocks]) for key in ("i1", "i2"))
+            i1.append(a1[rep])
+            i2.append(a2[rep])
+            pair_rows.append(first[-1] + inverse)
+            first.append(first[-1] + rep.shape[0])
+        self._first = first
+        self._pair_rows = np.stack(pair_rows)
+        self._counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
+        self._i1, self._i2 = np.concatenate(i1), np.concatenate(i2)
         self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
-        self._sizes = np.array([block["i1"].shape[0] for block in self._blocks])
         self._terms = np.zeros((self._i1.shape[0], 5))
         self._terms[:, 0] = 1.0
         self._terms[:, 1] = y[self._i1]
         self._terms[:, 3] = y[self._i2]
         self._pair_lgam = lgam[self._i1] + lgam[self._i2]
         q2 = self._weight_row.shape[0]
-        self._groups = []
-        for slot, block in enumerate(self._blocks):
-            rows = block["rows"]
-            if not self._groups or (rows.stop - first) * q2 > _GROUP_CELLS:
-                first, first_slot = rows.start, slot
-                self._groups.append({"block_rows": []})
-            group = self._groups[-1]
-            group.update(rows=slice(first, rows.stop), slots=slice(first_slot, slot + 1))
-            group["block_rows"].append(slice(rows.start - first, rows.stop - first))
-        self._max_rows = max(group["rows"].stop - group["rows"].start for group in self._groups)
+        self._group_slots, start = [], 0
+        for slot in range(1, len(self._lags)):
+            if (first[slot + 1] - first[start]) * q2 > _GROUP_CELLS:
+                self._group_slots.append(slice(start, slot))
+                start = slot
+        self._group_slots.append(slice(start, len(self._lags)))
+        self._max_rows = max(first[s.stop] - first[s.start] for s in self._group_slots)
 
     # -- core passes -------------------------------------------------------
 
     def _underflow(self, row: int) -> NumericalFailure:
         """The failure for row ``row`` of the pass, the distinct pair of
         one lag block, located at the first time index that uses it."""
-        block = next(block for block in self._blocks if row < block["rows"].stop)
-        pos = int(np.nonzero(block["inverse"] == row - block["rows"].start)[0][0])
-        lag = block["lag"]
+        slot = int(np.searchsorted(self._first, row, side="right")) - 1
+        pos = int(np.argmax(self._pair_rows[slot] == row))
+        lag = self._lags[slot]
         return NumericalFailure(
             f"pair density underflowed at t = {self.m_d + 1 + pos}, lag {lag}",
             time_index=self.m_d + 1 + pos,
@@ -718,15 +676,15 @@ class PairwiseEvaluator:
         """One kernel pass over every group of lag blocks, on the product
         of 1-D rules at phi = 0.
 
-        Returns the loglik, the score and, per lag, (lag, weight, scores)
-        with one row of scores per distinct pair of the block, for
-        :meth:`_expand` to spread to every pair of the series.
+        Returns the loglik, the score and the (distinct pairs, dim)
+        scores of the pass's rows, which :meth:`pair_scores` spreads to
+        every pair of the series.
         """
         params = working.to_params()
         phi = params.phi
         c = math.sqrt(2.0 * params.tau2)
         eta = self.series.X @ params.beta
-        lags = [block["lag"] for block in self._blocks]
+        first = self._first
         if phi == 0.0:
             logp, derivs = _product_pairs(
                 self._i1, self._i2,
@@ -734,42 +692,40 @@ class PairwiseEvaluator:
             )
         else:
             buf = np.empty((self._max_rows, self._weight_row.shape[0]))
-            rhos = [phi**lag for lag in lags]
+            rhos = [phi**lag for lag in self._lags]
             grids, moments = _pass_grid(self.rule.nodes, self._weight_row, c, rhos)
             eta1, eta2 = eta[self._i1], eta[self._i2]
             logp, derivs = np.empty(self._i1.shape[0]), np.empty((self._i1.shape[0], 4))
-            for group in self._groups:
-                rows, slots = group["rows"], group["slots"]
+            for slots in self._group_slots:
+                rows = slice(first[slots.start], first[slots.stop])
                 logp[rows], derivs[rows] = _fused_pairs(
-                    self._terms[rows], self._pair_lgam[rows], group["block_rows"],
+                    self._terms[rows], self._pair_lgam[rows], first[slots.start:slots.stop + 1],
                     eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
                     lambda row: self._underflow(rows.start + row),
                 )
-        drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in lags])
+        drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags])
+        drho_dz = drho_dz.repeat(np.diff(first))
         n_coef = self.n_coef
         grads = np.empty((logp.shape[0], self.dim))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
             grads[:, :n_coef] = derivs[:, :1] * self._X1 + derivs[:, 1:2] * self._X2
             grads[:, n_coef] = 0.5 * derivs[:, 2]
-            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz.repeat(self._sizes) * derivs[:, 3]
+            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
 
         loglik = 0.0
         score = np.zeros(self.dim)
-        block_grads = []
-        for block in self._blocks:
-            rows = block["rows"]
-            loglik += block["w"] * float(block["counts"] @ logp[rows])
-            score += block["w"] * (block["counts"] @ grads[rows])
-            block_grads.append((block["lag"], block["w"], grads[rows]))
-        return loglik, score, block_grads
+        for slot, w_lag in enumerate(self._w):
+            rows = slice(first[slot], first[slot + 1])
+            counts = self._counts[rows]
+            loglik += w_lag * float(counts @ logp[rows])
+            score += w_lag * (counts @ grads[rows])
+        return loglik, score, grads
 
-    def _expand(self, block_grads):
-        """Per-lag scores of every pair from the per-distinct-pair scores
-        of each block, as :meth:`_evaluate` returns them."""
-        return [
-            (lag, w_lag, grads[block["inverse"]])
-            for block, (lag, w_lag, grads) in zip(self._blocks, block_grads)
-        ]
+    def pair_scores(self, grads: np.ndarray) -> np.ndarray:
+        """The (lags, n - m_d, dim) scores of every pair (t - lag, t),
+        t = m_d+1 .. n, from the per-distinct-pair ``grads`` of
+        :meth:`_evaluate` (weight not applied)."""
+        return grads[self._pair_rows]
 
     # -- public surface ----------------------------------------------------
 
@@ -782,16 +738,17 @@ class PairwiseEvaluator:
         nodes, the Cholesky map and the log-sum-exp."""
         return self._evaluate(working)[:2]
 
-    def pair_gradients(self, working: WorkingParams):
-        """Log-likelihood plus, per lag, the (n_pairs, dim) matrix of
-        per-pair score contributions (weight not applied)."""
-        value, _, block_grads = self._evaluate(working)
-        return value, self._expand(block_grads)
+    def pair_gradients(self, working: WorkingParams) -> tuple[float, np.ndarray]:
+        """The loglik and the (lags, n - m_d, dim) array of per-pair
+        scores, row t - m_d - 1 of slot i for the pair (t - lag_i, t)
+        (weight not applied)."""
+        value, _, grads = self._evaluate(working)
+        return value, self.pair_scores(grads)
 
     def per_t_scores(self, working: WorkingParams) -> np.ndarray:
         """Weighted per-time score terms, one row per t = m_d+1 .. n;
         they sum to the score."""
-        return _weighted_per_t(self.pair_gradients(working)[1])
+        return _weighted_per_t(self._w, self.pair_gradients(working)[1])
 
 
 def pairwise_loglik(

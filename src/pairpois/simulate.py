@@ -133,12 +133,18 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     """erfc elementwise for |x| < 8, from the rational forms of
     ``_ERF_T`` .. ``_ERFC_Q`` and erfc(-x) = 2 - erfc(x).  On |x| <= 6.4,
     the band :func:`_lognormal_cdf` evaluates, it is within 4.4e-16 of
-    ``math.erfc``."""
+    ``math.erfc``.  Each form runs only on its own cells: erf on |x| < 1,
+    the tail beyond."""
     a = np.abs(x)
-    z = x * x
-    tail = np.exp(-z) * np.polyval(_ERFC_P, a) / np.polyval(_ERFC_Q, a)
-    erf = x * np.polyval(_ERF_T, z) / np.polyval(_ERF_U, z)
-    return np.where(a < 1.0, 1.0 - erf, np.where(x < 0.0, 2.0 - tail, tail))
+    out = np.empty_like(x)
+    near = a < 1.0
+    x_near, far = x[near], ~near
+    z = x_near * x_near
+    out[near] = 1.0 - x_near * np.polyval(_ERF_T, z) / np.polyval(_ERF_U, z)
+    x_far, a_far = x[far], a[far]
+    tail = np.exp(-(x_far * x_far)) * np.polyval(_ERFC_P, a_far) / np.polyval(_ERFC_Q, a_far)
+    out[far] = np.where(x_far < 0.0, 2.0 - tail, tail)
+    return out
 
 
 def _lognormal_cdf(k: np.ndarray, eta: np.ndarray, tau: float) -> np.ndarray:

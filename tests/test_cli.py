@@ -67,6 +67,19 @@ def test_csv_bad_header(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_csv_with_byte_order_mark(tmp_path):
+    # spreadsheet programs start a UTF-8 CSV with U+FEFF
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffdate,count\r\n1999-01,4\r\n1999-02,0\r\n".encode("utf-8"))
+    data = cli.read_count_csv(str(path))
+    assert data.months == ["1999-01", "1999-02"]
+    assert list(data.counts) == [4, 0]
+    path.write_bytes("\ufeffmonth,cases\n1999-01,4\n".encode("utf-8"))
+    with pytest.raises(pp.DataFormatError,
+                       match="line 1: header must start with 'date,count', got 'month,cases'"):
+        cli.read_count_csv(str(path))
+
+
 def test_csv_non_numeric_covariate(tmp_path, capsys):
     path = write_rows(
         tmp_path / "bad.csv",

@@ -267,9 +267,9 @@ def test_delta_method_consistent_with_reparametrized_fit():
     working_new = to_working(result.x)
     _, pairs = ev.pair_gradients(working_new)
     a = jac(result.x)
-    pairs_new = [(lag, w, grads @ a) for lag, w, grads in pairs]
-    h = sum(w * (g.T @ g) for _, w, g in pairs_new) / series.n
-    psi = sum(w * g for _, w, g in pairs_new)
+    pairs_new = [grads @ a for grads in pairs]
+    h = sum(w * (g.T @ g) for w, g in zip(W1.w, pairs_new)) / series.n
+    psi = sum(w * g for w, g in zip(W1.w, pairs_new))
     j = pp.variability_J(series, working_new, W1, RULE20, r=26)  # J in old coords
     j = a.T @ j @ a
     avar = np.linalg.inv(h) @ j @ np.linalg.inv(h) / series.n
@@ -342,10 +342,10 @@ def test_minimize_bfgs_rejects_failed_trial(error):
 
 def test_bhhh_inverse_rejects_non_finite_curvature():
     grads = np.array([[1.0, 0.5], [0.25, 2.0]])
-    inv = _bhhh_inverse([(1, 1.0, grads)], 2)
+    inv = _bhhh_inverse([1.0], grads[None], 2)
     assert_allclose(inv, np.linalg.inv(grads.T @ grads), rtol=1e-12, atol=0)
     grads[0, 1] = np.inf
-    assert _bhhh_inverse([(1, 1.0, grads)], 2) is None
+    assert _bhhh_inverse([1.0], grads[None], 2) is None
 
 
 def test_fit_deterministic():
@@ -517,9 +517,9 @@ def assert_is_explicit_pass_result(fit, series, weights):
     n = series.n
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(fit.quad_order))
     loglik, pairs = ev.pair_gradients(fit.working_hat)
-    pairs = [(lag, w_lag, grads[:, :k]) for lag, w_lag, grads in pairs]
-    h = estimation._sensitivity_from_pairs(pairs, n)
-    psi = _weighted_per_t(pairs)
+    pairs = pairs[..., :k]
+    h = estimation._sensitivity_from_pairs(weights.w, pairs, n)
+    psi = _weighted_per_t(weights.w, pairs)
     j = estimation._variability_from_psi(psi, n, fit.hac_lags)
     godambe = h @ np.linalg.solve(j, h)
     assert fit.loglik == loglik
@@ -598,7 +598,7 @@ def test_constant_series_raises_typed_error_with_bhhh_start(count):
     weights = pp.make_weights(2, "trap")
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(10))
     _, start_pairs = ev.pair_gradients(pp.moment_init(series).to_working())
-    assert (_bhhh_inverse(start_pairs, series.n) is None) == (count == 0)
+    assert (_bhhh_inverse(weights.w, start_pairs, series.n) is None) == (count == 0)
     with pytest.raises(pp.SingularMatrixError):
         pp.fit(series, weights, quad_order=10)
     with pytest.raises(pp.SingularMatrixError):

@@ -42,6 +42,18 @@ def _grid_pieces(rule, tau2, rho):
     return u, v, logw2
 
 
+def lag_block(ev, slot):
+    """The distinct pairs of lag slot ``slot`` of the evaluator: their
+    time points, each pair's row within the block, and their counts."""
+    rows = slice(ev._first[slot], ev._first[slot + 1])
+    return {
+        "i1": ev._i1[rows],
+        "i2": ev._i2[rows],
+        "inverse": ev._pair_rows[slot] - rows.start,
+        "counts": ev._counts[rows],
+    }
+
+
 class BroadcastEvaluator(PairwiseEvaluator):
     """The pair grouping of :class:`PairwiseEvaluator` with the earlier
     broadcast kernel (one (pairs, q, q) array per intermediate)."""
@@ -123,15 +135,15 @@ class BroadcastEvaluator(PairwiseEvaluator):
         loglik = 0.0
         score = np.zeros(self.dim)
         block_grads = []
-        for block in self._blocks:
-            lag = block["lag"]
+        for slot, (lag, w_lag) in enumerate(zip(self._lags, self._w)):
+            block = lag_block(self, slot)
             rho = phi**lag
             u, v, logw2 = _grid_pieces(self.rule, tau2, rho)
             logp, grads = self._block_terms(block, eta, u, v, logw2, lag, tau2, phi)
-            loglik += block["w"] * float(block["counts"] @ logp)
-            score += block["w"] * (block["counts"] @ grads)
-            block_grads.append((lag, block["w"], grads))
-        return loglik, score, block_grads
+            loglik += w_lag * float(block["counts"] @ logp)
+            score += w_lag * (block["counts"] @ grads)
+            block_grads.append(grads)
+        return loglik, score, np.concatenate(block_grads)
 
 
 def greek_series():
@@ -198,7 +210,7 @@ def failure_location(spike):
     working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
     rule = pp.gauss_hermite(5)
     weights = pp.make_weights(2, "trap")
-    assert [len(group["block_rows"]) for group in PairwiseEvaluator(series, weights, rule)._groups] == [3]
+    assert [s.stop - s.start for s in PairwiseEvaluator(series, weights, rule)._group_slots] == [3]
     errors = []
     for cls in (PairwiseEvaluator, BroadcastEvaluator):
         with pytest.raises(NumericalFailure) as info:
@@ -248,8 +260,8 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     grouped = PairwiseEvaluator(series, weights, rule)
     monkeypatch.setattr(model, "_GROUP_CELLS", 1)
     alone = PairwiseEvaluator(series, weights, rule)
-    assert len(alone._groups) == len(alone._blocks)
-    assert (len(grouped._groups) < len(grouped._blocks)) == several
+    assert len(alone._group_slots) == len(alone._first) - 1
+    assert (len(grouped._group_slots) < len(grouped._first) - 1) == several
     for working in trial_points(pp.moment_init(series)):
         for method in ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores"):
             assert_bitwise_equal(getattr(grouped, method)(working), getattr(alone, method)(working))
@@ -329,9 +341,10 @@ def shifted_exponents(ev, working):
     eta = ev.series.X @ params.beta
     y = ev.series.y.astype(float)
     out = []
-    for block in ev._blocks:
+    for slot, lag in enumerate(ev._lags):
+        block = lag_block(ev, slot)
         i1, i2 = block["i1"], block["i2"]
-        u, v, logw2 = _grid_pieces(ev.rule, params.tau2, params.phi ** block["lag"])
+        u, v, logw2 = _grid_pieces(ev.rule, params.tau2, params.phi**lag)
         a = eta[i1][:, None] + u[None, :]
         b = eta[i2][:, None, None] + v[None, :, :]
         term = (
@@ -430,8 +443,9 @@ def float_key_blocks(series, weights):
 def assert_grouping_matches_float_key(series, weights):
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(5))
     ref = float_key_blocks(series, weights)
-    assert len(ev._blocks) == len(ref)
-    for block, want in zip(ev._blocks, ref):
+    assert len(ev._first) - 1 == len(ref)
+    for slot, want in enumerate(ref):
+        block = lag_block(ev, slot)
         for name in ("i1", "i2", "inverse", "counts"):
             assert np.array_equal(block[name], want[name]), name
 
