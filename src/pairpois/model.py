@@ -347,7 +347,7 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     return grid, moments
 
 
-def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out, failure):
+def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out):
     """Log densities (and score pieces) of the pairs of a group of lag
     blocks by two matrix products per block over one scratch array.
 
@@ -364,9 +364,9 @@ def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out, failure)
     ``out`` is a scratch array of at least (pairs, q^2) that first
     receives the integrand exponents and then, shifted by each row's
     maximum, their exponentials in place, so the pass allocates nothing
-    of the grid's size.  ``failure(row)`` builds the exception raised
-    when every term of a row underflows even in log space; the row is
-    the group's first such row, so the earliest block's.
+    of the grid's size.  A row whose maximum exponent is not finite (every
+    term underflows even in log space, or e^eta overflows) gives a
+    non-finite log density; the caller decides what that means.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
@@ -403,9 +403,6 @@ def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out, failure)
         for rows, grid in zip(blocks, grids):
             np.matmul(terms[rows], grid, out=out[rows])
         m = out.max(axis=1)
-        bad = ~np.isfinite(m)
-        if np.any(bad):
-            raise failure(int(np.argmax(bad)))
         out -= m[:, None]
         q2 = out.shape[1]
         q = math.isqrt(q2)
@@ -428,8 +425,9 @@ def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out, failure)
     return logp, derivs
 
 
-def _marginal_terms(rule: QuadRule, c: float, y, lgam, eta):
-    """Per-time factors of the pair rule at latent correlation 0.
+def _product_pairs(rule: QuadRule, c: float, y, lgam, eta, i1, i2):
+    """What :func:`_fused_pairs` returns at latent correlation 0 for the
+    pairs of time points ``i1``, ``i2``.
 
     At rho = 0 the latent pair (u, v) has independent N(0, tau2) members,
     and the cells of :func:`_pass_grid` sit at u = c x_j, v = c x_k with
@@ -438,9 +436,12 @@ def _marginal_terms(rule: QuadRule, c: float, y, lgam, eta):
     members' 1-D log integrals, and each posterior mean of the fused
     kernel the product of the members' 1-D means.  This runs the 1-D rule
     once per time t, over the (n, q) exponents log w_j - log(pi)/2 +
-    y_t u_j - e^(eta_t) e^(u_j), and returns whether each row's maximum
-    is finite, with four length-n arrays: the log integral, its
-    derivatives in eta and (the member's share) in log c, and E[u].
+    y_t u_j - e^(eta_t) e^(u_j), giving the log integral, its derivatives
+    in eta and (the member's share) in log c, and E[u], and gathers them
+    at each pair's members.  The rho derivative keeps the fused kernel's
+    form E[dv/drho] d/d eta2 with dv/drho = u_j there, the first member's
+    nodes.  A member whose exponents have no finite maximum gives its
+    pairs a non-finite log density.
     """
     u = c * rule.nodes
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,24 +452,10 @@ def _marginal_terms(rule: QuadRule, c: float, y, lgam, eta):
         sums = np.exp(expo - m[:, None]) @ np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
         s_u, s_eu, s_ueu = (sums[:, 1:] / sums[:, :1]).T
         logp = m + np.log(sums[:, 0]) + y * eta - lgam
-        return np.isfinite(m), (logp, y - exp_eta * s_eu, y * s_u - exp_eta * s_ueu, s_u)
-
-
-def _product_pairs(i1, i2, finite, marginal, failure):
-    """What :func:`_fused_pairs` returns at latent correlation 0 for the
-    pairs of time points ``i1``, ``i2``, gathered from the per-time rows
-    of :func:`_marginal_terms` at each pair's members.  The rho derivative
-    keeps the fused kernel's form E[dv/drho] d/d eta2 with dv/drho = u_j
-    there, the first member's nodes.  ``failure(row)`` is raised for the
-    first pair with a member whose exponents have no finite maximum."""
-    bad = ~(finite[i1] & finite[i2])
-    if np.any(bad):
-        raise failure(int(np.argmax(bad)))
-    logp, d_eta, d_logc, s_u = marginal
-    d_eta2 = d_eta[i2]
-    with np.errstate(invalid="ignore"):  # an infinite moment times 0
+        d_eta, d_logc = y - exp_eta * s_eu, y * s_u - exp_eta * s_ueu
+        d_eta2 = d_eta[i2]
         derivs = np.column_stack([d_eta[i1], d_eta2, d_logc[i1] + d_logc[i2], s_u[i1] * d_eta2])
-    return logp[i1] + logp[i2], derivs
+        return logp[i1] + logp[i2], derivs
 
 
 def pair_log_density(
@@ -501,8 +488,8 @@ def pair_log_density(
     Raises
     ------
     NumericalFailure
-        If every grid term underflows even in log space, or a mean
-        e^eta overflows.
+        If the log density is not finite: every grid term underflows even
+        in log space, or a mean e^eta overflows.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -521,10 +508,11 @@ def pair_log_density(
     logp, _ = _fused_pairs(
         np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [0, 1], eta[:1], eta[1:],
         grids, moments, np.empty((1, grids.shape[2])),
-        lambda _: NumericalFailure(
-            f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
-        ),
     )
+    if not np.isfinite(logp[0]):
+        raise NumericalFailure(
+            f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
+        )
     return float(logp[0])
 
 
@@ -604,10 +592,12 @@ class PairwiseEvaluator:
     sigma2 and z_phi, up to rounding.  At phi = 0 every lag's latent
     correlation is 0 and the tensor rule is exactly the product of two
     1-D rules, so the pass runs the 1-D rule once per time point
-    (:func:`_marginal_terms`, :func:`_product_pairs`); its sums, per-pair
-    scores and failure locations are the tensor pass's up to rounding.
-    A pair whose terms all underflow raises a :class:`NumericalFailure`
-    located at the first time index that uses it.
+    (:func:`_product_pairs`); its sums, per-pair scores and failure
+    locations are the tensor pass's up to rounding.  The kernels return
+    values only: a pair whose log density is not finite (its terms all
+    underflow, or e^eta overflows) makes :meth:`_evaluate` raise a
+    :class:`NumericalFailure` located at the first time index that uses
+    it.
     """
 
     def __init__(self, series: CountSeries, weights: PairWeights, rule: QuadRule):
@@ -678,7 +668,10 @@ class PairwiseEvaluator:
 
         Returns the loglik, the score and the (distinct pairs, dim)
         scores of the pass's rows, which :meth:`pair_scores` spreads to
-        every pair of the series.
+        every pair of the series.  This is the one place a non-finite
+        pair log density becomes a :class:`NumericalFailure`: it is
+        raised for the first such row, so the earliest lag block's,
+        located by :meth:`_underflow`, before the scores are assembled.
         """
         params = working.to_params()
         phi = params.phi
@@ -687,8 +680,7 @@ class PairwiseEvaluator:
         first = self._first
         if phi == 0.0:
             logp, derivs = _product_pairs(
-                self._i1, self._i2,
-                *_marginal_terms(self.rule, c, self.series.y, self._lgam, eta), self._underflow,
+                self.rule, c, self.series.y, self._lgam, eta, self._i1, self._i2
             )
         else:
             buf = np.empty((self._max_rows, self._weight_row.shape[0]))
@@ -701,8 +693,10 @@ class PairwiseEvaluator:
                 logp[rows], derivs[rows] = _fused_pairs(
                     self._terms[rows], self._pair_lgam[rows], first[slots.start:slots.stop + 1],
                     eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
-                    lambda row: self._underflow(rows.start + row),
                 )
+        bad = ~np.isfinite(logp)
+        if np.any(bad):
+            raise self._underflow(int(np.argmax(bad)))
         drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags])
         drho_dz = drho_dz.repeat(np.diff(first))
         n_coef = self.n_coef

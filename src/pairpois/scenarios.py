@@ -14,6 +14,7 @@ import numpy as np
 from . import estimation
 from .errors import NumericalFailure, PairpoisError
 from .model import CountSeries, Params, make_weights
+from .quadrature import gauss_hermite
 from .simulate import _simulate_counts
 
 PARAM_NAMES = ("beta", "sigma2", "phi", "tau2")
@@ -92,9 +93,13 @@ class StudyCell:
     quad_order: int
     estimates: np.ndarray  # (n_rep, 4) on the reporting scale; NaN where failed
     ses: np.ndarray  # (n_rep, 4)
-    converged: np.ndarray  # (n_rep,) bool
     j_min_eigs: np.ndarray  # (n_rep,) smallest eigenvalue of J_hat
     outcomes: np.ndarray  # (n_rep,) "converged" or one of FAILURE_REASONS
+
+    @property
+    def converged(self) -> np.ndarray:
+        """(n_rep,) bool: which replicates' fits converged."""
+        return self.outcomes == "converged"
 
 
 def run_study_cell(
@@ -110,12 +115,11 @@ def run_study_cell(
 
     Replicates whose fit fails in a typed way (a library error such as
     singular sensitivity or numerical failure, or a singular variability
-    matrix in the Godambe solve) are recorded as NaN rows with
-    converged = False; any other exception propagates.  Each replicate's
-    outcome is recorded as ``"converged"``, ``"not_converged"`` (the fit
-    returned flagged), ``"numerical"`` (``NumericalFailure``) or
-    ``"singular"`` (any other typed failure: ``SingularMatrixError`` or
-    ``LinAlgError``).  Results are deterministic functions of the seed.
+    matrix in the Godambe solve) are recorded as NaN rows; any other
+    exception propagates.  Each replicate's outcome is recorded as
+    ``"converged"``, ``"not_converged"`` (the fit returned flagged),
+    ``"numerical"`` (``NumericalFailure``) or ``"singular"`` (any other
+    typed failure: ``SingularMatrixError`` or ``LinAlgError``).  Results are deterministic functions of the seed.
     ``n_series`` below 1 raises ``ValueError``.
     """
     if n_series < 1:
@@ -123,7 +127,6 @@ def run_study_cell(
     weights = make_weights(d, scheme)
     estimates = np.full((n_series, 4), np.nan)
     ses = np.full((n_series, 4), np.nan)
-    converged = np.zeros(n_series, dtype=bool)
     j_eigs = np.full(n_series, np.nan)
     outcomes = np.empty(n_series, dtype=object)
     for r in range(n_series):
@@ -135,7 +138,6 @@ def run_study_cell(
             continue
         estimates[r] = _reporting_vector(result)
         ses[r] = result.se
-        converged[r] = result.converged
         outcomes[r] = "converged" if result.converged else "not_converged"
         j_eigs[r] = float(np.linalg.eigvalsh(result.J_hat).min())
     return StudyCell(
@@ -145,7 +147,6 @@ def run_study_cell(
         quad_order=quad_order,
         estimates=estimates,
         ses=ses,
-        converged=converged,
         j_min_eigs=j_eigs,
         outcomes=outcomes,
     )
@@ -201,12 +202,24 @@ def run_scenario_study(
     quad_orders,
     seed: int,
 ):
-    """Full study grid; returns (summary rows, {config: StudyCell})."""
-    rows = []
-    cells = {}
+    """Full study grid; returns (summary rows, {config: StudyCell}).
+
+    Every scenario id, (d, scheme) pair and node count, and the series
+    length against each window, is checked before the first fit, so a bad
+    entry anywhere in the grid raises ``ValueError`` at once rather than
+    after the cells before it ran.
+    """
     for sid in scenario_ids:
         if sid not in SCENARIOS:
             raise ValueError(f"unknown scenario id {sid}; valid ids are 1..9")
+    for weights in [make_weights(d, scheme) for d in d_values for scheme in schemes]:
+        if n_len <= weights.m_d:
+            raise ValueError(f"series length {n_len} must exceed the window m_d = {weights.m_d}")
+    for order in quad_orders:
+        gauss_hermite(order)  # raises ValueError on a bad node count
+    rows = []
+    cells = {}
+    for sid in scenario_ids:
         for d in d_values:
             for scheme in schemes:
                 for order in quad_orders:

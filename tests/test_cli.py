@@ -712,6 +712,36 @@ def test_scenarios_study_csv(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--ids", "5,99", "unknown scenario id 99"),
+        ("--schemes", "rect,bogus", "unknown weight scheme 'bogus'"),
+        ("--nodes", "10,0", "order must be in [1, 100], got 0"),
+        ("--orders", "1,0", "order d must be a positive integer, got 0"),
+        ("--orders", "1,200", "series length 150 must exceed the window m_d = 200"),
+    ],
+    ids=["ids", "schemes", "nodes", "orders", "window"],
+)
+def test_scenarios_checks_the_grid_before_the_first_fit(
+    flag, value, message, tmp_path, monkeypatch, capsys
+):
+    from pairpois import estimation
+
+    real_fit = estimation.fit
+    fits = []
+    monkeypatch.setattr(estimation, "fit", lambda *a, **k: (fits.append(1), real_fit(*a, **k))[1])
+    out = tmp_path / "study.csv"
+    grid = {"--ids": "5", "--orders": "1", "--schemes": "rect", "--nodes": "10", flag: value}
+    argv = ["scenarios", "--n-series", "3", "--n-len", "150", "--output", str(out)]
+    for name, entries in grid.items():
+        argv += [name, entries]
+    assert cli.main(argv) == 1
+    assert fits == []
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
     from pairpois import estimation, scenarios
 

@@ -232,6 +232,32 @@ def test_fused_kernel_failure_in_later_block_of_group_matches_broadcast():
     assert failure_location(2) == (5, 2)
 
 
+@pytest.mark.parametrize("z_phi", [0.3, 0.0], ids=["phi!=0", "phi=0"])
+def test_failure_in_a_later_kernel_call_matches_broadcast(z_phi):
+    # 396 distinct pairs per lag at 40 nodes: every lag block runs in a
+    # kernel call of its own.  The spike at t = 3 lies before the window
+    # m_d = 4, so only lags 2 and 3 reach it, in the second and third calls.
+    n, spike = 400, 2
+    z = np.zeros(n)
+    z[spike] = 1.0
+    X = np.column_stack([np.ones(n), np.arange(n) / n, z])
+    y = np.random.default_rng(7).poisson(3.0, n)
+    series = pp.CountSeries(y=y, X=X)
+    weights = pp.make_weights(2, "trap")
+    rule = pp.gauss_hermite(40)
+    ev = PairwiseEvaluator(series, weights, rule)
+    assert len(ev._group_slots) >= 2
+    failing = np.flatnonzero((ev._i1 == spike) | (ev._i2 == spike))
+    assert failing.size and failing.min() >= ev._first[ev._group_slots[0].stop]
+    working = pp.WorkingParams(beta=[0.2, 0.1, 800.0], log_sigma2=math.log(0.1), z_phi=z_phi)
+    errors = []
+    for evaluator in (ev, BroadcastEvaluator(series, weights, rule)):
+        with pytest.raises(NumericalFailure) as info:
+            evaluator.loglik_and_score(working)
+        errors.append((info.value.time_index, info.value.lag))
+    assert errors[0] == errors[1] == (5, 2)
+
+
 def assert_bitwise_equal(a, b):
     if isinstance(a, (tuple, list)):
         assert len(a) == len(b)

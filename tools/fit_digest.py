@@ -19,7 +19,10 @@ Groups:
               and both restrictions, with the data path masked.
 
 A case that raises enters its digest as the exception's type and text.
-pairpois is imported from the ``src/`` next to this file.
+A ``RuntimeWarning`` is an error here, as under pytest (``pyproject.toml``),
+so a floating-point warning inside a case enters its digest the same way
+and one outside a case stops the run.  pairpois is imported from the
+``src/`` next to this file.
 
 Run from the repository root:  python tools/fit_digest.py
 """
@@ -32,6 +35,7 @@ import math
 import pathlib
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -168,6 +172,7 @@ def cli_outputs(h):
 
 
 def main():
+    warnings.simplefilter("error", RuntimeWarning)
     for name, group in (("fits", fits), ("evaluator", evaluator), ("cli", cli_outputs)):
         h = hashlib.sha256()
         group(h)
