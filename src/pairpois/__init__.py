@@ -28,11 +28,9 @@ from .model import (
     PairwiseEvaluator,
     Params,
     WorkingParams,
-    autocorrelation,
     dispersion_index,
     make_weights,
-    marginal_mean,
-    marginal_var,
+    marginal_moments,
     pair_log_density,
     pairwise_loglik,
     poisson_log_pmf,
@@ -60,7 +58,6 @@ __all__ = [
     "SimConfig",
     "SingularMatrixError",
     "WorkingParams",
-    "autocorrelation",
     "default_hac_lags",
     "dispersion_index",
     "fit",
@@ -68,8 +65,7 @@ __all__ = [
     "gauss_hermite",
     "latent_paths",
     "make_weights",
-    "marginal_mean",
-    "marginal_var",
+    "marginal_moments",
     "moment_init",
     "pair_log_density",
     "pairwise_loglik",

@@ -573,7 +573,7 @@ def cmd_scenarios(args) -> int:
     d_values = [int(s) for s in args.orders.split(",")]
     schemes = args.schemes.split(",")
     orders = [int(s) for s in args.nodes.split(",")]
-    rows, _ = scenarios.run_scenario_study(
+    rows = scenarios.run_scenario_study(
         ids, args.n_series, args.n_len, d_values, schemes, orders, args.seed
     )
     fieldnames = list(rows[0].keys())

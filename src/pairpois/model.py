@@ -208,30 +208,15 @@ def make_weights(d: int, scheme: str = RECTANGULAR) -> PairWeights:
 # marginal moments
 
 
-def marginal_mean(x: np.ndarray, params: Params) -> float:
-    """Marginal mean exp(x'beta + tau2/2) of a count with covariates x."""
-    return float(np.exp(np.dot(x, params.beta) + 0.5 * params.tau2))
+def marginal_moments(eta, tau2: float) -> tuple:
+    """Mean and variance of the Poisson-lognormal law Poisson(exp(eta +
+    u)), u ~ N(0, tau2), elementwise over a scalar or array ``eta``.
 
-
-def marginal_var(x: np.ndarray, params: Params) -> float:
-    """Marginal variance m + m^2 * (exp(tau2) - 1), always >= the mean."""
-    m = marginal_mean(x, params)
-    return m + m * m * math.expm1(params.tau2)
-
-
-def autocorrelation(lag: int, x_t: np.ndarray, x_lag: np.ndarray, params: Params) -> float:
-    """Marginal autocorrelation of counts ``lag`` steps apart.
-
-    Depends on the marginal moments at both time points, so it varies
-    with the covariates even though the latent correlation phi**lag
-    does not.
+    The mean is exp(eta + tau2/2) and the variance m + m^2 * (exp(tau2) -
+    1), always >= the mean.
     """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    m_t = marginal_mean(x_t, params)
-    m_l = marginal_mean(x_lag, params)
-    num = m_t * m_l * math.expm1(params.phi**lag * params.tau2)
-    return num / math.sqrt(marginal_var(x_t, params) * marginal_var(x_lag, params))
+    mean = np.exp(eta + 0.5 * tau2)
+    return mean, mean + mean * mean * math.expm1(tau2)
 
 
 def dispersion_index(x: np.ndarray, params: Params) -> float | np.ndarray:
@@ -242,7 +227,7 @@ def dispersion_index(x: np.ndarray, params: Params) -> float | np.ndarray:
     covariate row, giving a scalar, or an (n, p+1) design matrix, giving
     the index of every row.
     """
-    return np.exp(np.dot(x, params.beta) + 0.5 * params.tau2) * math.expm1(params.tau2)
+    return marginal_moments(np.dot(x, params.beta), params.tau2)[0] * math.expm1(params.tau2)
 
 
 def _log_factorial(y) -> np.ndarray:
@@ -501,7 +486,8 @@ def pair_log_density(
     if np.array_equal(x1, x2) and y2 < y1:
         y1, y2 = y2, y1
 
-    eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
+    with np.errstate(over="ignore"):  # an overflowing x'beta fails below
+        eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial([y1, y2])
     c = math.sqrt(2.0 * params.tau2)
     grids, moments = _pass_grid(rule.nodes, _weight_row(rule), c, [params.phi**lag])
@@ -676,7 +662,8 @@ class PairwiseEvaluator:
         params = working.to_params()
         phi = params.phi
         c = math.sqrt(2.0 * params.tau2)
-        eta = self.series.X @ params.beta
+        with np.errstate(over="ignore"):  # an overflowing X beta is raised below, located
+            eta = self.series.X @ params.beta
         first = self._first
         if phi == 0.0:
             logp, derivs = _product_pairs(

@@ -33,24 +33,11 @@ class ScenarioSpec:
     sigma: float
 
     @property
-    def sigma2(self) -> float:
-        return self.sigma * self.sigma
-
-    @property
-    def tau2(self) -> float:
-        return self.sigma2 / (1.0 - self.phi * self.phi)
-
-    @property
     def params(self) -> Params:
-        return Params(beta=np.array([self.beta]), sigma2=self.sigma2, phi=self.phi)
+        return Params(beta=np.array([self.beta]), sigma2=self.sigma * self.sigma, phi=self.phi)
 
     def true_values(self) -> dict[str, float]:
-        return {
-            "beta": self.beta,
-            "sigma2": self.sigma2,
-            "phi": self.phi,
-            "tau2": self.tau2,
-        }
+        return dict(zip(PARAM_NAMES, _reporting_vector(self.params).tolist()))
 
 
 SCENARIOS: dict[int, ScenarioSpec] = {
@@ -78,8 +65,9 @@ def simulate_scenario(scenario_id: int, n: int, seed: int, replicate: int = 0) -
     return CountSeries(y=_simulate_counts(spec.params, X, rng), X=X)
 
 
-def _reporting_vector(result: estimation.FitResult) -> np.ndarray:
-    p = result.params_hat
+def _reporting_vector(p: Params) -> np.ndarray:
+    """(beta, sigma2, phi, tau2) of an intercept-only model, in
+    ``PARAM_NAMES`` order."""
     return np.array([p.beta[0], p.sigma2, p.phi, p.tau2])
 
 
@@ -136,7 +124,7 @@ def run_study_cell(
         except (PairpoisError, np.linalg.LinAlgError) as err:
             outcomes[r] = "numerical" if isinstance(err, NumericalFailure) else "singular"
             continue
-        estimates[r] = _reporting_vector(result)
+        estimates[r] = _reporting_vector(result.params_hat)
         ses[r] = result.se
         outcomes[r] = "converged" if result.converged else "not_converged"
         j_eigs[r] = float(np.linalg.eigvalsh(result.J_hat).min())
@@ -202,7 +190,7 @@ def run_scenario_study(
     quad_orders,
     seed: int,
 ):
-    """Full study grid; returns (summary rows, {config: StudyCell}).
+    """Full study grid; returns the summary rows of every cell.
 
     Every scenario id, (d, scheme) pair and node count, and the series
     length against each window, is checked before the first fit, so a bad
@@ -218,12 +206,10 @@ def run_scenario_study(
     for order in quad_orders:
         gauss_hermite(order)  # raises ValueError on a bad node count
     rows = []
-    cells = {}
     for sid in scenario_ids:
         for d in d_values:
             for scheme in schemes:
                 for order in quad_orders:
                     cell = run_study_cell(sid, n_series, n_len, d, scheme, order, seed)
-                    cells[(sid, d, cell.scheme, order)] = cell
                     rows.extend(summarize_cell(cell, n_len, n_series))
-    return rows, cells
+    return rows

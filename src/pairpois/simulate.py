@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConvergedError
-from .model import CountSeries, Params, poisson_log_pmf
+from .model import CountSeries, Params, marginal_moments, poisson_log_pmf
 
 # cells evaluated at once, at most: (law, node) of the cdf rule, or
 # (law, count) of a Poisson sum
@@ -75,7 +75,7 @@ class PredictionBand:
     upper95: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "point", np.exp(self.eta + 0.5 * self.tau2))
+        object.__setattr__(self, "point", marginal_moments(self.eta, self.tau2)[0])
         object.__setattr__(self, "upper95", self.quantile(0.95))
 
     def quantile(self, level: float) -> np.ndarray:
@@ -195,8 +195,8 @@ def _quantile(levels: np.ndarray, tau2: float, level: float) -> np.ndarray:
     the mass lies below) up to ``hi``, over at most ``_CHUNK_CELLS``
     (law, count) cells at once.
     """
-    mean = np.exp(levels + 0.5 * tau2)
-    sd = np.sqrt(mean + mean * mean * math.expm1(tau2))
+    mean, var = marginal_moments(levels, tau2)
+    sd = np.sqrt(var)
     lo = np.maximum(np.floor(mean - sd * math.sqrt((1.0 - level) / level)) - 1.0, -1.0)
     hi = np.ceil(mean + sd * math.sqrt(level / (1.0 - level)))
     if tau2 == 0.0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairpois as pp
-from pairpois import cli
+from pairpois import cli, scenarios
 
 DATA_DIR = pathlib.Path(pp.__file__).parent / "data"
 
@@ -685,11 +685,11 @@ def test_predict_without_covariates_never_reads_future_file(tmp_path, greek_repo
 def test_benchmark_registry_rows():
     row3 = pp.SCENARIOS[3]
     assert (row3.beta, row3.phi, row3.sigma) == (-0.6130, 0.9, 0.6221)
-    assert abs(row3.tau2 - 2.0369) < 1e-4
+    assert abs(row3.params.tau2 - 2.0369) < 1e-4
     row6 = pp.SCENARIOS[6]
-    assert abs(row6.tau2 - 0.5107) < 1e-4
+    assert abs(row6.params.tau2 - 0.5107) < 1e-4
     row9 = pp.SCENARIOS[9]
-    assert abs(row9.tau2 - 0.0645) < 1e-4
+    assert abs(row9.params.tau2 - 0.0645) < 1e-4
     for sid, spec in pp.SCENARIOS.items():
         d_t = pp.dispersion_index(np.array([1.0]), spec.params)
         assert abs(d_t - spec.dispersion) < 1e-3 * spec.dispersion
@@ -743,7 +743,7 @@ def test_scenarios_checks_the_grid_before_the_first_fit(
 
 
 def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
-    from pairpois import estimation, scenarios
+    from pairpois import estimation
 
     def raising(error):
         def fake_fit(*args, **kwargs):
@@ -761,7 +761,7 @@ def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):
 
 
 def test_study_cell_records_non_finite_start_as_numerical(monkeypatch):
-    from pairpois import estimation, scenarios
+    from pairpois import estimation
 
     real_fit = estimation.fit
 
@@ -777,7 +777,7 @@ def test_study_cell_records_non_finite_start_as_numerical(monkeypatch):
 
 
 def test_study_cell_counts_failures_by_reason(monkeypatch):
-    from pairpois import estimation, scenarios
+    from pairpois import estimation
 
     real_fit = estimation.fit
     outcomes = iter([
@@ -814,9 +814,7 @@ def test_beta_rmse_insensitive_to_pairwise_order():
     truth = pp.SCENARIOS[8].beta
 
     def beta_rmse(d):
-        cell = pp.run_scenario_study([8], 100, 500, [d], ["rect"], [20], seed=4242)[1][
-            (8, d, "rectangular", 20)
-        ]
+        cell = scenarios.run_study_cell(8, 100, 500, d, "rect", 20, 4242)
         est = cell.estimates[np.all(np.isfinite(cell.estimates), axis=1), 0]
         return float(np.sqrt(np.mean((est - truth) ** 2)))
 

@@ -124,25 +124,27 @@ def test_count_series_validation():
 
 def test_marginal_mean_examples():
     s1 = pp.SCENARIOS[1].params
-    assert abs(pp.marginal_mean(ONE, s1) - math.exp(-0.6130 + s1.tau2 / 2)) < 1e-12
-    assert abs(pp.marginal_mean(ONE, s1) - 1.500) < 1e-3
+    mean, _ = pp.marginal_moments(ONE @ s1.beta, s1.tau2)
+    assert abs(mean - math.exp(-0.6130 + s1.tau2 / 2)) < 1e-12
+    assert abs(mean - 1.500) < 1e-3
 
     s4 = pp.SCENARIOS[4].params
-    assert abs(pp.marginal_mean(ONE, s4) - 1.500) < 1e-3
+    assert abs(pp.marginal_moments(ONE @ s4.beta, s4.tau2)[0] - 1.500) < 1e-3
 
     flat = pp.Params(beta=[0.0], sigma2=1e-14, phi=0.0)
-    assert abs(pp.marginal_mean(ONE, flat) - 1.0) < 1e-10
+    assert abs(pp.marginal_moments(ONE @ flat.beta, flat.tau2)[0] - 1.0) < 1e-10
 
 
 def test_marginal_var_examples():
     s1 = pp.SCENARIOS[1].params
-    m = pp.marginal_mean(ONE, s1)
+    m, var = pp.marginal_moments(ONE @ s1.beta, s1.tau2)
     expected = m + m * m * (math.exp(s1.tau2) - 1.0)
-    assert abs(pp.marginal_var(ONE, s1) - expected) < 1e-9
+    assert abs(var - expected) < 1e-9
     assert abs(expected - 16.5) < 0.01
 
     flat = pp.Params(beta=[0.4], sigma2=1e-14, phi=0.0)
-    assert abs(pp.marginal_var(ONE, flat) - pp.marginal_mean(ONE, flat)) < 1e-10
+    m, var = pp.marginal_moments(ONE @ flat.beta, flat.tau2)
+    assert abs(var - m) < 1e-10
 
 
 def test_overdispersion_property():
@@ -153,19 +155,25 @@ def test_overdispersion_property():
             sigma2=rng.uniform(0.01, 2.0),
             phi=rng.uniform(-0.95, 0.95),
         )
-        assert pp.marginal_var(ONE, p) >= pp.marginal_mean(ONE, p)
+        mean, var = pp.marginal_moments(ONE @ p.beta, p.tau2)
+        assert var >= mean
 
 
-def test_autocorrelation_zero_and_sign():
-    p0 = pp.Params(beta=[0.2], sigma2=0.5, phi=0.0)
-    for lag in (1, 2, 5):
-        assert pp.autocorrelation(lag, ONE, ONE, p0) == 0.0
-    p = pp.Params(beta=[0.2], sigma2=0.5, phi=-0.6)
-    for lag in (1, 2, 3):
-        r = pp.autocorrelation(lag, ONE, ONE, p)
-        assert math.copysign(1, r) == math.copysign(1, (-0.6) ** lag)
-    with pytest.raises(ValueError):
-        pp.autocorrelation(0, ONE, ONE, p)
+def test_marginal_moments_of_array_are_per_element():
+    p = pp.Params(beta=[0.2, -0.7], sigma2=0.3, phi=0.5)
+    X = np.column_stack([np.ones(6), np.linspace(-1.0, 2.0, 6)])
+    eta = X @ p.beta
+    mean, var = pp.marginal_moments(eta, p.tau2)
+    assert mean.shape == var.shape == (6,)
+    for i, e in enumerate(eta):
+        assert (mean[i], var[i]) == pp.marginal_moments(e, p.tau2)
+
+
+def lag1_autocorrelation(p):
+    """Marginal lag-1 autocorrelation m^2 expm1(phi tau2) / v of counts
+    of an intercept-only model."""
+    m, v = pp.marginal_moments(ONE @ p.beta, p.tau2)
+    return m * m * math.expm1(p.phi * p.tau2) / v
 
 
 def test_autocorrelation_against_long_simulation():
@@ -174,13 +182,13 @@ def test_autocorrelation_against_long_simulation():
     X = np.ones((1_000_000, 1))
     y = pp.simulate_series(pp.SimConfig(params=p2, X=X, n_rep=1, seed=2024)).y.astype(float)
     r_hat = np.corrcoef(y[:-1], y[1:])[0, 1]
-    assert abs(r_hat - pp.autocorrelation(1, ONE, ONE, p2)) < 0.01
+    assert abs(r_hat - lag1_autocorrelation(p2)) < 0.01
 
     p3 = pp.SCENARIOS[3].params
     X = np.ones((4_000_000, 1))
     y = pp.simulate_series(pp.SimConfig(params=p3, X=X, n_rep=1, seed=2024)).y.astype(float)
     r_hat = np.corrcoef(y[:-1], y[1:])[0, 1]
-    assert abs(r_hat - pp.autocorrelation(1, ONE, ONE, p3)) < 0.01
+    assert abs(r_hat - lag1_autocorrelation(p3)) < 0.01
 
 
 @pytest.mark.parametrize("sid,target", [(1, 10.0), (4, 1.0), (7, 0.1)])
@@ -259,8 +267,8 @@ def test_pair_density_total_mass():
     # leaves it unchanged), so the mass bound is 2e-4 rather than the
     # nominal 1e-4.
     p = pp.SCENARIOS[4].params
-    mean = pp.marginal_mean(ONE, p)
-    top = math.ceil(mean + 10 * math.sqrt(pp.marginal_var(ONE, p)))
+    mean, var = pp.marginal_moments(ONE @ p.beta, p.tau2)
+    top = math.ceil(mean + 10 * math.sqrt(var))
     assert top == 19
 
     def box_mass(order):
@@ -299,6 +307,31 @@ def test_pairwise_loglik_underflow_carries_position():
         pp.pairwise_loglik(series, p, pp.make_weights(1, "rect"), pp.gauss_hermite(5))
     assert info.value.lag == 1
     assert info.value.time_index in range(2, 5)
+
+
+# beta whose X beta overflows to -inf where z = 2, at 0-based time 22
+OVERFLOW_BETA = [0.2, -1e308]
+
+
+@pytest.mark.parametrize("z_phi", [0.3, 0.0], ids=["phi!=0", "phi=0"])
+def test_overflowing_linear_predictor_raises_located_failure(z_phi):
+    # the overflow of X beta must reach the located NumericalFailure, not
+    # escape as a RuntimeWarning (an error under this suite's filters)
+    n = 40
+    z = np.zeros(n)
+    z[22] = 2.0
+    series = pp.CountSeries(y=np.arange(n) % 4, X=np.column_stack([np.ones(n), z]))
+    ev = pp.PairwiseEvaluator(series, pp.make_weights(2, "trap"), pp.gauss_hermite(5))
+    working = pp.WorkingParams(beta=OVERFLOW_BETA, log_sigma2=math.log(0.1), z_phi=z_phi)
+    with pytest.raises(pp.NumericalFailure) as info:
+        ev.loglik_and_score(working)
+    assert (info.value.time_index, info.value.lag) == (23, 1)
+
+
+def test_pair_density_of_overflowing_linear_predictor_raises():
+    p = pp.Params(beta=OVERFLOW_BETA, sigma2=0.1, phi=0.3)
+    with pytest.raises(pp.NumericalFailure):
+        pp.pair_log_density(0, 2, [1.0, 2.0], [1.0, 0.0], 1, p, pp.gauss_hermite(5))
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ def test_moment_checks_against_theory():
     X = np.ones((1_000_000, 1))
     series = pp.simulate_series(pp.SimConfig(params=params, X=X, n_rep=1, seed=2024))
     y = series.y.astype(float)
-    m = pp.marginal_mean(ONE, params)
-    v = pp.marginal_var(ONE, params)
+    m, v = pp.marginal_moments(ONE @ params.beta, params.tau2)
     assert abs(y.mean() - m) <= 0.01 * m
     assert abs(y.var(ddof=1) - v) <= 0.03 * v
 
@@ -122,8 +121,8 @@ def fitted_scenario5(n=400, seed=20):
 def test_predict_point_converges_to_marginal_mean():
     fit, series = fitted_scenario5()
     band = pp.predict(fit, None, n_sim=100_000, seed=5, X_insample=series.X[:10])
-    m = pp.marginal_mean(ONE, fit.params_hat)
-    assert np.all(np.abs(band.point - m) <= 0.01 * m + 3 * math.sqrt(pp.marginal_var(ONE, fit.params_hat) / 100_000))
+    m, v = pp.marginal_moments(ONE @ fit.params_hat.beta, fit.params_hat.tau2)
+    assert np.all(np.abs(band.point - m) <= 0.01 * m + 3 * math.sqrt(v / 100_000))
 
 
 def test_predict_band_invariants_and_monotone_levels():
@@ -210,7 +209,7 @@ def test_predict_rejects_empty_horizon(restricted):
 # in z (its cdf is off by about 4e-3 there), so the reference integrates
 # the dual form P(Y <= k) = E[Phi((log G - eta) / tau)], G ~ Gamma(k + 1),
 # with the 100-node rule centred on the gamma law.
-HIGH_COUNT = (math.log(2000.0), pp.SCENARIOS[8].tau2)
+HIGH_COUNT = (math.log(2000.0), pp.SCENARIOS[8].params.tau2)
 
 
 def _law_pmf(eta, tau2, n_counts):
@@ -240,7 +239,7 @@ def _quantile(cdf_at, q):
 
 @pytest.mark.parametrize(
     "eta,tau2,reference",
-    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].tau2, _mixture_cdf) for s in (1, 3, 5, 8)]
+    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].params.tau2, _mixture_cdf) for s in (1, 3, 5, 8)]
     + [(*HIGH_COUNT, _dual_cdf)],
     ids=["scenario1", "scenario3", "scenario5", "scenario8", "high_count"],
 )
@@ -274,7 +273,7 @@ def test_count_pmf_wide_latent_law(eta):
 
 @pytest.mark.parametrize(
     "eta,tau2",
-    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].tau2) for s in (1, 5)] + [HIGH_COUNT, (-10.0, 8.0)],
+    [(pp.SCENARIOS[s].beta, pp.SCENARIOS[s].params.tau2) for s in (1, 5)] + [HIGH_COUNT, (-10.0, 8.0)],
     ids=["scenario1", "scenario5", "high_count", "rare_wide"],
 )
 def test_lognormal_cdf_is_the_count_pmf_cumsum(eta, tau2):
@@ -368,7 +367,7 @@ def test_band_is_the_exact_law(tmp_path, law):
     X, params, months = law(tmp_path)
     fit = types.SimpleNamespace(converged=True, params_hat=params)
     band = pp.predict(fit, None, X_insample=X)
-    assert_allclose(band.point, [pp.marginal_mean(x, params) for x in X], rtol=1e-12, atol=0)
+    assert_allclose(band.point, [pp.marginal_moments(x @ params.beta, params.tau2)[0] for x in X], rtol=1e-12, atol=0)
     got = [band.quantile(0.90)[months], band.upper95[months], band.quantile(0.99)[months]]
     eta = X[months] @ params.beta
     if params.tau2 == 0.0:
@@ -398,7 +397,7 @@ def test_predict_high_count_design_matches_law(monkeypatch, way):
     if way == "blocks":
         assert len(erfc_calls) == sum(calls) > len(calls)
     assert np.all(np.isfinite(band.point)) and np.all(np.isfinite(band.upper95))
-    assert_allclose(band.point, [pp.marginal_mean(x, params) for x in X], rtol=1e-12, atol=0)
+    assert_allclose(band.point, [pp.marginal_moments(x @ params.beta, params.tau2)[0] for x in X], rtol=1e-12, atol=0)
     eta_t = X @ params.beta
     for e, q in zip(eta_t, band.upper95.astype(int)):
         assert _quantile(lambda k: _dual_cdf(e, tau2, k), q)
@@ -432,6 +431,6 @@ def test_predict_trend_design_work_is_bounded(monkeypatch, mean, tau2):
     split = pp.predict(fit, None, X_insample=X)
     assert split.upper95.tobytes() == whole.upper95.tobytes()
     assert max(erfc_cells) <= 1 << 12 and len(erfc_cells) > len(calls)
-    sd = max(math.sqrt(pp.marginal_var(x, params)) for x in X)
+    sd = max(math.sqrt(pp.marginal_moments(x @ params.beta, params.tau2)[1]) for x in X)
     bracket = sd * (math.sqrt(19.0) + math.sqrt(1.0 / 19.0)) + 3.0
     assert len(calls) <= math.ceil(math.log2(bracket)) and max(calls) <= X.shape[0]

@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -52,3 +53,17 @@ def test_public_surface_covers_readme_perfbench_and_tools():
     for name in pp.__all__:
         assert hasattr(pp, name), name
     assert len(set(pp.__all__)) == len(pp.__all__)
+
+
+def test_bundled_data_regenerates_byte_identically(tmp_path, monkeypatch):
+    # the data README's provenance: the seed search of make_bundled_data
+    # reproduces the shipped CSVs exactly
+    path = TOOL.parent / "make_bundled_data.py"
+    spec = importlib.util.spec_from_file_location("make_bundled_data", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT_DIR", tmp_path)
+    tool.main()
+    shipped = pathlib.Path(pp.__file__).resolve().parent / "data"
+    for name in ("greece_imd.csv", "italy_imd.csv"):
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
