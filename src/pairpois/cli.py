@@ -27,7 +27,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 3
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+# ASCII digits only, matched whole: \d would take other scripts' digits and
+# $ a trailing newline, and such a month would match no CSV row by text
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 _RESTRICTIONS = {"none": None, "phi0": estimation.PHI_ZERO, "indep": estimation.INDEPENDENCE}
 
 
@@ -36,7 +38,7 @@ _RESTRICTIONS = {"none": None, "phi0": estimation.PHI_ZERO, "indep": estimation.
 
 
 def month_to_ordinal(text: str) -> int:
-    m = _MONTH_RE.match(text)
+    m = _MONTH_RE.fullmatch(text)
     if not m:
         raise ValueError(f"expected a YYYY-MM month, got {text!r}")
     year, month = int(m.group(1)), int(m.group(2))

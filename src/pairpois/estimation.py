@@ -16,14 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalFailure, SingularMatrixError
-from .model import (
-    CountSeries,
-    PairWeights,
-    Params,
-    PairwiseEvaluator,
-    WorkingParams,
-    _weighted_per_t,
-)
+from .model import CountSeries, PairWeights, Params, PairwiseEvaluator, WorkingParams
 from .quadrature import QuadRule, gauss_hermite
 
 PHI_ZERO = "phi_zero"
@@ -269,16 +262,28 @@ def _minimize_bfgs(
 
 # ---------------------------------------------------------------------------
 # sandwich pieces
+#
+# Every reduction of the evaluator's per-pair scores lives here.  Each
+# takes them in the layout of :meth:`PairwiseEvaluator.pair_scores`,
+# (lags, n - m_d, k) for k working coordinates, with the lag weights ``w``.
+
+
+def _weighted_per_t(w, pairs: np.ndarray) -> np.ndarray:
+    """Weighted per-time score terms from per-pair scores: row t - m_d - 1
+    sums w[i] times the score of the pair (t - lag_i, t) over the lags,
+    in lag order, for t = m_d+1 .. n.  The rows sum to the score."""
+    psi = np.zeros_like(pairs[0])
+    for w_lag, grads in zip(w, pairs):
+        psi += w_lag * grads
+    return psi
 
 
 def _sensitivity_from_pairs(w, pairs: np.ndarray, n: int) -> np.ndarray:
-    """Weighted outer-product estimate of the sensitivity matrix.
+    """Weighted outer-product estimate of the sensitivity matrix from the
+    per-pair scores ``pairs``.
 
-    ``pairs`` holds the per-pair scores in the layout of
-    :meth:`PairwiseEvaluator.pair_gradients`, (lags, n - m_d, k) for k
-    working coordinates, and ``w`` the lag weights.  Each lag's weight
-    enters once (the second-order identity holds pair by pair), and the
-    sum is divided by the full series length n.
+    Each lag's weight enters once (the second-order identity holds pair
+    by pair), and the sum is divided by the full series length n.
     """
     h = np.zeros((pairs.shape[2], pairs.shape[2]))
     for w_lag, grads in zip(w, pairs):
@@ -331,7 +336,7 @@ def sensitivity_H(
     second derivatives.
     """
     ev = PairwiseEvaluator(series, weights, rule)
-    _, pairs = ev.pair_gradients(working)
+    pairs = ev.pair_scores(ev.evaluate(working)[2])
     return _sensitivity_from_pairs(weights.w, pairs, series.n)
 
 
@@ -352,8 +357,8 @@ def variability_J(
     if r < 0:
         raise ValueError("r must be >= 0")
     ev = PairwiseEvaluator(series, weights, rule)
-    psi = ev.per_t_scores(working)
-    return _variability_from_psi(psi, series.n, r)
+    pairs = ev.pair_scores(ev.evaluate(working)[2])
+    return _variability_from_psi(_weighted_per_t(weights.w, pairs), series.n, r)
 
 
 def _check_invertible(h: np.ndarray, label: str) -> None:
@@ -412,13 +417,16 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     IRLS solves.  A latent fit rejects a start whose free coordinates
     lie outside the working sanity box ``box``; the objective BFGS
     minimizes reports an infinite value at trial points outside it, so
-    the line search rejects them.  A start whose loglik or free score
-    coordinates are not finite raises :class:`NumericalFailure`, naming
-    the start and those coordinates, before BFGS runs: no step can be
-    taken from it, and its sandwich would not be finite either.  The
-    objective returns the negative loglik and score with the kernel pass
-    they came from, and BFGS hands back the pass of the point it
-    accepted last, which is the estimate.
+    the line search rejects them.  A negative ``hac_lags`` or
+    ``max_iter`` raises ``ValueError`` before any pass runs.  A start
+    whose loglik or free score coordinates are not finite raises
+    :class:`NumericalFailure`, naming the start and those coordinates,
+    before BFGS runs: no step can be taken from it, and its sandwich
+    would not be finite either.  Every pass is one call of the public
+    :meth:`PairwiseEvaluator.evaluate`.  The objective returns the
+    negative loglik and score with the pass they came from, and BFGS
+    hands back the pass of the point it accepted last, which is the
+    estimate.
     One pass at the start point gives the loglik, the score and the
     per-pair scores; BFGS starts there from the inverse of the
     outer-product (BHHH) curvature n * H, or from the identity when that
@@ -431,22 +439,26 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
     its scores per distinct pair; only those of the start (for the
     curvature) and of the estimate are spread to every pair
     (``ev.pair_scores``) and then sliced to the k free coordinates.  H,
-    J, the Godambe matrix, the standard errors and CLIC come from those,
-    the same way for every model.  H is checked for singularity once, and the standard errors
-    and CLIC share one solve for H^-1 J.
+    J, the Godambe matrix, the standard errors and CLIC come from those
+    by the reductions of this module, the same way for every model and
+    for :func:`sensitivity_H` and :func:`variability_J`.  H is checked
+    for singularity once, and the standard errors and CLIC share one
+    solve for H^-1 J.
     """
     ev = PairwiseEvaluator(series, weights, gauss_hermite(quad_order))
     if hac_lags is None:
         hac_lags = default_hac_lags(series.n)
     if hac_lags < 0:
         raise ValueError(f"hac_lags must be >= 0, got {hac_lags}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     n, p1 = series.n, series.n_coef
     k = {INDEPENDENCE: p1, PHI_ZERO: p1 + 1}.get(restriction, p1 + 2)
 
     if restriction == INDEPENDENCE:
         beta, iterations, converged = poisson_irls(series.X, series.y)
         working_hat = WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=0.0)
-        loglik, _, grads = ev._evaluate(working_hat)
+        loglik, _, grads = ev.evaluate(working_hat)
     else:
         if init is None:
             init = moment_init(series)
@@ -469,7 +481,7 @@ def _fit(series, weights, quad_order, restriction, init, hac_lags, max_iter) -> 
         def objective(x):
             if any(abs(x[index]) > bound for index, _, bound in box):
                 return math.inf, None, None
-            kernel_pass = ev._evaluate(working(x))
+            kernel_pass = ev.evaluate(working(x))
             return -kernel_pass[0], -kernel_pass[1][:k], kernel_pass
 
         start = objective(x0)
@@ -531,9 +543,9 @@ def fit(
     approximates the Hessian, so the backtracking line search mostly
     accepts the unit step at its first trial.  A start outside the
     working sanity box (|log sigma2| or |atanh phi| above its bound),
-    or a negative HAC window ``hac_lags``, raises ``ValueError`` before
-    the optimizer runs, and a start whose loglik or score is not finite
-    raises ``NumericalFailure``.  Convergence requires a relative
+    a negative HAC window ``hac_lags`` or a negative ``max_iter`` raises
+    ``ValueError`` before the optimizer runs, and a start whose loglik
+    or score is not finite raises ``NumericalFailure``.  Convergence requires a relative
     log-likelihood improvement below ``RELTOL`` together with
     the gradient criterion (sup-norm at most ``GRAD_RTOL`` times
     max(1, |loglik|)); fits that exhaust ``max_iter`` are returned

@@ -276,14 +276,7 @@ _GROUP_CELLS = 1 << 17
 _EXP_FLOOR = -700.0
 
 
-def _weight_row(rule: QuadRule) -> np.ndarray:
-    """Row 0 of the kernel grid, log w_j w_k - log pi at every cell
-    (j, k) of the tensor rule; it depends on the rule alone."""
-    logw = np.log(rule.weights)
-    return (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
-
-
-def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
+def _pass_grid(rule: QuadRule, c: float, rhos):
     """The node-side factors of the fused kernel, one slot per latent
     correlation in ``rhos``: slot j holds the grid and moment matrix of
     the lag block whose correlation is ``rhos[j]``.
@@ -292,10 +285,9 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
     c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
     latent covariance tau2 [[1, rho], [rho, 1]], so with c = 0 every cell
-    sits at the origin.  With the weight row, this grid is the
-    bivariate-normal rule: e^(row 0) are the probability weights
-    w_j w_k / pi and rows 1 and 3 the latent points (u, v).
-    A grid G (5, q^2) has rows
+    sits at the origin.  The grid is the bivariate-normal rule:
+    e^(row 0) are the probability weights w_j w_k / pi and rows 1 and 3
+    the latent points (u, v).  A grid G (5, q^2) has rows
     [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
     [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
     every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
@@ -303,10 +295,11 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
     always built: the kernel has one mode.  This returns one slot of
     each per entry of ``rhos``, (len(rhos), 5, q^2) and (len(rhos), q^2,
-    9).  The weight row and everything of u depend on tau2 alone and are
-    computed once for all slots; v, e^v and their moment columns are
-    computed for all slots in one vectorised step.
+    9).  Row 0 depends on the rule alone and everything of u on tau2
+    alone; both are computed once for all slots.  v, e^v and their moment
+    columns are computed for all slots in one vectorised step.
     """
+    nodes, logw = rule.nodes, np.log(rule.weights)
     lags = len(rhos)
     u = np.repeat(c * nodes, nodes.shape[0])
     grid = np.empty((lags, 5, u.shape[0]))
@@ -314,7 +307,7 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     with np.errstate(over="ignore", invalid="ignore"):
         exp_u = np.exp(u)
         moments[:, :, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
-    grid[:, :3] = weight_row, u, exp_u
+    grid[:, :3] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u
     rho = np.array(rhos)[:, None, None]
     s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
     v = (c * (rho * nodes[:, None] + s * nodes[None, :])).reshape(lags, -1)
@@ -332,12 +325,11 @@ def _pass_grid(nodes: np.ndarray, weight_row: np.ndarray, c: float, rhos):
     return grid, moments
 
 
-def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out):
+def _fused_pairs(y1, y2, lgam, offsets, eta1, eta2, grids, moments, out):
     """Log densities (and score pieces) of the pairs of a group of lag
     blocks by two matrix products per block over one scratch array.
 
-    ``terms`` holds the constant columns of each pair's term matrix
-    [1, y1, ., y2, .], with the counts as floats, ``lgam`` each pair's
+    ``y1``, ``y2`` hold the counts of the pairs, ``lgam`` each pair's
     summed log-factorials log y1! + log y2!, ``eta1``, ``eta2`` the
     linear predictors of the pairs, and ``offsets`` the row offsets of
     the blocks in the pass: block j holds rows offsets[j] .. offsets[j+1]
@@ -345,13 +337,15 @@ def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out):
     ``moments[j]`` are the slots of :func:`_pass_grid` at block j's
     latent correlation.  Only the two matrix products depend on the
     lag; each runs on its block's own rows, with the shapes a block alone
-    would give.  Everything elementwise runs once over the group.
-    ``out`` is a scratch array of at least (pairs, q^2) that first
-    receives the integrand exponents and then, shifted by each row's
-    maximum, their exponentials in place, so the pass allocates nothing
-    of the grid's size.  A row whose maximum exponent is not finite (every
-    term underflows even in log space, or e^eta overflows) gives a
-    non-finite log density; the caller decides what that means.
+    would give.  Everything elementwise runs once over the group,
+    starting with the (pairs, 5) term matrix [1, y1, -e^eta1, y2,
+    -e^eta2] of the first product.  ``out`` is a scratch array of at
+    least (pairs, q^2) that first receives the integrand exponents and
+    then, shifted by each row's maximum, their exponentials in place, so
+    the pass allocates nothing of the grid's size.  A row whose maximum
+    exponent is not finite (every term underflows even in log space, or
+    e^eta overflows) gives a non-finite log density; the caller decides
+    what that means.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
@@ -375,14 +369,16 @@ def _fused_pairs(terms, lgam, offsets, eta1, eta2, grids, moments, out):
     normalising sum the derivatives divide by, so a loglik-only caller
     gets bit for bit the value the score pass reports.
     """
-    y1, y2 = terms[:, 1], terms[:, 3]
     out = out[: y1.shape[0]]
     blocks = [slice(a - offsets[0], b - offsets[0]) for a, b in zip(offsets, offsets[1:])]
     sums = np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
         exp_eta2 = np.exp(eta2)
-        terms = terms.copy()
+        # filled in place: np.column_stack costs about 10 us more per call,
+        # a few percent of a covariate-free pass
+        terms = np.empty((y1.shape[0], 5))
+        terms[:, 0], terms[:, 1], terms[:, 3] = 1.0, y1, y2
         np.negative(exp_eta1, out=terms[:, 2])
         np.negative(exp_eta2, out=terms[:, 4])
         for rows, grid in zip(blocks, grids):
@@ -490,9 +486,9 @@ def pair_log_density(
         eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial([y1, y2])
     c = math.sqrt(2.0 * params.tau2)
-    grids, moments = _pass_grid(rule.nodes, _weight_row(rule), c, [params.phi**lag])
+    grids, moments = _pass_grid(rule, c, [params.phi**lag])
     logp, _ = _fused_pairs(
-        np.array([[1.0, y1, 0.0, y2, 0.0]]), lgam[:1] + lgam[1:], [0, 1], eta[:1], eta[1:],
+        np.array([y1]), np.array([y2]), lgam[:1] + lgam[1:], [0, 1], eta[:1], eta[1:],
         grids, moments, np.empty((1, grids.shape[2])),
     )
     if not np.isfinite(logp[0]):
@@ -500,20 +496,6 @@ def pair_log_density(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
         )
     return float(logp[0])
-
-
-def _weighted_per_t(w, pairs: np.ndarray) -> np.ndarray:
-    """Weighted per-time score terms from per-pair scores.
-
-    ``pairs`` is the (lags, n - m_d, dim) array of
-    :meth:`PairwiseEvaluator.pair_gradients` and ``w`` the lag weights;
-    row t - m_d - 1 of the result sums w[i] times the score of the pair
-    (t - lag_i, t) over the lags, in lag order, for t = m_d+1 .. n.
-    """
-    psi = np.zeros_like(pairs[0])
-    for w_lag, grads in zip(w, pairs):
-        psi += w_lag * grads
-    return psi
 
 
 def _lex_groups(keys):
@@ -548,13 +530,14 @@ class PairwiseEvaluator:
     ``_first[i] .. _first[i+1] - 1``, ``_counts`` holds each row's
     multiplicity, and ``_pair_rows[i, t - m_d - 1]`` is the row of the
     pair (t - lag_i, t), the one index that expands per-row results to
-    every pair.  Each row keeps its time points, covariate rows, summed
-    log-factorials and term-matrix columns, so a pass rebuilds none of
-    them.  The grouping sorts stably on integer ranks of the counts and
-    of the covariate rows (:func:`_lex_groups`), so the distinct pairs,
-    their order and first occurrences are those of ``np.unique(axis=0)``
-    on the float rows (y1, y2, X1, X2), with -0.0 equal to 0.0, and no
-    combined key is formed that could overflow.
+    every pair.  Each row keeps its time points, counts (as floats),
+    covariate rows and summed log-factorials, so a pass rebuilds none of
+    them; the kernel builds each row's term matrix from the counts and
+    the pass's linear predictors.  The grouping sorts stably on integer ranks of the
+    counts and of the covariate rows (:func:`_lex_groups`), so the
+    distinct pairs, their order and first occurrences are those of
+    ``np.unique(axis=0)`` on the float rows (y1, y2, X1, X2), with -0.0
+    equal to 0.0, and no combined key is formed that could overflow.
 
     Each lag block runs the fused kernel of two matrix products
     (:func:`_fused_pairs`) on its slot of the pass's grids, built for
@@ -566,11 +549,15 @@ class PairwiseEvaluator:
     and score sum slot by slot in lag order, so results are
     bit-reproducible and do not depend on the grouping.
 
-    Every method runs the one pass :meth:`_evaluate`, which returns the
-    loglik, the score and one (rows, dim) array of scores, which
-    :meth:`pair_scores` expands to every pair; so :meth:`loglik` is
-    bit-equal to the loglik that :meth:`loglik_and_score` and the fit
-    path report at the same point.  The evaluator holds no mutable state.
+    :meth:`evaluate` is the one pass, and the one public entry point to
+    it: it returns the loglik, the score and one (rows, dim) array of
+    scores, which :meth:`pair_scores` expands to every pair.
+    :meth:`loglik` and :meth:`loglik_and_score` are views of it, so
+    :meth:`loglik` is bit-equal to the loglik that
+    :meth:`loglik_and_score` and the fit path report at the same point.
+    Every reduction of the per-pair scores (the sensitivity and
+    variability matrices, the per-time scores) lives in
+    :mod:`pairpois.estimation`.  The evaluator holds no mutable state.
 
     ``log_sigma2 = -inf`` (tau2 = 0) is a point like any other: every
     node maps to the origin and the kernel integrates the point mass
@@ -581,7 +568,7 @@ class PairwiseEvaluator:
     (:func:`_product_pairs`); its sums, per-pair scores and failure
     locations are the tensor pass's up to rounding.  The kernels return
     values only: a pair whose log density is not finite (its terms all
-    underflow, or e^eta overflows) makes :meth:`_evaluate` raise a
+    underflow, or e^eta overflows) makes :meth:`evaluate` raise a
     :class:`NumericalFailure` located at the first time index that uses
     it.
     """
@@ -595,7 +582,6 @@ class PairwiseEvaluator:
         self.m_d = weights.m_d
         self.n_coef = series.n_coef
         self.dim = series.n_coef + 2
-        self._weight_row = _weight_row(rule)
 
         y = series.y
         y_first, y_rank = _lex_groups((y,))
@@ -620,12 +606,9 @@ class PairwiseEvaluator:
         self._counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
         self._i1, self._i2 = np.concatenate(i1), np.concatenate(i2)
         self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
-        self._terms = np.zeros((self._i1.shape[0], 5))
-        self._terms[:, 0] = 1.0
-        self._terms[:, 1] = y[self._i1]
-        self._terms[:, 3] = y[self._i2]
+        self._y1, self._y2 = y[self._i1].astype(float), y[self._i2].astype(float)
         self._pair_lgam = lgam[self._i1] + lgam[self._i2]
-        q2 = self._weight_row.shape[0]
+        q2 = rule.order**2
         self._group_slots, start = [], 0
         for slot in range(1, len(self._lags)):
             if (first[slot + 1] - first[start]) * q2 > _GROUP_CELLS:
@@ -648,15 +631,18 @@ class PairwiseEvaluator:
             lag=lag,
         )
 
-    def _evaluate(self, working: WorkingParams):
+    def evaluate(self, working: WorkingParams) -> tuple[float, np.ndarray, np.ndarray]:
         """One kernel pass over every group of lag blocks, on the product
         of 1-D rules at phi = 0.
 
-        Returns the loglik, the score and the (distinct pairs, dim)
-        scores of the pass's rows, which :meth:`pair_scores` spreads to
-        every pair of the series.  This is the one place a non-finite
-        pair log density becomes a :class:`NumericalFailure`: it is
-        raised for the first such row, so the earliest lag block's,
+        Returns ``(loglik, score, grads)``: the weighted pairwise loglik,
+        its exact gradient in the working parameters (beta, log sigma2,
+        atanh phi), differentiated through the fixed nodes, the Cholesky
+        map and the log-sum-exp, and the (distinct pairs, dim) scores of
+        the pass's rows, weight not applied, which :meth:`pair_scores`
+        spreads to every pair of the series.  This is the one place a
+        non-finite pair log density becomes a :class:`NumericalFailure`:
+        it is raised for the first such row, so the earliest lag block's,
         located by :meth:`_underflow`, before the scores are assembled.
         """
         params = working.to_params()
@@ -670,15 +656,15 @@ class PairwiseEvaluator:
                 self.rule, c, self.series.y, self._lgam, eta, self._i1, self._i2
             )
         else:
-            buf = np.empty((self._max_rows, self._weight_row.shape[0]))
-            rhos = [phi**lag for lag in self._lags]
-            grids, moments = _pass_grid(self.rule.nodes, self._weight_row, c, rhos)
+            grids, moments = _pass_grid(self.rule, c, [phi**lag for lag in self._lags])
+            buf = np.empty((self._max_rows, grids.shape[2]))
             eta1, eta2 = eta[self._i1], eta[self._i2]
             logp, derivs = np.empty(self._i1.shape[0]), np.empty((self._i1.shape[0], 4))
             for slots in self._group_slots:
                 rows = slice(first[slots.start], first[slots.stop])
                 logp[rows], derivs[rows] = _fused_pairs(
-                    self._terms[rows], self._pair_lgam[rows], first[slots.start:slots.stop + 1],
+                    self._y1[rows], self._y2[rows], self._pair_lgam[rows],
+                    first[slots.start:slots.stop + 1],
                     eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
                 )
         bad = ~np.isfinite(logp)
@@ -705,31 +691,17 @@ class PairwiseEvaluator:
     def pair_scores(self, grads: np.ndarray) -> np.ndarray:
         """The (lags, n - m_d, dim) scores of every pair (t - lag, t),
         t = m_d+1 .. n, from the per-distinct-pair ``grads`` of
-        :meth:`_evaluate` (weight not applied)."""
+        :meth:`evaluate` (weight not applied): row t - m_d - 1 of slot i
+        is the score of the pair (t - lag_i, t)."""
         return grads[self._pair_rows]
 
-    # -- public surface ----------------------------------------------------
-
     def loglik(self, working: WorkingParams) -> float:
-        return self._evaluate(working)[0]
+        """The loglik of :meth:`evaluate`."""
+        return self.evaluate(working)[0]
 
     def loglik_and_score(self, working: WorkingParams) -> tuple[float, np.ndarray]:
-        """The loglik and its exact gradient in the working parameters
-        (beta, log sigma2, atanh phi), differentiated through the fixed
-        nodes, the Cholesky map and the log-sum-exp."""
-        return self._evaluate(working)[:2]
-
-    def pair_gradients(self, working: WorkingParams) -> tuple[float, np.ndarray]:
-        """The loglik and the (lags, n - m_d, dim) array of per-pair
-        scores, row t - m_d - 1 of slot i for the pair (t - lag_i, t)
-        (weight not applied)."""
-        value, _, grads = self._evaluate(working)
-        return value, self.pair_scores(grads)
-
-    def per_t_scores(self, working: WorkingParams) -> np.ndarray:
-        """Weighted per-time score terms, one row per t = m_d+1 .. n;
-        they sum to the score."""
-        return _weighted_per_t(self._w, self.pair_gradients(working)[1])
+        """The loglik and score of :meth:`evaluate`."""
+        return self.evaluate(working)[:2]
 
 
 def pairwise_loglik(
@@ -751,7 +723,7 @@ def pairwise_loglik(
     exactly there because the latent pair is uncorrelated at every lag.
 
     This builds a :class:`PairwiseEvaluator` for the one call.  For the
-    score, the per-time scores, or repeated evaluations, build the
-    evaluator once and call its methods.
+    score, the per-pair scores, or repeated evaluations, build the
+    evaluator once and call :meth:`PairwiseEvaluator.evaluate`.
     """
     return PairwiseEvaluator(series, weights, rule).loglik(params.to_working())

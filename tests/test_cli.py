@@ -60,6 +60,29 @@ def test_csv_validation_messages(tmp_path, capsys, rows, fragment):
     assert "line 2" in err or "line 3" in err
 
 
+def test_months_take_ascii_digits_only(tmp_path, sim_csv, capsys):
+    # \d would take full-width digits and $ a trailing newline; such a date
+    # fits, and predict then matches no band month to its row by text, so
+    # its exceedance goes unflagged
+    for text in ("\uff12\uff10\uff11\uff16-\uff11\uff12", "2016-01\n"):
+        with pytest.raises(ValueError, match="expected a YYYY-MM month"):
+            cli.month_to_ordinal(text)
+    lines = (DATA_DIR / "greece_imd.csv").read_text().splitlines()
+    assert lines[-1] == "2016-12,10"
+    lines[-1] = "\uff12\uff10\uff11\uff16-\uff11\uff12,10"
+    path = tmp_path / "greece.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main(["fit", str(path), "--output", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}: expected a YYYY-MM month" in err
+    rc = cli.main(["fit", sim_csv, "--output", str(tmp_path / "r.json"),
+                   "--level-shift", "2005-03\n"])
+    assert rc == 1
+    assert "expected a YYYY-MM month" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_csv_bad_header(tmp_path, capsys):
     path = write_rows(tmp_path / "bad.csv", [("1999-01", 1)], header=("month", "cases"))
     rc = cli.main(["fit", path, "--output", str(tmp_path / "out.json")])
@@ -341,6 +364,26 @@ def test_fit_rejects_negative_hac_window(tmp_path, sim_csv, capsys):
     assert rc == 1
     assert "hac_lags must be >= 0, got -3" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_fit_rejects_negative_max_iter_before_any_pass(tmp_path, sim_csv, capsys, monkeypatch):
+    passes = []
+    real = pp.PairwiseEvaluator.evaluate
+    monkeypatch.setattr(pp.PairwiseEvaluator, "evaluate",
+                        lambda self, working: (passes.append(1), real(self, working))[1])
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = cli.main(["fit", sim_csv, "--output", str(report), "--max-iter", "-3"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: max_iter must be >= 0, got -3\n"
+    assert not report.exists()
+    series, weights = pp.simulate_scenario(5, 200, 11), pp.make_weights(2, "trap")
+    with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+        pp.fit(series, weights, max_iter=-1)
+    for restriction in (pp.PHI_ZERO, pp.INDEPENDENCE):
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            pp.fit_restricted(series, weights, restriction=restriction, max_iter=-1)
+    assert passes == []
 
 
 def test_fit_level_shift_outside_window(tmp_path, sim_csv, capsys):

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 
 import pairpois as pp
 from pairpois import cli, estimation
-from pairpois.estimation import _bhhh_inverse, _minimize_bfgs
-from pairpois.model import PairwiseEvaluator, _weighted_per_t
+from conftest import pair_gradients, per_t_scores
+from pairpois.estimation import _bhhh_inverse, _minimize_bfgs, _weighted_per_t
+from pairpois.model import PairwiseEvaluator
 
 W1 = pp.make_weights(1, "rect")
 RULE20 = pp.gauss_hermite(20)
@@ -86,7 +87,8 @@ def test_sensitivity_single_pair_degenerate():
     series = pp.CountSeries(y=np.array([2, 4]), X=np.ones((2, 1)))
     working = pp.SCENARIOS[5].params.to_working()
     h = pp.sensitivity_H(series, working, W1, RULE20)
-    g = PairwiseEvaluator(series, W1, RULE20).per_t_scores(working)[2 - W1.m_d - 1]  # w_1 = 1
+    ev = PairwiseEvaluator(series, W1, RULE20)
+    g = per_t_scores(ev, W1.w, working)[2 - W1.m_d - 1]  # w_1 = 1
     assert_allclose(h, np.outer(g, g) / 2.0, rtol=0, atol=1e-12)
 
 
@@ -119,7 +121,7 @@ def test_variability_default_window_and_k0():
     assert_allclose(j_default, j_explicit, rtol=0, atol=0)
 
     ev = PairwiseEvaluator(series, W1, RULE20)
-    psi = ev.per_t_scores(working)
+    psi = per_t_scores(ev, W1.w, working)
     j0 = pp.variability_J(series, working, W1, RULE20, r=0)
     assert_allclose(j0, psi.T @ psi / series.n, rtol=0, atol=1e-12)
     j1 = pp.variability_J(series, working, W1, RULE20, r=1)
@@ -150,7 +152,7 @@ def test_variability_window_longer_than_series():
     # lags at or past the number of per-time rows have no pairs and drop out
     series = pp.CountSeries(y=np.array([2, 4, 1, 3, 0, 2]), X=np.ones((6, 1)))
     working = pp.SCENARIOS[5].params.to_working()
-    psi = PairwiseEvaluator(series, W1, RULE20).per_t_scores(working)
+    psi = per_t_scores(PairwiseEvaluator(series, W1, RULE20), W1.w, working)
     assert psi.shape[0] == 5
     r = 50
     expected = psi.T @ psi
@@ -265,7 +267,7 @@ def test_delta_method_consistent_with_reparametrized_fit():
     result = _minimize_bfgs(neg, x0)
     assert result.converged
     working_new = to_working(result.x)
-    _, pairs = ev.pair_gradients(working_new)
+    _, pairs = pair_gradients(ev, working_new)
     a = jac(result.x)
     pairs_new = [grads @ a for grads in pairs]
     h = sum(w * (g.T @ g) for w, g in zip(W1.w, pairs_new)) / series.n
@@ -430,13 +432,13 @@ def greek_series():
 
 def test_bhhh_start_greek_fit_needs_few_evaluations(monkeypatch):
     calls = []
-    real = PairwiseEvaluator._evaluate
+    real = PairwiseEvaluator.evaluate
 
     def counted(self, working):
         calls.append(1)
         return real(self, working)
 
-    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", counted)
+    monkeypatch.setattr(PairwiseEvaluator, "evaluate", counted)
     fit = pp.fit(greek_series(), pp.make_weights(5, "trap"), quad_order=20)
     assert fit.converged
     assert len(calls) <= 16  # 44 from an identity start
@@ -476,13 +478,13 @@ def test_bhhh_start_point_is_evaluated_once(monkeypatch):
     series = greek_series()
     x0 = pp.moment_init(series).to_working().as_vector()
     points = []
-    real = PairwiseEvaluator._evaluate
+    real = PairwiseEvaluator.evaluate
 
     def recorded(self, working):
         points.append(working.as_vector())
         return real(self, working)
 
-    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", recorded)
+    monkeypatch.setattr(PairwiseEvaluator, "evaluate", recorded)
     fit = pp.fit(series, pp.make_weights(5, "trap"), quad_order=20)
     assert fit.converged
     assert sum(np.array_equal(x, x0) for x in points) == 1
@@ -492,7 +494,7 @@ def count_passes(monkeypatch):
     """Record every kernel pass, and the number run when BFGS starts and
     when it returns."""
     passes, at_bfgs = [], []
-    real_evaluate = PairwiseEvaluator._evaluate
+    real_evaluate = PairwiseEvaluator.evaluate
     real_bfgs = estimation._minimize_bfgs
 
     def recorded(self, working):
@@ -505,18 +507,18 @@ def count_passes(monkeypatch):
         at_bfgs.append(len(passes))
         return out
 
-    monkeypatch.setattr(PairwiseEvaluator, "_evaluate", recorded)
+    monkeypatch.setattr(PairwiseEvaluator, "evaluate", recorded)
     monkeypatch.setattr(estimation, "_minimize_bfgs", bfgs)
     return passes, at_bfgs
 
 
 def assert_is_explicit_pass_result(fit, series, weights):
     """The fit's loglik and sandwich, bit for bit, from one explicit
-    ``pair_gradients`` pass at its estimate."""
+    ``evaluate`` pass at its estimate."""
     k = fit.H_hat.shape[0]
     n = series.n
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(fit.quad_order))
-    loglik, pairs = ev.pair_gradients(fit.working_hat)
+    loglik, pairs = pair_gradients(ev, fit.working_hat)
     pairs = pairs[..., :k]
     h = estimation._sensitivity_from_pairs(weights.w, pairs, n)
     psi = _weighted_per_t(weights.w, pairs)
@@ -558,6 +560,18 @@ def test_fit_runs_no_pass_after_bfgs(monkeypatch, case):
     assert_is_explicit_pass_result(fit, series, weights)
 
 
+def test_public_sandwich_matrices_are_bit_equal_to_fit():
+    # sensitivity_H and variability_J (default r) reduce a pass at the
+    # estimate the same way the fit reduces its own
+    cases = [(greek_series(), pp.make_weights(5, "trap")),
+             (pp.simulate_scenario(5, 500, 1, 3), pp.make_weights(3, "trap"))]
+    for series, weights in cases:
+        fit = pp.fit(series, weights, quad_order=20)
+        rule = pp.gauss_hermite(fit.quad_order)
+        assert np.array_equal(pp.sensitivity_H(series, fit.working_hat, weights, rule), fit.H_hat)
+        assert np.array_equal(pp.variability_J(series, fit.working_hat, weights, rule), fit.J_hat)
+
+
 @pytest.mark.parametrize(
     "sigma2,phi,name", [(0.01, 0.9999, "atanh(phi)"), (1e-7, None, "log(sigma2)")]
 )
@@ -597,7 +611,7 @@ def test_constant_series_raises_typed_error_with_bhhh_start(count):
     series = pp.CountSeries(y=np.full(120, count), X=np.ones((120, 1)))
     weights = pp.make_weights(2, "trap")
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(10))
-    _, start_pairs = ev.pair_gradients(pp.moment_init(series).to_working())
+    _, start_pairs = pair_gradients(ev, pp.moment_init(series).to_working())
     assert (_bhhh_inverse(weights.w, start_pairs, series.n) is None) == (count == 0)
     with pytest.raises(pp.SingularMatrixError):
         pp.fit(series, weights, quad_order=10)

@@ -19,6 +19,7 @@ import pytest
 from scipy.special import gammaln
 
 import pairpois as pp
+from conftest import pair_gradients, per_t_scores
 from pairpois import cli, model
 from pairpois.errors import NumericalFailure
 from pairpois.model import PairwiseEvaluator
@@ -124,7 +125,7 @@ class BroadcastEvaluator(PairwiseEvaluator):
         grads[:, self.n_coef + 1] = g_z
         return logp, grads
 
-    def _evaluate(self, working):
+    def evaluate(self, working):
         params = working.to_params()
         tau2 = params.tau2
         if not tau2 > 0:
@@ -165,6 +166,14 @@ def trial_points(start: pp.Params):
     ]
 
 
+def pass_views(ev, w, working):
+    """One pass of ``ev`` at ``working`` through each of its views: the
+    loglik, the loglik and score, the per-pair scores, and the per-time
+    scores under the lag weights ``w``."""
+    return [ev.loglik(working), ev.loglik_and_score(working), pair_gradients(ev, working),
+            per_t_scores(ev, w, working)]
+
+
 def assert_kernels_agree(series, weights, q, points):
     rule = pp.gauss_hermite(q)
     fused = PairwiseEvaluator(series, weights, rule)
@@ -176,9 +185,9 @@ def assert_kernels_agree(series, weights, q, points):
         assert abs(ll - ll_ref) <= LOGLIK_RTOL * abs(ll_ref)
         tol = SCORE_ATOL * max(1.0, float(np.max(np.abs(score_ref))))
         assert np.max(np.abs(score - score_ref)) <= tol
-        psi_ref = ref.per_t_scores(working)
+        psi_ref = per_t_scores(ref, weights.w, working)
         tol = SCORE_ATOL * max(1.0, float(np.max(np.abs(psi_ref))))
-        assert np.max(np.abs(fused.per_t_scores(working) - psi_ref)) <= tol
+        assert np.max(np.abs(per_t_scores(fused, weights.w, working) - psi_ref)) <= tol
 
 
 @pytest.mark.parametrize("q", [5, 20, 40])
@@ -289,8 +298,8 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     assert len(alone._group_slots) == len(alone._first) - 1
     assert (len(grouped._group_slots) < len(grouped._first) - 1) == several
     for working in trial_points(pp.moment_init(series)):
-        for method in ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores"):
-            assert_bitwise_equal(getattr(grouped, method)(working), getattr(alone, method)(working))
+        assert_bitwise_equal(pass_views(grouped, weights.w, working),
+                             pass_views(alone, weights.w, working))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,6 @@ def test_product_rule_at_phi_zero_matches_tensor_kernel(make, weights, latent, m
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(20))
     start = pp.moment_init(series).to_working()
     sigma2s = [start.log_sigma2, start.log_sigma2 + 1.0] if latent == "tau2>0" else [-math.inf]
-    methods = ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores")
     tensor_calls = []
     fused = model._fused_pairs
     monkeypatch.setattr(model, "_fused_pairs", lambda *a: (tensor_calls.append(1), fused(*a))[1])
@@ -335,7 +343,7 @@ def test_product_rule_at_phi_zero_matches_tensor_kernel(make, weights, latent, m
         for z_phi in (0.0, TENSOR_Z_PHI):
             del tensor_calls[:]
             working = pp.WorkingParams(beta=start.beta, log_sigma2=log_sigma2, z_phi=z_phi)
-            got = [getattr(ev, method)(working) for method in methods]
+            got = pass_views(ev, weights.w, working)
             assert bool(tensor_calls) == (z_phi != 0.0)
             if z_phi == 0.0:
                 product = got
@@ -387,15 +395,15 @@ def test_exp_floor_changes_no_bit(monkeypatch):
     # scenario 3 (D = 10): a fifth or more of the cells lie below the floor
     # at the start and at the point with the larger latent variance
     series = pp.simulate_scenario(3, 500, seed=2024)
-    ev = PairwiseEvaluator(series, pp.make_weights(3, "trap"), pp.gauss_hermite(20))
+    weights = pp.make_weights(3, "trap")
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(20))
     t = int(np.argmax(series.y[1:])) + 1  # the lag-1 pair with the largest later count
     pair = (int(series.y[t - 1]), int(series.y[t]), series.X[t - 1], series.X[t], 1)
     points = trial_points(pp.moment_init(series))
 
     def results():
         return [
-            [getattr(ev, method)(working) for method in
-             ("loglik", "loglik_and_score", "pair_gradients", "per_t_scores")]
+            pass_views(ev, weights.w, working)
             + [pp.pair_log_density(*pair, working.to_params(), ev.rule)]
             for working in points
         ]

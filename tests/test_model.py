@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import oracle
 import pairpois as pp
+from conftest import pair_gradients, per_t_scores
 from pairpois.model import PairwiseEvaluator
 
 ONE = np.array([1.0])
@@ -417,7 +418,7 @@ def test_evaluator_integrates_independence_point(z_phi):
     beta = np.array([0.35, 0.6, -0.2])
     ev = PairwiseEvaluator(series, w, pp.gauss_hermite(20))
     working = pp.WorkingParams(beta=beta, log_sigma2=-math.inf, z_phi=z_phi)
-    loglik, pairs = ev.pair_gradients(working)
+    loglik, pairs = pair_gradients(ev, working)
 
     eta = series.X @ beta
     lp = pp.poisson_log_pmf(series.y, eta)
@@ -446,7 +447,7 @@ def test_evaluator_loglik_is_bit_equal_to_fit_path(log_sigma2, z_phi):
     working = pp.WorkingParams(beta=[0.35, 0.6, -0.2], log_sigma2=log_sigma2, z_phi=z_phi)
     value = ev.loglik(working)
     assert value == ev.loglik_and_score(working)[0]
-    assert value == ev.pair_gradients(working)[0]
+    assert value == ev.evaluate(working)[0]
 
 
 def test_pairwise_score_at_zero_latent_variance_is_glm_score():
@@ -543,7 +544,7 @@ def test_per_t_scores_sum_to_score():
     working = pp.SCENARIOS[5].params.to_working()
     ev = PairwiseEvaluator(series, w, rule)
     total = ev.loglik_and_score(working)[1]
-    psi = ev.per_t_scores(working)
+    psi = per_t_scores(ev, w.w, working)
     summed = sum(psi[t - w.m_d - 1] for t in range(w.m_d + 1, series.n + 1))
     assert_allclose(summed, total, rtol=0, atol=1e-10)
 
@@ -556,6 +557,6 @@ def test_per_t_score_depends_only_on_its_pair_at_d1():
     y2 = np.array([9, 5, 1, 7, 3, 0])  # same (y_2, y_3) pair at t = 3
     s1 = pp.CountSeries(y=y1, X=np.ones((6, 1)))
     s2 = pp.CountSeries(y=y2, X=np.ones((6, 1)))
-    a = PairwiseEvaluator(s1, w, rule).per_t_scores(working)[3 - w.m_d - 1]
-    b = PairwiseEvaluator(s2, w, rule).per_t_scores(working)[3 - w.m_d - 1]
+    a = per_t_scores(PairwiseEvaluator(s1, w, rule), w.w, working)[3 - w.m_d - 1]
+    b = per_t_scores(PairwiseEvaluator(s2, w, rule), w.w, working)[3 - w.m_d - 1]
     assert_allclose(a, b, rtol=0, atol=0)

@@ -8,7 +8,8 @@ Groups:
   fits        ``fit`` and both restrictions on scenarios 1-9, seeds 500
               and 501 (n = 500, 20 nodes, d = 3 trap and d = 2 rect):
               estimates, loglik, H, J, Godambe, SE, CLIC and iterations.
-  evaluator   ``PairwiseEvaluator`` methods on scenarios 3, 5 and 8 at
+  evaluator   ``PairwiseEvaluator.evaluate`` and its views, the per-pair
+              and weighted per-time scores, on scenarios 3, 5 and 8 at
               phi != 0, at phi = 0 and at tau2 = 0, with
               ``sensitivity_H``, ``variability_J``, ``pairwise_loglik``,
               ``pair_log_density`` at 5, 20 and 60 nodes, and the
@@ -43,7 +44,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import pairpois as pp  # noqa: E402
-from pairpois import cli  # noqa: E402
+from pairpois import cli, estimation  # noqa: E402
 
 N, SEEDS, Q = 500, (500, 501), 20
 WEIGHTS = pp.make_weights(3, "trap")
@@ -96,14 +97,6 @@ def fits(h):
                                                restriction=restriction)))
 
 
-def pair_scores(pairs):
-    """``pair_gradients``' scores as one (lags, n - m_d, dim) array; older
-    versions returned a per-lag list of (lag, weight, scores)."""
-    if isinstance(pairs, list):
-        return np.stack([grads for _, _, grads in pairs])
-    return pairs
-
-
 def spike_failures(z_phi):
     """Where the pass fails when e^eta overflows at one time point."""
     n = 40
@@ -124,9 +117,10 @@ def evaluator(h):
         for log_sigma2, z_phi in ((true.log_sigma2, true.z_phi), (true.log_sigma2, 0.0),
                                   (-math.inf, 0.0)):
             working = pp.WorkingParams(beta=true.beta, log_sigma2=log_sigma2, z_phi=z_phi)
-            loglik, pairs = ev.pair_gradients(working)
-            feed(h, [ev.loglik(working), ev.loglik_and_score(working), loglik,
-                     pair_scores(pairs), ev.per_t_scores(working)])
+            loglik, _, grads = ev.evaluate(working)
+            pairs = ev.pair_scores(grads)
+            feed(h, [ev.loglik(working), ev.loglik_and_score(working), loglik, pairs,
+                     estimation._weighted_per_t(WEIGHTS.w, pairs)])
             params = working.to_params()
             feed(h, [pp.sensitivity_H(series, working, WEIGHTS, rule),
                      pp.variability_J(series, working, WEIGHTS, rule),
