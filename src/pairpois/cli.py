@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 import types
@@ -570,11 +571,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _integers(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of ``flag``'s value ``text``."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_scenarios(args) -> int:
-    ids = [int(s) for s in args.ids.split(",")]
-    d_values = [int(s) for s in args.orders.split(",")]
+    ids = _integers("--ids", args.ids)
+    d_values = _integers("--orders", args.orders)
     schemes = args.schemes.split(",")
-    orders = [int(s) for s in args.nodes.split(",")]
+    orders = _integers("--nodes", args.nodes)
     rows = scenarios.run_scenario_study(
         ids, args.n_series, args.n_len, d_values, schemes, orders, args.seed
     )
@@ -687,10 +696,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work when ``--output`` cannot be written as a file:
+    its directory is missing or the path is a directory.  The command's
+    final ``open`` still reports any other error."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--output {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise ValueError(f"--output {path}: is a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            _check_output(args.output)
         return args.func(args)
     except (PairpoisError, OSError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)

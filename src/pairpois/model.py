@@ -260,8 +260,9 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-# Scratch budget of one kernel call, in pairs x q^2 cells.  Consecutive
-# lag blocks share a call while their cells fit it, so a pass over a few
+# Scratch budget of one group of lag blocks in the tensor kernel, in
+# pairs x q^2 cells (:func:`_cell_groups`).  Consecutive blocks share the
+# per-group elementwise work while their cells fit it, so a pass over a few
 # small blocks pays the per-call cost of numpy once, not per block.
 # 2^17 float64 cells are 1 MiB, half of a 2 MiB per-core L2: the exponent
 # array stays in cache between the kernel's two matrix products.  A block
@@ -325,27 +326,40 @@ def _pass_grid(rule: QuadRule, c: float, rhos):
     return grid, moments
 
 
-def _fused_pairs(y1, y2, lgam, offsets, eta1, eta2, grids, moments, out):
-    """Log densities (and score pieces) of the pairs of a group of lag
-    blocks by two matrix products per block over one scratch array.
+def _cell_groups(first, q2):
+    """Consecutive lag blocks grouped under the scratch budget: block j
+    holds rows ``first[j] .. first[j+1] - 1`` of q2 cells each, and each
+    slice of blocks returned shares one exponent buffer while its cells fit
+    ``_GROUP_CELLS``.  A block larger than the budget is a group alone."""
+    groups, start = [], 0
+    for slot in range(1, len(first) - 1):
+        if (first[slot + 1] - first[start]) * q2 > _GROUP_CELLS:
+            groups.append(slice(start, slot))
+            start = slot
+    groups.append(slice(start, len(first) - 1))
+    return groups
 
+
+def _fused_pairs(rule: QuadRule, c: float, rhos, first, y1, y2, lgam, eta1, eta2):
+    """Log densities and score pieces of every distinct pair of a tensor
+    pass, by two matrix products per lag block.
+
+    Lag block j holds rows ``first[j] .. first[j+1] - 1`` at latent
+    correlation ``rhos[j]``, and c = sqrt(2 tau2) scales the nodes.
     ``y1``, ``y2`` hold the counts of the pairs, ``lgam`` each pair's
-    summed log-factorials log y1! + log y2!, ``eta1``, ``eta2`` the
-    linear predictors of the pairs, and ``offsets`` the row offsets of
-    the blocks in the pass: block j holds rows offsets[j] .. offsets[j+1]
-    - 1, and the group starts at row offsets[0].  ``grids[j]``,
-    ``moments[j]`` are the slots of :func:`_pass_grid` at block j's
-    latent correlation.  Only the two matrix products depend on the
-    lag; each runs on its block's own rows, with the shapes a block alone
-    would give.  Everything elementwise runs once over the group,
-    starting with the (pairs, 5) term matrix [1, y1, -e^eta1, y2,
-    -e^eta2] of the first product.  ``out`` is a scratch array of at
-    least (pairs, q^2) that first receives the integrand exponents and
-    then, shifted by each row's maximum, their exponentials in place, so
-    the pass allocates nothing of the grid's size.  A row whose maximum
-    exponent is not finite (every term underflows even in log space, or
-    e^eta overflows) gives a non-finite log density; the caller decides
-    what that means.
+    summed log-factorials log y1! + log y2!, and ``eta1``, ``eta2`` the
+    linear predictors of the pairs.  The kernel builds the pass's grid
+    (:func:`_pass_grid`), the (pairs, 5) term matrix [1, y1, -e^eta1, y2,
+    -e^eta2] of the first product, and one scratch array for the largest
+    group of :func:`_cell_groups`.  Only the two matrix products depend on
+    the lag; each runs on its block's own rows, with the shapes a block
+    alone would give.  A group's integrand exponents fill the scratch and
+    are replaced in place by their exponentials, shifted by each row's
+    maximum, so the pass allocates nothing of the grid's size per block.
+    Everything per row (e^eta, the log densities, the derivatives) runs
+    once over the pass.  A row whose maximum exponent is not finite (every
+    term underflows even in log space, or e^eta overflows) gives a
+    non-finite log density; the caller decides what that means.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
@@ -353,25 +367,27 @@ def _fused_pairs(y1, y2, lgam, offsets, eta1, eta2, grids, moments, out):
     changes no bit of a finite result: a floored cell adds at most
     e^-700 times its moment to sums whose largest term, the row maximum's
     e^0 = 1, is far above that; ``np.maximum`` passes NaN on.  The
-    floor runs only when some grid corner lies below it.  A cell's
-    exponent is log w_j + log w_k plus one concave Poisson term in u_j and
-    one in v_jk, each linear in the nodes, and the Gauss-Hermite log
-    weights have decreasing slopes in the nodes, so every grid line is
-    concave and each row's minimum sits at one of the four corners
-    (j, k) in {0, q-1}^2.  Where the moments overflow (e^v beyond about
-    1e280) a floored cell can turn a NaN score into an infinite one, or
-    move a moment that large; only line-search trials far from any
+    floor runs on a group only when some grid corner of its rows lies
+    below it.  A cell's exponent is log w_j + log w_k plus one concave
+    Poisson term in u_j and one in v_jk, each linear in the nodes, and the
+    Gauss-Hermite log weights have decreasing slopes in the nodes, so every
+    grid line is concave and each row's minimum sits at one of the four
+    corners (j, k) in {0, q-1}^2.  Where the moments overflow (e^v beyond
+    about 1e280) a floored cell can turn a NaN score into an infinite one,
+    or move a moment that large; only line-search trials far from any
     estimate reach there.
 
     Returns the log density of each pair and the (pairs, 4) derivatives
-    of it with respect to eta1, eta2, log c and rho (c = sqrt(2 tau2)).
-    The log density is read from column 0 of ``out @ moments``, the same
-    normalising sum the derivatives divide by, so a loglik-only caller
-    gets bit for bit the value the score pass reports.
+    of it with respect to eta1, eta2, log c and rho.  The log density is
+    read from column 0 of the second product, the same normalising sum
+    the derivatives divide by.
     """
-    out = out[: y1.shape[0]]
-    blocks = [slice(a - offsets[0], b - offsets[0]) for a, b in zip(offsets, offsets[1:])]
-    sums = np.empty((y1.shape[0], 9))
+    grids, moments = _pass_grid(rule, c, rhos)
+    q2 = grids.shape[2]
+    q = math.isqrt(q2)
+    groups = _cell_groups(first, q2)
+    scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q2))
+    m, sums = np.empty(y1.shape[0]), np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
         exp_eta2 = np.exp(eta2)
@@ -381,18 +397,20 @@ def _fused_pairs(y1, y2, lgam, offsets, eta1, eta2, grids, moments, out):
         terms[:, 0], terms[:, 1], terms[:, 3] = 1.0, y1, y2
         np.negative(exp_eta1, out=terms[:, 2])
         np.negative(exp_eta2, out=terms[:, 4])
-        for rows, grid in zip(blocks, grids):
-            np.matmul(terms[rows], grid, out=out[rows])
-        m = out.max(axis=1)
-        out -= m[:, None]
-        q2 = out.shape[1]
-        q = math.isqrt(q2)
-        if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
-            np.maximum(out, _EXP_FLOOR, out=out)
-        np.exp(out, out=out)
+        for group in groups:
+            base = first[group.start]
+            out = scratch[: first[group.stop] - base]
+            blocks = [(j, slice(first[j], first[j + 1])) for j in range(group.start, group.stop)]
+            for j, rows in blocks:
+                np.matmul(terms[rows], grids[j], out=out[rows.start - base : rows.stop - base])
+            m[base : first[group.stop]] = top = out.max(axis=1)
+            out -= top[:, None]
+            if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
+                np.maximum(out, _EXP_FLOOR, out=out)
+            np.exp(out, out=out)
+            for j, rows in blocks:
+                np.matmul(out[rows.start - base : rows.stop - base], moments[j], out=sums[rows])
         constant = y1 * eta1 + y2 * eta2 - lgam
-        for rows, moment in zip(blocks, moments):
-            np.matmul(out[rows], moment, out=sums[rows])
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
         logp = m + np.log(total) + constant
@@ -453,10 +471,11 @@ def pair_log_density(
     The double integral over the latent pair is approximated with the
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
-    the full grid) so that large counts cannot underflow.  This is the
-    tensor kernel :class:`PairwiseEvaluator` runs at phi != 0, called
-    for a group of one pair; it stays on that kernel at phi = 0 too,
-    where the evaluator runs the equal product of 1-D rules instead.
+    the full grid) so that large counts cannot underflow.  This is one
+    call of the tensor kernel :class:`PairwiseEvaluator` runs at
+    phi != 0, for a pass of one lag block of one pair (``first = [0,
+    1]``); it stays on that kernel at phi = 0 too, where the evaluator
+    runs the equal product of 1-D rules instead.
     At tau2 = 0 the latent pair is a point mass at the origin,
     which the rule integrates exactly: the density is the product of two
     Poisson probabilities, up to rounding.
@@ -486,10 +505,9 @@ def pair_log_density(
         eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial([y1, y2])
     c = math.sqrt(2.0 * params.tau2)
-    grids, moments = _pass_grid(rule, c, [params.phi**lag])
     logp, _ = _fused_pairs(
-        np.array([y1]), np.array([y2]), lgam[:1] + lgam[1:], [0, 1], eta[:1], eta[1:],
-        grids, moments, np.empty((1, grids.shape[2])),
+        rule, c, [params.phi**lag], [0, 1], np.array([y1]), np.array([y2]),
+        lgam[:1] + lgam[1:], eta[:1], eta[1:],
     )
     if not np.isfinite(logp[0]):
         raise NumericalFailure(
@@ -539,15 +557,12 @@ class PairwiseEvaluator:
     ``np.unique(axis=0)`` on the float rows (y1, y2, X1, X2), with -0.0
     equal to 0.0, and no combined key is formed that could overflow.
 
-    Each lag block runs the fused kernel of two matrix products
-    (:func:`_fused_pairs`) on its slot of the pass's grids, built for
-    every lag in one call (:func:`_pass_grid`).  Consecutive slots whose
-    pairs x q^2 cells fit ``_GROUP_CELLS`` share one kernel call
-    (``_group_slots``), and every call reuses one scratch buffer sized
-    for the largest group.  Shifted exponents are floored at
-    ``_EXP_FLOOR``, which changes no bit of a finite result.  The loglik
+    The evaluator keeps only this pair layout.  A pass at phi != 0 is
+    one call of the tensor kernel (:func:`_fused_pairs`) with the rows,
+    the offsets ``_first`` and each lag's latent correlation; the kernel
+    owns its grid, its grouping of lag blocks and its scratch.  The loglik
     and score sum slot by slot in lag order, so results are
-    bit-reproducible and do not depend on the grouping.
+    bit-reproducible and do not depend on the kernel's grouping.
 
     :meth:`evaluate` is the one pass, and the one public entry point to
     it: it returns the loglik, the score and one (rows, dim) array of
@@ -608,14 +623,6 @@ class PairwiseEvaluator:
         self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
         self._y1, self._y2 = y[self._i1].astype(float), y[self._i2].astype(float)
         self._pair_lgam = lgam[self._i1] + lgam[self._i2]
-        q2 = rule.order**2
-        self._group_slots, start = [], 0
-        for slot in range(1, len(self._lags)):
-            if (first[slot + 1] - first[start]) * q2 > _GROUP_CELLS:
-                self._group_slots.append(slice(start, slot))
-                start = slot
-        self._group_slots.append(slice(start, len(self._lags)))
-        self._max_rows = max(first[s.stop] - first[s.start] for s in self._group_slots)
 
     # -- core passes -------------------------------------------------------
 
@@ -632,8 +639,9 @@ class PairwiseEvaluator:
         )
 
     def evaluate(self, working: WorkingParams) -> tuple[float, np.ndarray, np.ndarray]:
-        """One kernel pass over every group of lag blocks, on the product
-        of 1-D rules at phi = 0.
+        """One kernel call over every distinct pair: the tensor kernel
+        (:func:`_fused_pairs`), or the product of 1-D rules at phi = 0
+        (:func:`_product_pairs`).
 
         Returns ``(loglik, score, grads)``: the weighted pairwise loglik,
         its exact gradient in the working parameters (beta, log sigma2,
@@ -656,17 +664,10 @@ class PairwiseEvaluator:
                 self.rule, c, self.series.y, self._lgam, eta, self._i1, self._i2
             )
         else:
-            grids, moments = _pass_grid(self.rule, c, [phi**lag for lag in self._lags])
-            buf = np.empty((self._max_rows, grids.shape[2]))
-            eta1, eta2 = eta[self._i1], eta[self._i2]
-            logp, derivs = np.empty(self._i1.shape[0]), np.empty((self._i1.shape[0], 4))
-            for slots in self._group_slots:
-                rows = slice(first[slots.start], first[slots.stop])
-                logp[rows], derivs[rows] = _fused_pairs(
-                    self._y1[rows], self._y2[rows], self._pair_lgam[rows],
-                    first[slots.start:slots.stop + 1],
-                    eta1[rows], eta2[rows], grids[slots], moments[slots], buf,
-                )
+            logp, derivs = _fused_pairs(
+                self.rule, c, [phi**lag for lag in self._lags], first, self._y1, self._y2,
+                self._pair_lgam, eta[self._i1], eta[self._i2],
+            )
         bad = ~np.isfinite(logp)
         if np.any(bad):
             raise self._underflow(int(np.argmax(bad)))
@@ -713,8 +714,7 @@ def pairwise_loglik(
     pairs whose later member falls at or before m_d are excluded, which
     matches the indexing the variance theory assumes.  The value is that
     of :meth:`PairwiseEvaluator.loglik`, which runs the fit path's one
-    grouped kernel (one call per group of consecutive lag blocks within
-    the scratch budget, summed block by block in lag order), so it is
+    kernel call per pass (summed block by block in lag order), so it is
     bit-equal to the loglik a fit reports at the same point.
     ``sigma2 = 0`` (tau2 = 0) needs no special case: the
     evaluator integrates the point mass exactly, giving the weighted sum

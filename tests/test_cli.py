@@ -763,8 +763,12 @@ def test_scenarios_study_csv(tmp_path):
         ("--nodes", "10,0", "order must be in [1, 100], got 0"),
         ("--orders", "1,0", "order d must be a positive integer, got 0"),
         ("--orders", "1,200", "series length 150 must exceed the window m_d = 200"),
+        ("--ids", "5,", "--ids takes comma-separated integers, got '5,'"),
+        ("--orders", "1,,3", "--orders takes comma-separated integers, got '1,,3'"),
+        ("--nodes", "20,x", "--nodes takes comma-separated integers, got '20,x'"),
     ],
-    ids=["ids", "schemes", "nodes", "orders", "window"],
+    ids=["ids", "schemes", "nodes", "orders", "window", "ids_empty", "orders_empty",
+         "nodes_not_int"],
 )
 def test_scenarios_checks_the_grid_before_the_first_fit(
     flag, value, message, tmp_path, monkeypatch, capsys
@@ -783,6 +787,44 @@ def test_scenarios_checks_the_grid_before_the_first_fit(
     assert fits == []
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fit", "SIM_CSV"],
+        ["predict", "REPORT"],
+        ["simulate", "--scenario", "5", "--n", "50"],
+        ["scenarios", "--ids", "5", "--n-series", "2", "--n-len", "150", "--nodes", "10"],
+    ],
+    ids=["fit", "predict", "simulate", "scenarios"],
+)
+@pytest.mark.parametrize("target", ["missing_dir", "a_dir"])
+def test_output_is_checked_before_any_work(command, target, tmp_path, sim_csv, monkeypatch,
+                                           capsys):
+    from pairpois import estimation
+
+    report = tmp_path / "report.json"
+    assert cli.main(["fit", sim_csv, "--output", str(report), "--max-iter", "2"]) in (0, 3)
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: (calls.append(name), real(*a, **k))[1])
+
+    counted(estimation, "fit")
+    counted(estimation, "_fit")
+    counted(pp.PairwiseEvaluator, "evaluate")
+    counted(cli, "predict")
+    counted(cli, "simulate_series")
+    output = tmp_path / "missing" / "out.csv" if target == "missing_dir" else tmp_path
+    argv = [{"SIM_CSV": sim_csv, "REPORT": str(report)}.get(a, a) for a in command]
+    capsys.readouterr()
+    assert cli.main(argv + ["--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(output) in err and "Errno" not in err
+    assert calls == []
 
 
 def test_study_cell_records_typed_failures_and_propagates_others(monkeypatch):

@@ -217,9 +217,11 @@ def failure_location(spike):
     """The (time_index, lag) both kernels report on ``spike_series``."""
     series = spike_series(spike)
     working = pp.WorkingParams(beta=[0.2, 800.0], log_sigma2=math.log(0.1), z_phi=0.3)
-    rule = pp.gauss_hermite(5)
+    q = 5
+    rule = pp.gauss_hermite(q)
     weights = pp.make_weights(2, "trap")
-    assert [s.stop - s.start for s in PairwiseEvaluator(series, weights, rule)._group_slots] == [3]
+    ev = PairwiseEvaluator(series, weights, rule)
+    assert [s.stop - s.start for s in model._cell_groups(ev._first, q * q)] == [3]
     errors = []
     for cls in (PairwiseEvaluator, BroadcastEvaluator):
         with pytest.raises(NumericalFailure) as info:
@@ -243,21 +245,23 @@ def test_fused_kernel_failure_in_later_block_of_group_matches_broadcast():
 
 @pytest.mark.parametrize("z_phi", [0.3, 0.0], ids=["phi!=0", "phi=0"])
 def test_failure_in_a_later_kernel_call_matches_broadcast(z_phi):
-    # 396 distinct pairs per lag at 40 nodes: every lag block runs in a
-    # kernel call of its own.  The spike at t = 3 lies before the window
-    # m_d = 4, so only lags 2 and 3 reach it, in the second and third calls.
-    n, spike = 400, 2
+    # 396 distinct pairs per lag at 40 nodes: every lag block is a group
+    # of its own in the tensor kernel.  The spike at t = 3 lies before the
+    # window m_d = 4, so only lags 2 and 3 reach it, in the second and third
+    # groups.
+    n, spike, q = 400, 2, 40
     z = np.zeros(n)
     z[spike] = 1.0
     X = np.column_stack([np.ones(n), np.arange(n) / n, z])
     y = np.random.default_rng(7).poisson(3.0, n)
     series = pp.CountSeries(y=y, X=X)
     weights = pp.make_weights(2, "trap")
-    rule = pp.gauss_hermite(40)
+    rule = pp.gauss_hermite(q)
     ev = PairwiseEvaluator(series, weights, rule)
-    assert len(ev._group_slots) >= 2
+    groups = model._cell_groups(ev._first, q * q)
+    assert len(groups) >= 2
     failing = np.flatnonzero((ev._i1 == spike) | (ev._i2 == spike))
-    assert failing.size and failing.min() >= ev._first[ev._group_slots[0].stop]
+    assert failing.size and failing.min() >= ev._first[groups[0].stop]
     working = pp.WorkingParams(beta=[0.2, 0.1, 800.0], log_sigma2=math.log(0.1), z_phi=z_phi)
     errors = []
     for evaluator in (ev, BroadcastEvaluator(series, weights, rule)):
@@ -289,17 +293,60 @@ def assert_bitwise_equal(a, b):
     ids=["constant_x", "greek", "greek_q10"],
 )
 def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkeypatch):
-    # the same evaluator with every lag block in a kernel call of its own
+    # the same passes with every lag block in a group of its own; the
+    # kernel reads the grouping on every pass, so the grouped results are
+    # taken before the budget is patched
     series = make()
     rule = pp.gauss_hermite(q)
-    grouped = PairwiseEvaluator(series, weights, rule)
+    ev = PairwiseEvaluator(series, weights, rule)
+    points = trial_points(pp.moment_init(series))
+    grouped = [pass_views(ev, weights.w, working) for working in points]
+    grouped_groups = model._cell_groups(ev._first, q * q)
     monkeypatch.setattr(model, "_GROUP_CELLS", 1)
-    alone = PairwiseEvaluator(series, weights, rule)
-    assert len(alone._group_slots) == len(alone._first) - 1
-    assert (len(grouped._group_slots) < len(grouped._first) - 1) == several
+    assert len(model._cell_groups(ev._first, q * q)) == len(ev._first) - 1
+    assert (len(grouped_groups) < len(ev._first) - 1) == several
+    for working, want in zip(points, grouped):
+        assert_bitwise_equal(want, pass_views(ev, weights.w, working))
+
+
+def test_evaluate_makes_one_tensor_kernel_call_per_pass(monkeypatch):
+    # the Greek d=5 trap design at 20 nodes: nine lag blocks of about 190
+    # distinct pairs, each a group of its own, all in one kernel call
+    series = greek_series()
+    q = 20
+    ev = PairwiseEvaluator(series, pp.make_weights(5, "trap"), pp.gauss_hermite(q))
+    assert len(model._cell_groups(ev._first, q * q)) == 9
+    calls = []
+    fused = model._fused_pairs
+    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (calls.append(1), fused(*a))[1])
     for working in trial_points(pp.moment_init(series)):
-        assert_bitwise_equal(pass_views(grouped, weights.w, working),
-                             pass_views(alone, weights.w, working))
+        del calls[:]
+        ev.evaluate(working)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "first,q2",
+    [
+        ([0, 1], 400),
+        ([0, 40, 80, 120, 160, 200], 400),
+        ([0, 10, 400, 410, 420, 900, 905], 400),
+        ([0, 300, 310, 320, 330], 400),
+        ([0, 396, 792, 1188], 1600),
+        ([0, 5, 10, 15], 1 << 20),
+    ],
+)
+def test_cell_groups_cover_every_block_in_order_within_the_budget(first, q2):
+    groups = model._cell_groups(first, q2)
+    blocks = [j for g in groups for j in range(g.start, g.stop)]
+    assert blocks == list(range(len(first) - 1))  # every block once, in order, none split
+    for g in groups:
+        assert g.start < g.stop and g.step is None
+        if g.stop - g.start > 1:
+            assert (first[g.stop] - first[g.start]) * q2 <= model._GROUP_CELLS
+        block_cells = [(first[j + 1] - first[j]) * q2 for j in range(g.start, g.stop)]
+        if max(block_cells) > model._GROUP_CELLS:
+            assert g.stop - g.start == 1  # a block over the budget runs alone
 
 
 # ---------------------------------------------------------------------------
