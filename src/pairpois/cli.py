@@ -31,6 +31,10 @@ EXIT_NOT_CONVERGED = 3
 # ASCII digits only, matched whole: \d would take other scripts' digits and
 # $ a trailing newline, and such a month would match no CSV row by text
 _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
+# the one integer rule of counts and integer flags, matched whole: int()
+# would also take other scripts' digits, "1_000", "+3" and surrounding
+# spaces
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 _RESTRICTIONS = {"none": None, "phi0": estimation.PHI_ZERO, "indep": estimation.INDEPENDENCE}
 
 
@@ -117,12 +121,11 @@ def read_count_csv(path: str) -> ParsedData:
             prev_ord = cur
 
             raw_count = row[1].strip()
-            try:
-                value = int(raw_count)
-            except ValueError:
+            if not _INTEGER_RE.fullmatch(raw_count):
                 raise DataFormatError(
                     f"{path}: line {lineno}: count {raw_count!r} is not an integer"
-                ) from None
+                )
+            value = int(raw_count)
             if value < 0:
                 raise DataFormatError(f"{path}: line {lineno}: negative count {value}")
 
@@ -572,11 +575,12 @@ def cmd_simulate(args) -> int:
 
 
 def _integers(flag: str, text: str) -> list[int]:
-    """The comma-separated integers of ``flag``'s value ``text``."""
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+    """The comma-separated integers of ``flag``'s value ``text``, each
+    matched whole by ``_INTEGER_RE``."""
+    parts = text.split(",")
+    if not all(_INTEGER_RE.fullmatch(s) for s in parts):
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}")
+    return [int(s) for s in parts]
 
 
 def cmd_scenarios(args) -> int:
@@ -612,13 +616,35 @@ def cmd_weights(args) -> int:
 # argument parsing
 
 
+class _FlagError(PairpoisError):
+    """A flag value an argparse type rejects.  argparse turns only
+    ValueError and TypeError from a type into its exit-2 usage message, so
+    this reaches :func:`main`, which reports it in one line and exits 1 as
+    for any other bad value."""
+
+
+def _integer_flag(flag: str):
+    """The argparse type of the integer flag ``flag``: its value matched
+    whole by ``_INTEGER_RE``."""
+
+    def parse(text: str) -> int:
+        if not _INTEGER_RE.fullmatch(text):
+            raise _FlagError(f"{flag} takes an integer, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def _add_common_fit_flags(parser) -> None:
-    parser.add_argument("-d", "--order", type=int, default=1, help="pairwise likelihood order d")
+    parser.add_argument("-d", "--order", type=_integer_flag("-d/--order"), default=1,
+                        help="pairwise likelihood order d")
     parser.add_argument(
         "--weights", choices=["rect", "trap"], default="rect", help="pair weight scheme"
     )
-    parser.add_argument("--nodes", type=int, default=20, help="quadrature nodes per dimension")
-    parser.add_argument("--hac-lags", type=int, default=None, help="HAC window semi-length r")
+    parser.add_argument("--nodes", type=_integer_flag("--nodes"), default=20,
+                        help="quadrature nodes per dimension")
+    parser.add_argument("--hac-lags", type=_integer_flag("--hac-lags"), default=None,
+                        help="HAC window semi-length r")
     parser.add_argument(
         "--restriction",
         choices=sorted(_RESTRICTIONS),
@@ -638,26 +664,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("data", help="input CSV with date,count[,covariates] columns")
     p_fit.add_argument("--output", required=True, help="path for the JSON fit report")
     _add_common_fit_flags(p_fit)
-    p_fit.add_argument("--holdout-months", type=int, default=0,
+    p_fit.add_argument("--holdout-months", type=_integer_flag("--holdout-months"), default=0,
                        help="reserve the last K months for prediction checks")
     p_fit.add_argument("--trend", action="store_true",
                        help="include a linear trend t/n scaled by the training length")
     p_fit.add_argument("--harmonics", action="store_true",
                        help="include the seasonal sin/cos pair")
-    p_fit.add_argument("--period", type=int, default=12, help="harmonic period in months")
+    p_fit.add_argument("--period", type=_integer_flag("--period"), default=12,
+                       help="harmonic period in months")
     p_fit.add_argument("--level-shift", default=None, metavar="YYYY-MM",
                        help="indicator equal to 1 strictly before this month")
     p_fit.add_argument("--covariates", default=None,
                        help="comma-separated extra covariate columns from the CSV")
-    p_fit.add_argument("--max-iter", type=int, default=estimation.DEFAULT_MAX_ITER)
+    p_fit.add_argument("--max-iter", type=_integer_flag("--max-iter"),
+                       default=estimation.DEFAULT_MAX_ITER)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="exact prediction band from the fitted marginal law")
     p_pred.add_argument("report", help="JSON fit report from the fit subcommand")
     p_pred.add_argument("--output", required=True, help="path for the band CSV")
-    p_pred.add_argument("--horizon-months", type=int, default=12)
-    p_pred.add_argument("--n-sim", type=int, default=10_000, help="ignored: the band is exact")
-    p_pred.add_argument("--seed", type=int, default=1, help="ignored: the band is exact")
+    p_pred.add_argument("--horizon-months", type=_integer_flag("--horizon-months"), default=12)
+    p_pred.add_argument("--n-sim", type=_integer_flag("--n-sim"), default=10_000,
+                        help="ignored: the band is exact")
+    p_pred.add_argument("--seed", type=_integer_flag("--seed"), default=1,
+                        help="ignored: the band is exact")
     p_pred.add_argument("--data", default=None,
                         help="CSV with observed counts for exceedance flags; its covariate "
                              "columns are matched to band months by date")
@@ -668,28 +698,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a series from the model")
     p_sim.add_argument("--output", required=True)
-    p_sim.add_argument("--scenario", type=int, choices=sorted(scenarios.SCENARIOS), default=None)
+    p_sim.add_argument("--scenario", type=_integer_flag("--scenario"),
+                       choices=sorted(scenarios.SCENARIOS), default=None)
     p_sim.add_argument("--beta", type=float, default=None, help="intercept on the log scale")
     p_sim.add_argument("--sigma2", type=float, default=None)
     p_sim.add_argument("--phi", type=float, default=None)
-    p_sim.add_argument("--n", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--n", type=_integer_flag("--n"), default=500)
+    p_sim.add_argument("--seed", type=_integer_flag("--seed"), default=0)
     p_sim.add_argument("--start", default="2000-01", metavar="YYYY-MM")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sc = sub.add_parser("scenarios", help="simulate-and-refit study over benchmark scenarios")
     p_sc.add_argument("--output", required=True, help="path for the summary CSV")
     p_sc.add_argument("--ids", default="1,2,3,4,5,6,7,8,9", help="comma-separated scenario ids")
-    p_sc.add_argument("--n-series", type=int, default=100)
-    p_sc.add_argument("--n-len", type=int, default=500)
+    p_sc.add_argument("--n-series", type=_integer_flag("--n-series"), default=100)
+    p_sc.add_argument("--n-len", type=_integer_flag("--n-len"), default=500)
     p_sc.add_argument("--orders", default="1", help="comma-separated pairwise orders d")
     p_sc.add_argument("--schemes", default="rect", help="comma-separated schemes (rect,trap)")
     p_sc.add_argument("--nodes", default="20", help="comma-separated node counts")
-    p_sc.add_argument("--seed", type=int, default=0)
+    p_sc.add_argument("--seed", type=_integer_flag("--seed"), default=0)
     p_sc.set_defaults(func=cmd_scenarios)
 
     p_w = sub.add_parser("weights", help="print a pair-weight table")
-    p_w.add_argument("-d", "--order", type=int, required=True)
+    p_w.add_argument("-d", "--order", type=_integer_flag("-d/--order"), required=True)
     p_w.add_argument("--weights", choices=["rect", "trap"], default="rect")
     p_w.set_defaults(func=cmd_weights)
 
@@ -709,8 +740,8 @@ def _check_output(path: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "output", None) is not None:
             _check_output(args.output)
         return args.func(args)

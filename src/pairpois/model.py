@@ -273,8 +273,22 @@ _GROUP_CELLS = 1 << 17
 
 # Floor of the kernel's shifted exponents (:func:`_fused_pairs`).  Below
 # about -708 numpy's float64 exp leaves its vector path: 13-111 ns per
-# element against about 1 ns (numpy 2.4.6 on a 2-vCPU Xeon VM).
+# element against about 1 ns (numpy 2.4.6 on a 2-vCPU Xeon VM).  A floored
+# cell weighs at most q^2 e^-100 of its row's total, which is above
+# ``_MIN_TOTAL``, so flooring changes no bit.
 _EXP_FLOOR = -700.0
+
+# Least sum of a row's exponentials under the closed-form shift of
+# :func:`_fused_pairs`; a row at or below it (its bound sits more than
+# about 600 above its grid, e.g. an outlying count at a tiny tau2) is rerun
+# with its grid maximum as the shift.
+_MIN_TOTAL = math.exp(-600.0)
+
+
+def _log_peak(y):
+    """sup over a of y a - e^a, elementwise: y log y - y, reached at
+    a = log y, and 0 (as a -> -inf) at y = 0."""
+    return y * (np.log(np.maximum(y, 1.0)) - 1.0)
 
 
 def _pass_grid(rule: QuadRule, c: float, rhos):
@@ -288,14 +302,16 @@ def _pass_grid(rule: QuadRule, c: float, rhos):
     latent covariance tau2 [[1, rho], [rho, 1]], so with c = 0 every cell
     sits at the origin.  The grid is the bivariate-normal rule:
     e^(row 0) are the probability weights w_j w_k / pi and rows 1 and 3
-    the latent points (u, v).  A grid G (5, q^2) has rows
-    [log w_j w_k - log pi, u, e^u, v, e^v], so a pair's row
-    [1, y1, -e^eta1, y2, -e^eta2] times G is the log of its integrand at
-    every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1! -
-    log y2!.  A moment matrix M (q^2, 9) has columns
+    the latent points (u, v).  A grid G (6, q^2) has rows
+    [log w_j w_k - log pi, u, e^u, v, e^v, 1], so a pair's row
+    [1, y1, -e^eta1, y2, -e^eta2, -S] times G is the log of its integrand
+    at every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1!
+    - log y2! and shifted by S: the row of ones carries the kernel's
+    log-sum-exp shift into the first product.  A moment matrix M (q^2, 9)
+    has columns
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
     always built: the kernel has one mode.  This returns one slot of
-    each per entry of ``rhos``, (len(rhos), 5, q^2) and (len(rhos), q^2,
+    each per entry of ``rhos``, (len(rhos), 6, q^2) and (len(rhos), q^2,
     9).  Row 0 depends on the rule alone and everything of u on tau2
     alone; both are computed once for all slots.  v, e^v and their moment
     columns are computed for all slots in one vectorised step.
@@ -303,12 +319,13 @@ def _pass_grid(rule: QuadRule, c: float, rhos):
     nodes, logw = rule.nodes, np.log(rule.weights)
     lags = len(rhos)
     u = np.repeat(c * nodes, nodes.shape[0])
-    grid = np.empty((lags, 5, u.shape[0]))
+    grid = np.empty((lags, 6, u.shape[0]))
     moments = np.empty((lags, u.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_u = np.exp(u)
         moments[:, :, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
     grid[:, :3] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u
+    grid[:, 5] = 1.0
     rho = np.array(rhos)[:, None, None]
     s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
     v = (c * (rho * nodes[:, None] + s * nodes[None, :])).reshape(lags, -1)
@@ -349,71 +366,94 @@ def _fused_pairs(rule: QuadRule, c: float, rhos, first, y1, y2, lgam, eta1, eta2
     ``y1``, ``y2`` hold the counts of the pairs, ``lgam`` each pair's
     summed log-factorials log y1! + log y2!, and ``eta1``, ``eta2`` the
     linear predictors of the pairs.  The kernel builds the pass's grid
-    (:func:`_pass_grid`), the (pairs, 5) term matrix [1, y1, -e^eta1, y2,
-    -e^eta2] of the first product, and one scratch array for the largest
-    group of :func:`_cell_groups`.  Only the two matrix products depend on
-    the lag; each runs on its block's own rows, with the shapes a block
-    alone would give.  A group's integrand exponents fill the scratch and
-    are replaced in place by their exponentials, shifted by each row's
-    maximum, so the pass allocates nothing of the grid's size per block.
-    Everything per row (e^eta, the log densities, the derivatives) runs
-    once over the pass.  A row whose maximum exponent is not finite (every
-    term underflows even in log space, or e^eta overflows) gives a
-    non-finite log density; the caller decides what that means.
+    (:func:`_pass_grid`), the (pairs, 6) term matrix [1, y1, -e^eta1, y2,
+    -e^eta2, -S] of the first product, and one scratch array for the
+    largest group of :func:`_cell_groups`.  Only the two matrix products
+    depend on the lag; each runs on its block's own rows, with the shapes a
+    block alone would give.  A group's shifted integrand exponents fill the
+    scratch and are replaced in place by their exponentials, so the pass
+    allocates nothing of the grid's size per block.  Everything per row
+    (e^eta, the shift, the log densities, the derivatives) runs once over
+    the pass.
+
+    The log-sum-exp shift S of a row is a closed-form upper bound of its
+    exponents, not their maximum, so no pass over the grid finds it.  A
+    cell's exponent is log w_j w_k - log pi + (y1 u - e^(eta1 + u)) +
+    (y2 v - e^(eta2 + v)), and sup_u (y u - e^(eta + u)) is
+    y (log y - eta) - y, or 0 at y = 0 (:func:`_log_peak` less y eta), so
+    S = 2 max log w - log pi plus the two peaks bounds every cell: the
+    exponentials cannot overflow.  A row whose sum of exponentials is not
+    above ``_MIN_TOTAL`` = e^-600 (its bound far above its grid, e.g. an
+    outlying count at a tiny tau2, or a non-finite row) is rerun within
+    the call with its grid maximum as the shift, as a row maximum shift
+    would run it.  A row whose grid maximum is not finite (every term
+    underflows even in log space, or e^eta overflows) gives a non-finite
+    log density; the caller decides what that means.
 
     Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
     before the exponential, which keeps numpy's exp on its vector path
     (below about -708 it costs 10-100 times more per element).  This
     changes no bit of a finite result: a floored cell adds at most
-    e^-700 times its moment to sums whose largest term, the row maximum's
-    e^0 = 1, is far above that; ``np.maximum`` passes NaN on.  The
-    floor runs on a group only when some grid corner of its rows lies
-    below it.  A cell's exponent is log w_j + log w_k plus one concave
-    Poisson term in u_j and one in v_jk, each linear in the nodes, and the
-    Gauss-Hermite log weights have decreasing slopes in the nodes, so every
-    grid line is concave and each row's minimum sits at one of the four
-    corners (j, k) in {0, q-1}^2.  Where the moments overflow (e^v beyond
-    about 1e280) a floored cell can turn a NaN score into an infinite one,
-    or move a moment that large; only line-search trials far from any
-    estimate reach there.
+    e^-700 times its moment to sums whose total is above e^-600 (the
+    grid maximum's e^0 = 1 in a rerun row), so its share is at most
+    q^2 e^-100, far below rounding; ``np.maximum`` passes NaN on.  For
+    the same reason the grouping of lag blocks, which decides where the
+    floor runs, changes no bit.  The floor runs on a group only when some
+    grid corner of its rows lies below it.  A cell's exponent is log w_j +
+    log w_k plus one concave Poisson term in u_j and one in v_jk, each
+    linear in the nodes, and the Gauss-Hermite log weights have decreasing
+    slopes in the nodes, so every grid line is concave and each row's
+    minimum sits at one of the four corners (j, k) in {0, q-1}^2.  Where
+    the moments overflow (e^v beyond about 1e280) a floored cell can turn
+    a NaN score into an infinite one, or move a moment that large; only
+    line-search trials far from any estimate reach there.
 
     Returns the log density of each pair and the (pairs, 4) derivatives
     of it with respect to eta1, eta2, log c and rho.  The log density is
-    read from column 0 of the second product, the same normalising sum
-    the derivatives divide by.
+    S plus the log of column 0 of the second product, the same normalising
+    sum the derivatives divide by, plus the per-pair constant.
     """
     grids, moments = _pass_grid(rule, c, rhos)
     q2 = grids.shape[2]
     q = math.isqrt(q2)
     groups = _cell_groups(first, q2)
     scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q2))
-    m, sums = np.empty(y1.shape[0]), np.empty((y1.shape[0], 9))
+    sums = np.empty((y1.shape[0], 9))
     with np.errstate(over="ignore", invalid="ignore"):
         exp_eta1 = np.exp(eta1)
         exp_eta2 = np.exp(eta2)
         # filled in place: np.column_stack costs about 10 us more per call,
         # a few percent of a covariate-free pass
-        terms = np.empty((y1.shape[0], 5))
+        terms = np.empty((y1.shape[0], 6))
         terms[:, 0], terms[:, 1], terms[:, 3] = 1.0, y1, y2
         np.negative(exp_eta1, out=terms[:, 2])
         np.negative(exp_eta2, out=terms[:, 4])
+        y_eta = y1 * eta1 + y2 * eta2
+        shift = grids[0, 0].max() + _log_peak(y1) + _log_peak(y2) - y_eta
+        np.negative(shift, out=terms[:, 5])
         for group in groups:
             base = first[group.start]
             out = scratch[: first[group.stop] - base]
             blocks = [(j, slice(first[j], first[j + 1])) for j in range(group.start, group.stop)]
             for j, rows in blocks:
                 np.matmul(terms[rows], grids[j], out=out[rows.start - base : rows.stop - base])
-            m[base : first[group.stop]] = top = out.max(axis=1)
-            out -= top[:, None]
             if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
                 np.maximum(out, _EXP_FLOOR, out=out)
             np.exp(out, out=out)
             for j, rows in blocks:
                 np.matmul(out[rows.start - base : rows.stop - base], moments[j], out=sums[rows])
-        constant = y1 * eta1 + y2 * eta2 - lgam
+        # rows whose bound sits far above their grid, shifted by its maximum
+        rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
+        if rerun.size:  # skipped, the bookkeeping costs about 8 us per pass
+            slots = np.searchsorted(first, rerun, side="right") - 1
+            for j in set(slots.tolist()):
+                rows = rerun[slots == j]
+                out = terms[rows, :5] @ grids[j, :5]
+                shift[rows] = top = out.max(axis=1)
+                sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moments[j]
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
-        logp = m + np.log(total) + constant
+        logp = shift + np.log(total) + (y_eta - lgam)
         # moments that overflowed make a score non-finite, as the callers check
         s_u, s_eu, s_ueu, s_v, s_ev, s_vev, s_dv, s_dvev = mean.T
         derivs = np.empty((y1.shape[0], 4))
@@ -471,7 +511,9 @@ def pair_log_density(
     The double integral over the latent pair is approximated with the
     tensor Gauss-Hermite rule mapped through the Cholesky factor of the
     latent covariance, and accumulated in log space (log-sum-exp over
-    the full grid) so that large counts cannot underflow.  This is one
+    the full grid, shifted by a closed-form bound of the integrand, or by
+    its grid maximum where that bound is far above the grid) so that
+    large counts cannot underflow.  This is one
     call of the tensor kernel :class:`PairwiseEvaluator` runs at
     phi != 0, for a pass of one lag block of one pair (``first = [0,
     1]``); it stays on that kernel at phi = 0 too, where the evaluator
@@ -560,9 +602,11 @@ class PairwiseEvaluator:
     The evaluator keeps only this pair layout.  A pass at phi != 0 is
     one call of the tensor kernel (:func:`_fused_pairs`) with the rows,
     the offsets ``_first`` and each lag's latent correlation; the kernel
-    owns its grid, its grouping of lag blocks and its scratch.  The loglik
-    and score sum slot by slot in lag order, so results are
-    bit-reproducible and do not depend on the kernel's grouping.
+    owns its grid, its grouping of lag blocks, its scratch and its
+    log-sum-exp shift (a closed-form bound, with the grid maximum for the
+    rows it overshoots).  The loglik and score sum slot by slot in lag
+    order, so results are bit-reproducible and do not depend on the
+    kernel's grouping.
 
     :meth:`evaluate` is the one pass, and the one public entry point to
     it: it returns the loglik, the score and one (rows, dim) array of

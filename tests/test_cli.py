@@ -83,6 +83,38 @@ def test_months_take_ascii_digits_only(tmp_path, sim_csv, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scenarios", "--ids", "\uff15", "--n-series", "2", "--n-len", "150", "--nodes", "10"],
+         "error: --ids takes comma-separated integers, got '\uff15'"),
+        (["fit", "SIM_CSV", "-d", "\u0665"], "error: -d/--order takes an integer, got '\u0665'"),
+        (["fit", "SIM_CSV", "--nodes", " 7 "], "error: --nodes takes an integer, got ' 7 '"),
+        (["fit", "SIM_CSV", "--max-iter", "+3"], "error: --max-iter takes an integer, got '+3'"),
+        (["fit", "COUNT_CSV"], "line 3: count '1_000' is not an integer"),
+    ],
+    ids=["ids_full_width", "order_arabic_indic", "nodes_spaces", "max_iter_plus",
+         "count_underscore"],
+)
+def test_integers_take_ascii_digits_only(argv, message, tmp_path, sim_csv, capsys, monkeypatch):
+    # int() takes other scripts' digits, "1_000", "+3" and surrounding
+    # spaces; counts and integer flags take ASCII digits with an optional
+    # minus sign, and anything else exits 1 with one line before any work
+    from pairpois import estimation
+
+    fits = []
+    real_fit = estimation._fit
+    monkeypatch.setattr(estimation, "_fit", lambda *a, **k: (fits.append(1), real_fit(*a, **k))[1])
+    count_csv = write_rows(tmp_path / "counts.csv", [("1999-01", 4), ("1999-02", "1_000")])
+    out = tmp_path / "out"
+    argv = [{"SIM_CSV": sim_csv, "COUNT_CSV": count_csv}.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert fits == [] and not out.exists()
+
+
 def test_csv_bad_header(tmp_path, capsys):
     path = write_rows(tmp_path / "bad.csv", [("1999-01", 1)], header=("month", "cases"))
     rc = cli.main(["fit", path, "--output", str(tmp_path / "out.json")])

@@ -512,6 +512,23 @@ def count_passes(monkeypatch):
     return passes, at_bfgs
 
 
+def reject_new_points(monkeypatch, kept):
+    """Let the first ``kept`` passes run, and make every later pass at a
+    point not evaluated before fail as a pair-density underflow does, so
+    the line search rejects every trial point from then on and runs out."""
+    seen = []
+    real_evaluate = PairwiseEvaluator.evaluate
+
+    def failing(self, working):
+        x = working.as_vector()
+        if len(seen) >= kept and not any(np.array_equal(x, s) for s in seen):
+            raise pp.NumericalFailure("trial point rejected")
+        seen.append(x)
+        return real_evaluate(self, working)
+
+    monkeypatch.setattr(PairwiseEvaluator, "evaluate", failing)
+
+
 def assert_is_explicit_pass_result(fit, series, weights):
     """The fit's loglik and sandwich, bit for bit, from one explicit
     ``evaluate`` pass at its estimate."""
@@ -544,8 +561,9 @@ def test_fit_runs_no_pass_after_bfgs(monkeypatch, case):
         series, weights = greek_series(), pp.make_weights(5, "trap")
     elif case == "study":
         series, weights = pp.simulate_scenario(5, 500, 1, 3), pp.make_weights(3, "trap")
-    else:  # a boundary fit that stops when the line search runs out
+    else:  # a boundary fit whose line search runs out after four passes
         series, weights = pp.simulate_scenario(9, 500, 504), pp.make_weights(3, "trap")
+        reject_new_points(monkeypatch, kept=4)
     passes, at_bfgs = count_passes(monkeypatch)
     fit = pp.fit(series, weights, quad_order=20)
     assert at_bfgs[0] == 1
@@ -602,16 +620,29 @@ def test_minimize_bfgs_never_converges_at_non_finite_objective():
     assert not result.converged and len(calls) == 1
 
 
+def constant_series_start_scores(count, lags, pairs):
+    """Start scores shaped as a constant series gives them, one score per
+    lag repeated over its pairs: all zero for ``count`` 0, so the outer
+    product is not positive definite; otherwise three independent lag
+    scores 1e-7 apart from (1, 0, 0), so it is positive definite but
+    numerically singular (condition number about 1e15)."""
+    lag_scores = np.array([[1.0, 0.0, 1e-7], [1.0, 1e-7, 0.0], [1.0, 0.0, 0.0]])[:lags]
+    return np.repeat(lag_scores[:, None, :], pairs, axis=1) * (count != 0)
+
+
 @pytest.mark.parametrize("count", [0, 3])
 def test_constant_series_raises_typed_error_with_bhhh_start(count):
     # all zeros: the start-point outer product is not positive definite and
-    # BFGS starts from the identity; all threes: it is positive definite
-    # but numerically singular.  Either way the fit ends in the typed
-    # sensitivity failure, not in a LinAlgError from the start matrix.
+    # BFGS starts from the identity; otherwise it can be positive definite
+    # but numerically singular, and its inverse is still a start.  Whether
+    # the outer product of a constant series of threes comes out positive
+    # definite depends on rounding (its least eigenvalue is about 1e-18 of
+    # the largest), so the start branch is checked on constructed scores.
+    # Either way the fit ends in the typed sensitivity failure, not in a
+    # LinAlgError from the start matrix.
     series = pp.CountSeries(y=np.full(120, count), X=np.ones((120, 1)))
     weights = pp.make_weights(2, "trap")
-    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(10))
-    _, start_pairs = pair_gradients(ev, pp.moment_init(series).to_working())
+    start_pairs = constant_series_start_scores(count, len(weights.w), series.n - weights.m_d)
     assert (_bhhh_inverse(weights.w, start_pairs, series.n) is None) == (count == 0)
     with pytest.raises(pp.SingularMatrixError):
         pp.fit(series, weights, quad_order=10)

@@ -16,7 +16,9 @@ import pathlib
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln, xlogy
 
 import pairpois as pp
 from conftest import pair_gradients, per_t_scores
@@ -411,13 +413,22 @@ def test_product_rule_failure_location_matches_tensor_kernel(spike, log_sigma2):
 
 
 # ---------------------------------------------------------------------------
-# exponent floor
+# closed-form shift
 
 
-def shifted_exponents(ev, working):
-    """Each lag block's integrand exponents less their row maxima, as a
-    (pairs, q, q) array, built by broadcasting as ``BroadcastEvaluator``
-    builds them."""
+def peak(y):
+    """sup over a of y a - e^a: y log y - y, and 0 at y = 0."""
+    return xlogy(y, y) - y
+
+
+def kernel_shifts(ev, working):
+    """Each lag block's integrand exponents (with the per-pair y1 eta1 +
+    y2 eta2 in, as ``BroadcastEvaluator`` builds them by broadcasting),
+    less the shift the tensor kernel takes: the closed-form bound
+    max log w_j w_k / pi + peak(y1) + peak(y2), or the row's grid maximum
+    where the exponentials shifted by the bound sum to at most
+    ``model._MIN_TOTAL``.  Returns the (pairs, q, q) shifted exponents and
+    the mask of the rows that take their grid maximum, per block."""
     params = working.to_params()
     eta = ev.series.X @ params.beta
     y = ev.series.y.astype(float)
@@ -434,8 +445,90 @@ def shifted_exponents(ev, working):
             + y[i2][:, None, None] * b
             - np.exp(b)
         )
-        out.append(term - term.max(axis=(1, 2))[:, None, None])
+        shift = logw2.max() + peak(y[i1]) + peak(y[i2])
+        rerun = ~(np.exp(term - shift[:, None, None]).sum(axis=(1, 2)) > model._MIN_TOTAL)
+        shift[rerun] = term[rerun].max(axis=(1, 2))
+        out.append((term - shift[:, None, None], rerun))
     return out
+
+
+def shifted_exponents(ev, working):
+    """Each lag block's integrand exponents less the kernel's shift, as a
+    (pairs, q, q) array (:func:`kernel_shifts`)."""
+    return [e for e, _ in kernel_shifts(ev, working)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from([1, 2, 5, 20, 40]),
+    y1=st.integers(0, 2000),
+    y2=st.integers(0, 2000),
+    eta1=st.floats(-30.0, 30.0),
+    eta2=st.floats(-30.0, 30.0),
+    c=st.floats(0.0, 4.0),
+    rho=st.floats(-0.999, 0.999),
+)
+def test_closed_form_shift_bounds_every_grid_exponent(q, y1, y2, eta1, eta2, c, rho):
+    # the kernel's exponents (the first product less its shift column)
+    # against the bound it shifts by, up to rounding of their terms
+    grid = model._pass_grid(pp.gauss_hermite(q), c, [rho])[0][0]
+    y1, y2 = np.array([float(y1)]), np.array([float(y2)])
+    eta1, eta2 = np.array([eta1]), np.array([eta2])
+    parts = np.stack([grid[0], y1 * grid[1], -np.exp(eta1) * grid[2], y2 * grid[3],
+                      -np.exp(eta2) * grid[4]])
+    bound = grid[0].max() + model._log_peak(y1) + model._log_peak(y2) - y1 * eta1 - y2 * eta2
+    slack = 1e-14 * (np.abs(parts).sum(axis=0) + abs(bound[0]))
+    assert np.all(parts.sum(axis=0) <= bound + slack)
+    # the bound itself, against the sup of each Poisson term by its formula
+    assert bound == pytest.approx(grid[0].max() + peak(y1) + peak(y2) - y1 * eta1 - y2 * eta2,
+                                  rel=1e-13, abs=1e-9)
+
+
+def outlier_series():
+    """Poisson(2) counts with an outlying 300 at 0-based time 25, after a 2."""
+    n = 60
+    y = np.random.default_rng(1).poisson(2.0, n)
+    y[25] = 300
+    assert y[24] == 2
+    return pp.CountSeries(y=y, X=np.ones((n, 1)))
+
+
+@pytest.mark.parametrize("log_sigma2", [-9.0, -3.0])
+def test_rows_far_below_the_bound_rerun_with_their_grid_maximum(log_sigma2, monkeypatch):
+    # at a tiny latent variance the bound of the pairs holding the 300
+    # sits hundreds above their grid: those rows are rerun with their grid
+    # maximum, within the pass's one kernel call
+    series = outlier_series()
+    weights = pp.make_weights(2, "trap")
+    rule = pp.gauss_hermite(20)
+    ev = PairwiseEvaluator(series, weights, rule)
+    working = pp.WorkingParams(beta=[math.log(2.0)], log_sigma2=log_sigma2, z_phi=0.4)
+    assert sum(int(rerun.sum()) for _, rerun in kernel_shifts(ev, working)) > 0
+    calls = []
+    fused = model._fused_pairs
+    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (calls.append(1), fused(*a))[1])
+    assert_kernels_agree(series, weights, 20, [working])
+    del calls[:]
+    ev.evaluate(working)
+    assert len(calls) == 1
+
+    params = working.to_params()
+    u, v, logw2 = _grid_pieces(rule, params.tau2, params.phi)
+    eta = math.log(2.0)
+    term = (logw2 + (2 * (eta + u) - np.exp(eta + u))[:, None] + 300 * (eta + v) - np.exp(eta + v)
+            - gammaln(3.0) - gammaln(301.0))
+    want = term.max() + math.log(np.exp(term - term.max()).sum())
+    got = pp.pair_log_density(2, 300, [1.0], [1.0], 1, params, rule)
+    assert abs(got - want) <= LOGLIK_RTOL * abs(want)
+    # with no rerun those rows keep the bound's shift, and the loglik
+    # leaves the broadcast reference
+    ll_ref = BroadcastEvaluator(series, weights, rule).loglik(working)
+    monkeypatch.setattr(model, "_MIN_TOTAL", 0.0)
+    assert abs(ev.loglik(working) - ll_ref) > LOGLIK_RTOL * abs(ll_ref)
+
+
+# ---------------------------------------------------------------------------
+# exponent floor
 
 
 def test_exp_floor_changes_no_bit(monkeypatch):

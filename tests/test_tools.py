@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import pathlib
 import re
 import subprocess
@@ -67,3 +68,29 @@ def test_bundled_data_regenerates_byte_identically(tmp_path, monkeypatch):
     shipped = pathlib.Path(pp.__file__).resolve().parent / "data"
     for name in ("greece_imd.csv", "italy_imd.csv"):
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
+def test_fit_digest_compare_prints_the_cases_that_differ(tmp_path):
+    # numbers in text are compared one by one when the words match; other
+    # text differences are named as such, and equal cases (NaN included)
+    # are not listed
+    tool = TOOL.parent / "fit_digest.py"
+    a = {"g": {"same": [1.0, float("nan")], "moved": [2.0, "loglik -963.25"],
+               "text": ["fit ok"]},
+         "h": {"same": ["x 1"]}}
+    b = {"g": {"same": [1.0, float("nan")], "moved": [2.0, "loglik -963.5"],
+               "text": ["fit failed"]},
+         "h": {"same": ["x 1"]}}
+    paths = []
+    for name, values in (("a.json", a), ("b.json", b)):
+        (tmp_path / name).write_text(json.dumps(values))
+        paths.append(str(tmp_path / name))
+    out = subprocess.run([sys.executable, str(tool), "--compare", *paths],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "g: 2 of 3 cases differ; largest abs 0.25, largest rel 0.000259",
+        "  moved: abs 0.25, rel 0.000259",
+        "  text: text or shape differs",
+        "h: 0 of 1 cases differ; largest abs 0, largest rel 0",
+        "  (none)",
+    ]

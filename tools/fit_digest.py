@@ -25,8 +25,17 @@ so a floating-point warning inside a case enters its digest the same way
 and one outside a case stops the run.  pairpois is imported from the
 ``src/`` next to this file.
 
-Run from the repository root:  python tools/fit_digest.py
+When digests differ, the numbers show how far: ``--values PATH`` also
+writes every case's numbers and text, by group and case name, as JSON,
+and ``--compare A B`` reads two such files and prints, per group, the
+cases that differ and the largest absolute and relative difference
+(|a - b| / max(|a|, |b|)).  Text is compared number by number when its
+words match, so a reformatted report shows as text, not as a number.
+
+Run from the repository root:  python tools/fit_digest.py [--values PATH]
+                               python tools/fit_digest.py --compare A B
 """
+import argparse
 import contextlib
 import hashlib
 import io
@@ -34,6 +43,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import sys
 import tempfile
 import warnings
@@ -69,6 +79,30 @@ def feed(h, value):
         h.update(repr(a.shape).encode() + a.tobytes())
 
 
+class Group:
+    """One digest group: the SHA-256 of its cases, fed in order, and each
+    case's numbers and text by name."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self.cases = {}
+
+    def case(self, name, value):
+        assert name not in self.cases, name
+        feed(self.hash, value)
+        self.cases[name] = flatten(value)
+
+
+def flatten(value):
+    """The numbers and text of ``value`` in feed order: numbers as floats
+    (NaN and infinities kept), strings and bytes as text."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in flatten(item)]
+    if isinstance(value, (str, bytes)):
+        return [value.decode() if isinstance(value, bytes) else value]
+    return np.asarray(value, dtype=float).ravel().tolist()
+
+
 def attempt(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
@@ -91,10 +125,12 @@ def fits(h):
         for seed in SEEDS:
             series = pp.simulate_scenario(sid, N, seed)
             for weights in (WEIGHTS, pp.make_weights(2, "rect")):
-                feed(h, fit_fields(attempt(pp.fit, series, weights, quad_order=Q)))
+                name = f"scenario {sid} seed {seed} d={weights.d} {weights.scheme}"
+                h.case(f"{name} full", fit_fields(attempt(pp.fit, series, weights, quad_order=Q)))
                 for restriction in (pp.PHI_ZERO, pp.INDEPENDENCE):
-                    feed(h, fit_fields(attempt(pp.fit_restricted, series, weights, quad_order=Q,
-                                               restriction=restriction)))
+                    h.case(f"{name} {restriction}",
+                           fit_fields(attempt(pp.fit_restricted, series, weights, quad_order=Q,
+                                              restriction=restriction)))
 
 
 def spike_failures(z_phi):
@@ -117,22 +153,26 @@ def evaluator(h):
         for log_sigma2, z_phi in ((true.log_sigma2, true.z_phi), (true.log_sigma2, 0.0),
                                   (-math.inf, 0.0)):
             working = pp.WorkingParams(beta=true.beta, log_sigma2=log_sigma2, z_phi=z_phi)
+            name = f"scenario {sid} log_sigma2={log_sigma2:.6g} z_phi={z_phi:.6g}"
             loglik, _, grads = ev.evaluate(working)
             pairs = ev.pair_scores(grads)
-            feed(h, [ev.loglik(working), ev.loglik_and_score(working), loglik, pairs,
-                     estimation._weighted_per_t(WEIGHTS.w, pairs)])
+            h.case(f"{name} evaluate",
+                   [ev.loglik(working), ev.loglik_and_score(working), loglik, pairs,
+                    estimation._weighted_per_t(WEIGHTS.w, pairs)])
             params = working.to_params()
-            feed(h, [pp.sensitivity_H(series, working, WEIGHTS, rule),
-                     pp.variability_J(series, working, WEIGHTS, rule),
-                     pp.pairwise_loglik(series, params, WEIGHTS, rule)])
+            h.case(f"{name} sandwich",
+                   [pp.sensitivity_H(series, working, WEIGHTS, rule),
+                    pp.variability_J(series, working, WEIGHTS, rule),
+                    pp.pairwise_loglik(series, params, WEIGHTS, rule)])
             for q in (5, 20, 60):
                 for t in range(WEIGHTS.m_d, N, 37):
                     for lag in (1, 3):
-                        feed(h, attempt(pp.pair_log_density, int(series.y[t - lag]),
-                                        int(series.y[t]), series.X[t - lag], series.X[t], lag,
-                                        params, pp.gauss_hermite(q)))
+                        h.case(f"{name} pair_log_density q={q} t={t} lag={lag}",
+                               attempt(pp.pair_log_density, int(series.y[t - lag]),
+                                       int(series.y[t]), series.X[t - lag], series.X[t], lag,
+                                       params, pp.gauss_hermite(q)))
     for z_phi in (0.3, 0.0):
-        feed(h, spike_failures(z_phi))
+        h.case(f"spike z_phi={z_phi}", spike_failures(z_phi))
 
 
 def run_cli(argv, masks):
@@ -153,24 +193,98 @@ def cli_outputs(h):
             for restriction, (d, q) in itertools.product(("none", "phi0", "indep"),
                                                          (("5", "20"), ("1", "10"))):
                 report, band = f"{tmp}/fit.json", f"{tmp}/band.csv"
-                feed(h, run_cli(["fit", data, "--output", report, "-d", d, "--weights", "trap",
-                                 "--nodes", q, "--holdout-months", "12",
-                                 "--restriction", restriction, *flags], masks))
+                case = f"{name} {restriction} d={d} q={q}"
+                h.case(f"{case} fit output",
+                       run_cli(["fit", data, "--output", report, "-d", d, "--weights", "trap",
+                                "--nodes", q, "--holdout-months", "12",
+                                "--restriction", restriction, *flags], masks))
                 with open(report) as handle:
                     content = json.load(handle)
                 content["data_path"] = "<data>"
-                feed(h, json.dumps(content, sort_keys=True))
-                feed(h, run_cli(["predict", report, "--output", band, "--horizon-months", "12",
-                                 "--data", data], masks))
-                feed(h, pathlib.Path(band).read_bytes())
+                h.case(f"{case} report", json.dumps(content, sort_keys=True))
+                h.case(f"{case} predict output",
+                       run_cli(["predict", report, "--output", band, "--horizon-months", "12",
+                                "--data", data], masks))
+                h.case(f"{case} band", pathlib.Path(band).read_bytes())
 
 
-def main():
+# a number in text: the words between numbers must match for text to be
+# compared number by number
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def numbers(items):
+    """The numbers of one case, and its words: every float item, and every
+    number written in its text."""
+    values, words = [], []
+    for item in items:
+        if isinstance(item, str):
+            words.append(_NUMBER.sub("#", item))
+            values += [float(x) for x in _NUMBER.findall(item)]
+        else:
+            values.append(item)
+    return np.array(values, dtype=float), words
+
+
+def difference(a, b):
+    """The largest absolute and relative difference of two cases' numbers,
+    or None when their words or number counts differ.  Equal values, NaN
+    included, differ by 0."""
+    (x, words_a), (y, words_b) = numbers(a), numbers(b)
+    if words_a != words_b or x.shape != y.shape:
+        return None
+    same = (x == y) | (np.isnan(x) & np.isnan(y))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(same, 0.0, np.abs(x - y))
+        scale = np.maximum(np.abs(x), np.abs(y))
+        rel = np.where(same, 0.0, gap / np.where(scale > 0, scale, 1.0))
+    gap, rel = np.nan_to_num(gap, nan=math.inf), np.nan_to_num(rel, nan=math.inf)
+    return float(gap.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
+def compare(path_a, path_b):
+    """Print, per group, the cases of two ``--values`` files that differ."""
+    a, b = (json.loads(pathlib.Path(p).read_text()) for p in (path_a, path_b))
+    for group in a:
+        cases_a, cases_b = a[group], b.get(group, {})
+        differ, top_abs, top_rel = [], 0.0, 0.0
+        for name in list(cases_a) + [n for n in cases_b if n not in cases_a]:
+            if cases_a.get(name) == cases_b.get(name):
+                continue
+            gap = None if name not in cases_a or name not in cases_b else difference(
+                cases_a[name], cases_b[name])
+            if gap is None:
+                differ.append(f"  {name}: text or shape differs")
+                continue
+            if gap == (0.0, 0.0):  # NaN in the same places
+                continue
+            differ.append(f"  {name}: abs {gap[0]:.3g}, rel {gap[1]:.3g}")
+            top_abs, top_rel = max(top_abs, gap[0]), max(top_rel, gap[1])
+        total = len(set(cases_a) | set(cases_b))
+        print(f"{group}: {len(differ)} of {total} cases differ; largest abs {top_abs:.3g}, "
+              f"largest rel {top_rel:.3g}")
+        print("\n".join(differ) or "  (none)")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digests of pairpois results.")
+    parser.add_argument("--values", metavar="PATH",
+                        help="also write every case's numbers and text as JSON")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print how the cases of two --values files differ, and exit")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
     warnings.simplefilter("error", RuntimeWarning)
+    values = {}
     for name, group in (("fits", fits), ("evaluator", evaluator), ("cli", cli_outputs)):
-        h = hashlib.sha256()
+        h = Group()
         group(h)
-        print(f"{h.hexdigest()}  {name}", flush=True)
+        values[name] = h.cases
+        print(f"{h.hash.hexdigest()}  {name}", flush=True)
+    if args.values:
+        pathlib.Path(args.values).write_text(json.dumps(values))
 
 
 if __name__ == "__main__":
