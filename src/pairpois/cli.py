@@ -35,6 +35,13 @@ _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 # would also take other scripts' digits, "1_000", "+3" and surrounding
 # spaces
 _INTEGER_RE = re.compile(r"-?[0-9]+")
+# the number rule of covariate cells, matched whole: ASCII decimals with an
+# optional exponent, as repr(float) writes them, and inf, infinity or nan in
+# any case (rejected as not finite); float() would also take other scripts'
+# digits and "1_0"
+_DECIMAL_RE = re.compile(
+    r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]?(?i:inf|infinity|nan)"
+)
 _RESTRICTIONS = {"none": None, "phi0": estimation.PHI_ZERO, "indep": estimation.INDEPENDENCE}
 
 
@@ -131,12 +138,11 @@ def read_count_csv(path: str) -> ParsedData:
 
             covs = []
             for name, cell in zip(cov_names, row[2:]):
-                try:
-                    covs.append(float(cell))
-                except ValueError:
+                if not _DECIMAL_RE.fullmatch(cell.strip()):
                     raise DataFormatError(
                         f"{path}: line {lineno}: covariate {name!r} value {cell!r} is not numeric"
-                    ) from None
+                    )
+                covs.append(float(cell))
                 if not math.isfinite(covs[-1]):
                     raise DataFormatError(
                         f"{path}: line {lineno}: covariate {name!r} value {cell!r} is not finite"
@@ -617,10 +623,18 @@ def cmd_weights(args) -> int:
 
 
 class _FlagError(PairpoisError):
-    """A flag value an argparse type rejects.  argparse turns only
-    ValueError and TypeError from a type into its exit-2 usage message, so
-    this reaches :func:`main`, which reports it in one line and exits 1 as
-    for any other bad value."""
+    """A command line the parser rejects: a bad flag value or a usage
+    error.  It reaches :func:`main`, which reports it in one line and exits
+    1 as for any other bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as :class:`_FlagError`
+    instead of printed with the usage text as exit 2; its subcommand
+    parsers are of this class too.  ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise _FlagError(message)
 
 
 def _integer_flag(flag: str):
@@ -654,7 +668,7 @@ def _add_common_fit_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairpois",
         description="Latent AR(1) Poisson count models by maximum weighted pairwise likelihood.",
     )

@@ -291,7 +291,20 @@ def _log_peak(y):
     return y * (np.log(np.maximum(y, 1.0)) - 1.0)
 
 
-def _pass_grid(rule: QuadRule, c: float, rhos):
+def _grid_slots(rule: QuadRule, lags: int):
+    """The rule's part of a tensor workspace, for ``lags`` lag blocks: x_j
+    of every cell (j, k), cell j q + k, in every slot, the (8, lags, q^2)
+    column buffer of :func:`_pass_grid`, and its grid and moment slots with
+    what the rule alone sets filled (grid rows 0 and 5, moment column 0)."""
+    nodes, logw = rule.nodes, np.log(rule.weights)
+    q = nodes.shape[0]
+    grid, moments = np.empty((lags, 6, q * q)), np.empty((lags, q * q, 9))
+    grid[:, 0] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
+    grid[:, 5] = moments[:, :, 0] = 1.0
+    return np.tile(np.repeat(nodes, q), (lags, 1)), np.empty((8, lags, q * q)), grid, moments
+
+
+def _pass_grid(rule: QuadRule, c: float, rhos, slots):
     """The node-side factors of the fused kernel, one slot per latent
     correlation in ``rhos``: slot j holds the grid and moment matrix of
     the lag block whose correlation is ``rhos[j]``.
@@ -312,34 +325,37 @@ def _pass_grid(rule: QuadRule, c: float, rhos):
     [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
     always built: the kernel has one mode.  This returns one slot of
     each per entry of ``rhos``, (len(rhos), 6, q^2) and (len(rhos), q^2,
-    9).  Row 0 depends on the rule alone and everything of u on tau2
-    alone; both are computed once for all slots.  v, e^v and their moment
-    columns are computed for all slots in one vectorised step.
+    9), C-contiguous per slot.
+
+    ``slots`` are the node table, buffer and slots of :func:`_grid_slots`
+    for ``len(rhos)`` lag blocks, which this overwrites in place and
+    returns.  Rows 0 and 5 and column 0 depend on the rule alone and are
+    not touched.  Every slot's eight columns that depend on tau2 and rho
+    are computed as rows of one (8, lags, q^2) buffer, a few whole-buffer
+    calls in all, and copied into the slots by three transposing copies:
+    numpy runs a call on contiguous rows at a fraction of the cost of one
+    that writes a strided moment column.
     """
-    nodes, logw = rule.nodes, np.log(rule.weights)
-    lags = len(rhos)
-    u = np.repeat(c * nodes, nodes.shape[0])
-    grid = np.empty((lags, 6, u.shape[0]))
-    moments = np.empty((lags, u.shape[0], 9))
+    xj, cols, grid, moments = slots
+    q = rule.nodes.shape[0]
+    s = [math.sqrt(1.0 - r * r) for r in rhos]
     with np.errstate(over="ignore", invalid="ignore"):
-        exp_u = np.exp(u)
-        moments[:, :, :4] = np.column_stack([np.ones_like(u), u, exp_u, u * exp_u])
-    grid[:, :3] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI, u, exp_u
-    grid[:, 5] = 1.0
-    rho = np.array(rhos)[:, None, None]
-    s = np.array([math.sqrt(1.0 - r * r) for r in rhos])[:, None, None]
-    v = (c * (rho * nodes[:, None] + s * nodes[None, :])).reshape(lags, -1)
-    dv = (c * (nodes[:, None] - (rho / s) * nodes[None, :])).reshape(lags, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        exp_v = np.exp(v)
-        # straight into the factors, with no stacked temporary
-        grid[:, 3] = v
-        grid[:, 4] = exp_v
-        moments[:, :, 4] = v
-        moments[:, :, 5] = exp_v
-        moments[:, :, 6] = v * exp_v
-        moments[:, :, 7] = dv
-        moments[:, :, 8] = dv * exp_v
+        # rho x_j, s x_k and (rho / s) x_k of every slot and cell, held in the
+        # rows of e^u, u e^u and e^v until those are written
+        scaled = np.array([rhos, s, [r / t for r, t in zip(rhos, s)]])[:, :, None] * rule.nodes
+        cells = cols.reshape(8, len(rhos), q, q)
+        cells[1] = scaled[0, :, :, None]
+        cells[2:5:2] = scaled[1:, :, None, :]
+        np.add(cols[1], cols[2], out=cols[3])
+        np.subtract(xj, cols[4], out=cols[6])
+        np.multiply(c, xj, out=cols[0])  # u
+        np.multiply(c, cols[3:7:3], out=cols[3:7:3])  # v and dv/drho
+        np.exp(cols[0:4:3], out=cols[1:5:3])
+        np.multiply(cols[0:4:3], cols[1:5:3], out=cols[2:6:3])
+        np.multiply(cols[6], cols[4], out=cols[7])
+    grid[:, 1:3] = cols[0:2].transpose(1, 0, 2)
+    grid[:, 3:5] = cols[3:5].transpose(1, 0, 2)
+    moments[:, :, 1:] = cols.transpose(1, 2, 0)
     return grid, moments
 
 
@@ -357,24 +373,65 @@ def _cell_groups(first, q2):
     return groups
 
 
-def _fused_pairs(rule: QuadRule, c: float, rhos, first, y1, y2, lgam, eta1, eta2):
+class _TensorWorkspace:
+    """Every buffer of :func:`_fused_pairs` for one pair layout, with what
+    the rule and the counts alone set filled once.
+
+    Lag block j holds rows ``first[j] .. first[j+1] - 1``; ``y`` holds the
+    counts y1, y2 of the pairs' two members, (2, pairs), and ``lgam`` each
+    pair's summed log-factorials log y1! + log y2!.  Built here: the node
+    table, buffer and slots of :func:`_grid_slots`; the (pairs, 6) term
+    matrix [1, y1, -e^eta1, y2, -e^eta2, -S] with its columns 1, y1 and
+    y2; each row's count part 2 max log w - log pi + peak(y1) + peak(y2)
+    of the bound S (:func:`_log_peak`); the scratch of the largest group
+    of :func:`_cell_groups`, whose budget is read here, once; the (pairs,
+    9) sums; and per group its exponent buffer and the views that each of
+    its blocks' two matrix products reads and writes.  A pass overwrites
+    everything else before it reads it, so no result depends on an
+    earlier pass.
+    """
+
+    def __init__(self, rule: QuadRule, first, y, lgam):
+        self.rule, self.first, self.y, self.lgam = rule, first, y, lgam
+        q = rule.nodes.shape[0]
+        self.slots = _grid_slots(rule, len(first) - 1)
+        grid, moments = self.slots[2:]
+        self.corners = np.array([0, q - 1, q * q - q, q * q - 1])
+        self.terms = np.empty((y.shape[1], 6))
+        self.terms[:, 0], self.terms[:, 1], self.terms[:, 3] = 1.0, y[0], y[1]
+        self.bound = grid[0, 0].max() + _log_peak(y[0]) + _log_peak(y[1])
+        self.sums = np.empty((y.shape[1], 9))
+        groups = _cell_groups(first, q * q)
+        scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q * q))
+        self.groups = []
+        for g in groups:
+            base = first[g.start]
+            out = scratch[: first[g.stop] - base]
+            blocks = []
+            for j in range(g.start, g.stop):
+                rows = slice(first[j], first[j + 1])
+                exps = out[rows.start - base : rows.stop - base]
+                blocks.append((self.terms[rows], grid[j], exps, moments[j], self.sums[rows]))
+            self.groups.append((out, blocks))
+
+
+def _fused_pairs(work: _TensorWorkspace, c: float, rhos, eta):
     """Log densities and score pieces of every distinct pair of a tensor
     pass, by two matrix products per lag block.
 
-    Lag block j holds rows ``first[j] .. first[j+1] - 1`` at latent
-    correlation ``rhos[j]``, and c = sqrt(2 tau2) scales the nodes.
-    ``y1``, ``y2`` hold the counts of the pairs, ``lgam`` each pair's
-    summed log-factorials log y1! + log y2!, and ``eta1``, ``eta2`` the
-    linear predictors of the pairs.  The kernel builds the pass's grid
-    (:func:`_pass_grid`), the (pairs, 6) term matrix [1, y1, -e^eta1, y2,
-    -e^eta2, -S] of the first product, and one scratch array for the
-    largest group of :func:`_cell_groups`.  Only the two matrix products
-    depend on the lag; each runs on its block's own rows, with the shapes a
-    block alone would give.  A group's shifted integrand exponents fill the
-    scratch and are replaced in place by their exponentials, so the pass
-    allocates nothing of the grid's size per block.  Everything per row
-    (e^eta, the shift, the log densities, the derivatives) runs once over
-    the pass.
+    ``work`` is a :class:`_TensorWorkspace`: the pair layout, the counts
+    and the buffers the pass overwrites.  Lag block j is at latent
+    correlation ``rhos[j]``, c = sqrt(2 tau2) scales the nodes, and ``eta``
+    holds the linear predictors eta1, eta2 of the pairs' two members,
+    (2, pairs).  A pass fills only what tau2 and phi change: the grid and
+    moment entries of u and v (:func:`_pass_grid`) and the term columns
+    -e^eta1, -e^eta2 and -S.  Only the two matrix products depend on the
+    lag; each runs on its block's own rows, with the shapes a block alone
+    would give.  A group's shifted integrand exponents fill its buffer and
+    are replaced in place by their exponentials, so the pass allocates
+    nothing of the grid's size.  Everything per row (e^eta, the shift, the
+    log densities, the derivatives) runs once over the pass, on both
+    members at once where the two members' terms have one form.
 
     The log-sum-exp shift S of a row is a closed-form upper bound of its
     exponents, not their maximum, so no pass over the grid finds it.  A
@@ -413,39 +470,27 @@ def _fused_pairs(rule: QuadRule, c: float, rhos, first, y1, y2, lgam, eta1, eta2
     S plus the log of column 0 of the second product, the same normalising
     sum the derivatives divide by, plus the per-pair constant.
     """
-    grids, moments = _pass_grid(rule, c, rhos)
-    q2 = grids.shape[2]
-    q = math.isqrt(q2)
-    groups = _cell_groups(first, q2)
-    scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q2))
-    sums = np.empty((y1.shape[0], 9))
+    grids, moments = _pass_grid(work.rule, c, rhos, work.slots)
+    y, terms, sums = work.y, work.terms, work.sums
     with np.errstate(over="ignore", invalid="ignore"):
-        exp_eta1 = np.exp(eta1)
-        exp_eta2 = np.exp(eta2)
-        # filled in place: np.column_stack costs about 10 us more per call,
-        # a few percent of a covariate-free pass
-        terms = np.empty((y1.shape[0], 6))
-        terms[:, 0], terms[:, 1], terms[:, 3] = 1.0, y1, y2
-        np.negative(exp_eta1, out=terms[:, 2])
-        np.negative(exp_eta2, out=terms[:, 4])
-        y_eta = y1 * eta1 + y2 * eta2
-        shift = grids[0, 0].max() + _log_peak(y1) + _log_peak(y2) - y_eta
+        exp_eta = np.exp(eta)
+        np.negative(exp_eta.T, out=terms[:, 2:5:2])
+        y_eta = y * eta
+        y_eta = y_eta[0] + y_eta[1]
+        shift = work.bound - y_eta
         np.negative(shift, out=terms[:, 5])
-        for group in groups:
-            base = first[group.start]
-            out = scratch[: first[group.stop] - base]
-            blocks = [(j, slice(first[j], first[j + 1])) for j in range(group.start, group.stop)]
-            for j, rows in blocks:
-                np.matmul(terms[rows], grids[j], out=out[rows.start - base : rows.stop - base])
-            if out[:, [0, q - 1, q2 - q, q2 - 1]].min() < _EXP_FLOOR:
+        for out, blocks in work.groups:
+            for block_terms, grid, exps, _, _ in blocks:
+                np.matmul(block_terms, grid, out=exps)
+            if out[:, work.corners].min() < _EXP_FLOOR:
                 np.maximum(out, _EXP_FLOOR, out=out)
             np.exp(out, out=out)
-            for j, rows in blocks:
-                np.matmul(out[rows.start - base : rows.stop - base], moments[j], out=sums[rows])
+            for _, _, exps, moment, block_sums in blocks:
+                np.matmul(exps, moment, out=block_sums)
         # rows whose bound sits far above their grid, shifted by its maximum
-        rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
-        if rerun.size:  # skipped, the bookkeeping costs about 8 us per pass
-            slots = np.searchsorted(first, rerun, side="right") - 1
+        if not sums[:, 0].min() > _MIN_TOTAL:  # one reduction when no row reruns
+            rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
+            slots = np.searchsorted(work.first, rerun, side="right") - 1
             for j in set(slots.tolist()):
                 rows = rerun[slots == j]
                 out = terms[rows, :5] @ grids[j, :5]
@@ -453,14 +498,15 @@ def _fused_pairs(rule: QuadRule, c: float, rhos, first, y1, y2, lgam, eta1, eta2
                 sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moments[j]
         total = sums[:, 0]
         mean = sums[:, 1:] / total[:, None]
-        logp = shift + np.log(total) + (y_eta - lgam)
-        # moments that overflowed make a score non-finite, as the callers check
-        s_u, s_eu, s_ueu, s_v, s_ev, s_vev, s_dv, s_dvev = mean.T
-        derivs = np.empty((y1.shape[0], 4))
-        derivs[:, 0] = y1 - exp_eta1 * s_eu
-        derivs[:, 1] = y2 - exp_eta2 * s_ev
-        derivs[:, 2] = (y1 * s_u - exp_eta1 * s_ueu) + (y2 * s_v - exp_eta2 * s_vev)
-        derivs[:, 3] = y2 * s_dv - exp_eta2 * s_dvev
+        logp = shift + np.log(total) + (y_eta - work.lgam)
+        # moments that overflowed make a score non-finite, as the callers check;
+        # E[x], E[e^x] and E[x e^x] of each member (x = u, v), member by row
+        member = mean[:, :6].reshape(-1, 2, 3).transpose(2, 1, 0)
+        derivs = np.empty((y.shape[1], 4))
+        np.subtract(y, exp_eta * member[1], out=derivs[:, :2].T)
+        d_logc = y * member[0] - exp_eta * member[2]
+        np.add(d_logc[0], d_logc[1], out=derivs[:, 2])
+        np.subtract(y[1] * mean[:, 6], exp_eta[1] * mean[:, 7], out=derivs[:, 3])
     return logp, derivs
 
 
@@ -516,8 +562,9 @@ def pair_log_density(
     large counts cannot underflow.  This is one
     call of the tensor kernel :class:`PairwiseEvaluator` runs at
     phi != 0, for a pass of one lag block of one pair (``first = [0,
-    1]``); it stays on that kernel at phi = 0 too, where the evaluator
-    runs the equal product of 1-D rules instead.
+    1]``), on a one-row workspace built for the call; it stays on that
+    kernel at phi = 0 too, where the evaluator runs the equal product of
+    1-D rules instead.
     At tau2 = 0 the latent pair is a point mass at the origin,
     which the rule integrates exactly: the density is the product of two
     Poisson probabilities, up to rounding.
@@ -547,10 +594,8 @@ def pair_log_density(
         eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
     lgam = _log_factorial([y1, y2])
     c = math.sqrt(2.0 * params.tau2)
-    logp, _ = _fused_pairs(
-        rule, c, [params.phi**lag], [0, 1], np.array([y1]), np.array([y2]),
-        lgam[:1] + lgam[1:], eta[:1], eta[1:],
-    )
+    work = _TensorWorkspace(rule, [0, 1], np.array([[y1], [y2]], float), lgam[:1] + lgam[1:])
+    logp, _ = _fused_pairs(work, c, [params.phi**lag], eta[:, None])
     if not np.isfinite(logp[0]):
         raise NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
@@ -599,14 +644,16 @@ class PairwiseEvaluator:
     ``np.unique(axis=0)`` on the float rows (y1, y2, X1, X2), with -0.0
     equal to 0.0, and no combined key is formed that could overflow.
 
-    The evaluator keeps only this pair layout.  A pass at phi != 0 is
-    one call of the tensor kernel (:func:`_fused_pairs`) with the rows,
-    the offsets ``_first`` and each lag's latent correlation; the kernel
-    owns its grid, its grouping of lag blocks, its scratch and its
-    log-sum-exp shift (a closed-form bound, with the grid maximum for the
-    rows it overshoots).  The loglik and score sum slot by slot in lag
-    order, so results are bit-reproducible and do not depend on the
-    kernel's grouping.
+    The evaluator keeps this pair layout and one workspace of the tensor
+    kernel (:class:`_TensorWorkspace`), built at its first pass at
+    phi != 0, so a fit that runs only at phi = 0 builds none.  A pass at
+    phi != 0 is one call of the tensor kernel (:func:`_fused_pairs`) on
+    the workspace with each lag's latent correlation; the kernel fills the
+    grid entries of the pass's tau2 and phi, groups the lag blocks as the
+    workspace laid them out, and takes its log-sum-exp shift (a
+    closed-form bound, with the grid maximum for the rows it overshoots).
+    The loglik and score sum slot by slot in lag order, so results are
+    bit-reproducible and do not depend on the kernel's grouping.
 
     :meth:`evaluate` is the one pass, and the one public entry point to
     it: it returns the loglik, the score and one (rows, dim) array of
@@ -616,7 +663,9 @@ class PairwiseEvaluator:
     :meth:`loglik_and_score` and the fit path report at the same point.
     Every reduction of the per-pair scores (the sensitivity and
     variability matrices, the per-time scores) lives in
-    :mod:`pairpois.estimation`.  The evaluator holds no mutable state.
+    :mod:`pairpois.estimation`.  The evaluator owns a workspace that each
+    pass overwrites; no result depends on it, and every array a pass
+    returns is its own.  Do not share one evaluator between threads.
 
     ``log_sigma2 = -inf`` (tau2 = 0) is a point like any other: every
     node maps to the origin and the kernel integrates the point mass
@@ -663,10 +712,14 @@ class PairwiseEvaluator:
         self._first = first
         self._pair_rows = np.stack(pair_rows)
         self._counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
-        self._i1, self._i2 = np.concatenate(i1), np.concatenate(i2)
+        self._sizes = np.diff(first)
+        rows = [slice(first[j], first[j + 1]) for j in range(len(self._lags))]
+        self._slots = [(w, r, self._counts[r]) for w, r in zip(self._w, rows)]
+        self._members = np.stack([np.concatenate(i1), np.concatenate(i2)])
+        self._i1, self._i2 = self._members
         self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
-        self._y1, self._y2 = y[self._i1].astype(float), y[self._i2].astype(float)
         self._pair_lgam = lgam[self._i1] + lgam[self._i2]
+        self._work = None  # the tensor kernel's, built at the first pass at phi != 0
 
     # -- core passes -------------------------------------------------------
 
@@ -684,8 +737,12 @@ class PairwiseEvaluator:
 
     def evaluate(self, working: WorkingParams) -> tuple[float, np.ndarray, np.ndarray]:
         """One kernel call over every distinct pair: the tensor kernel
-        (:func:`_fused_pairs`), or the product of 1-D rules at phi = 0
-        (:func:`_product_pairs`).
+        (:func:`_fused_pairs`) on the evaluator's workspace, built here at
+        the first pass at phi != 0, or the product of 1-D rules at phi = 0
+        (:func:`_product_pairs`), which needs no workspace.  The pass
+        overwrites the workspace and returns fresh arrays, so a caller may
+        keep ``grads`` across passes, and the results of a point do not
+        depend on the passes before it.
 
         Returns ``(loglik, score, grads)``: the weighted pairwise loglik,
         its exact gradient in the working parameters (beta, log sigma2,
@@ -708,27 +765,27 @@ class PairwiseEvaluator:
                 self.rule, c, self.series.y, self._lgam, eta, self._i1, self._i2
             )
         else:
-            logp, derivs = _fused_pairs(
-                self.rule, c, [phi**lag for lag in self._lags], first, self._y1, self._y2,
-                self._pair_lgam, eta[self._i1], eta[self._i2],
-            )
-        bad = ~np.isfinite(logp)
-        if np.any(bad):
-            raise self._underflow(int(np.argmax(bad)))
-        drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags])
-        drho_dz = drho_dz.repeat(np.diff(first))
+            if self._work is None:
+                y = self.series.y[self._members].astype(float)
+                self._work = _TensorWorkspace(self.rule, first, y, self._pair_lgam)
+            rhos = [phi**lag for lag in self._lags]
+            logp, derivs = _fused_pairs(self._work, c, rhos, eta[self._members])
+        finite = np.isfinite(logp)
+        if not finite.all():
+            raise self._underflow(int(np.argmin(finite)))
+        drho_dz = [lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags]
         n_coef = self.n_coef
         grads = np.empty((logp.shape[0], self.dim))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
-            grads[:, :n_coef] = derivs[:, :1] * self._X1 + derivs[:, 1:2] * self._X2
-            grads[:, n_coef] = 0.5 * derivs[:, 2]
-            grads[:, n_coef + 1] = phi * derivs[:, 2] + drho_dz * derivs[:, 3]
+            np.multiply(derivs[:, :1], self._X1, out=grads[:, :n_coef])
+            grads[:, :n_coef] += derivs[:, 1:2] * self._X2
+            np.multiply(derivs[:, 2], 0.5, out=grads[:, n_coef])
+            d_rho = np.repeat(drho_dz, self._sizes) * derivs[:, 3]
+            np.add(phi * derivs[:, 2], d_rho, out=grads[:, n_coef + 1])
 
         loglik = 0.0
         score = np.zeros(self.dim)
-        for slot, w_lag in enumerate(self._w):
-            rows = slice(first[slot], first[slot + 1])
-            counts = self._counts[rows]
+        for w_lag, rows, counts in self._slots:
             loglik += w_lag * float(counts @ logp[rows])
             score += w_lag * (counts @ grads[rows])
         return loglik, score, grads

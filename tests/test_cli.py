@@ -115,6 +115,55 @@ def test_integers_take_ascii_digits_only(argv, message, tmp_path, sim_csv, capsy
     assert fits == [] and not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11.\uff15"],
+                         ids=["underscore", "arabic_indic", "full_width"])
+def test_covariate_cells_take_ascii_decimals_only(cell, tmp_path, capsys):
+    # float() takes "1_0" and other scripts' digits; a covariate cell is an
+    # ASCII decimal, and anything else exits 1 with one line naming it
+    path = write_rows(tmp_path / "cov.csv", [("1999-01", 1, "0.5"), ("1999-02", 2, cell)],
+                      header=("date", "count", "z"))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert cli.main(["fit", path, "--output", str(out), "--covariates", "z"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"line 3: covariate 'z' value {cell!r} is not numeric" in err
+    assert not out.exists()
+
+
+def test_covariate_cells_take_what_repr_of_a_float_writes(tmp_path):
+    values = [0.1, -2.5e-300, 1e16, 123456789.0, 1.5e+20, -0.0, 7.0]
+    path = write_rows(tmp_path / "cov.csv",
+                      [(f"1999-{m:02d}", 1, repr(v)) for m, v in enumerate(values, start=1)],
+                      header=("date", "count", "z"))
+    assert [repr(v) for v in values] == ["0.1", "-2.5e-300", "1e+16", "123456789.0",
+                                         "1.5e+20", "-0.0", "7.0"]
+    assert cli.read_count_csv(path).covariates["z"].tolist() == values
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["weights", "-d", "2", "--weights", "bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+        (["fit", "SIM_CSV"], "the following arguments are required: --output"),
+    ],
+    ids=["invalid_choice", "no_subcommand", "fit_without_output"],
+)
+def test_usage_errors_exit_1_with_one_line(argv, message, sim_csv, capsys):
+    # argparse prints a usage block and exits 2; a usage error is reported
+    # like any other bad input, in one line with exit code 1
+    capsys.readouterr()
+    assert cli.main([sim_csv if a == "SIM_CSV" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert message in captured.err and captured.out == ""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["weights", "--help"])
+    assert info.value.code == 0
+    assert "usage: pairpois weights" in capsys.readouterr().out
+
+
 def test_csv_bad_header(tmp_path, capsys):
     path = write_rows(tmp_path / "bad.csv", [("1999-01", 1)], header=("month", "cases"))
     rc = cli.main(["fit", path, "--output", str(tmp_path / "out.json")])

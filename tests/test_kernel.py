@@ -11,8 +11,10 @@ before the fused kernel was written.
 the float rows (y1, y2, X1, X2) of each lag; the rank grouping must give
 the same blocks exactly.
 """
+import copy
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,20 +297,26 @@ def assert_bitwise_equal(a, b):
     ids=["constant_x", "greek", "greek_q10"],
 )
 def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkeypatch):
-    # the same passes with every lag block in a group of its own; the
-    # kernel reads the grouping on every pass, so the grouped results are
-    # taken before the budget is patched
+    # the same passes with every lag block in a group of its own; an
+    # evaluator reads the grouping once, when its first tensor pass builds
+    # its workspace, so the comparison runs on a second evaluator built
+    # after the budget is patched
     series = make()
     rule = pp.gauss_hermite(q)
     ev = PairwiseEvaluator(series, weights, rule)
     points = trial_points(pp.moment_init(series))
     grouped = [pass_views(ev, weights.w, working) for working in points]
     grouped_groups = model._cell_groups(ev._first, q * q)
+    assert [len(blocks) for _, blocks in ev._work.groups] == [
+        g.stop - g.start for g in grouped_groups
+    ]
     monkeypatch.setattr(model, "_GROUP_CELLS", 1)
     assert len(model._cell_groups(ev._first, q * q)) == len(ev._first) - 1
     assert (len(grouped_groups) < len(ev._first) - 1) == several
+    single = PairwiseEvaluator(series, weights, rule)
     for working, want in zip(points, grouped):
-        assert_bitwise_equal(want, pass_views(ev, weights.w, working))
+        assert_bitwise_equal(want, pass_views(single, weights.w, working))
+    assert [len(blocks) for _, blocks in single._work.groups] == [1] * (len(ev._first) - 1)
 
 
 def test_evaluate_makes_one_tensor_kernel_call_per_pass(monkeypatch):
@@ -471,7 +479,8 @@ def shifted_exponents(ev, working):
 def test_closed_form_shift_bounds_every_grid_exponent(q, y1, y2, eta1, eta2, c, rho):
     # the kernel's exponents (the first product less its shift column)
     # against the bound it shifts by, up to rounding of their terms
-    grid = model._pass_grid(pp.gauss_hermite(q), c, [rho])[0][0]
+    rule = pp.gauss_hermite(q)
+    grid = model._pass_grid(rule, c, [rho], model._grid_slots(rule, 1))[0][0]
     y1, y2 = np.array([float(y1)]), np.array([float(y2)])
     eta1, eta2 = np.array([eta1]), np.array([eta2])
     parts = np.stack([grid[0], y1 * grid[1], -np.exp(eta1) * grid[2], y2 * grid[3],
@@ -525,6 +534,89 @@ def test_rows_far_below_the_bound_rerun_with_their_grid_maximum(log_sigma2, monk
     ll_ref = BroadcastEvaluator(series, weights, rule).loglik(working)
     monkeypatch.setattr(model, "_MIN_TOTAL", 0.0)
     assert abs(ev.loglik(working) - ll_ref) > LOGLIK_RTOL * abs(ll_ref)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's workspace
+
+
+def scenario5_series():
+    return pp.simulate_scenario(5, 500, seed=1000000)
+
+
+@pytest.mark.parametrize(
+    "make,weights,rows",
+    [(greek_series, pp.make_weights(5, "trap"), 194),
+     (scenario5_series, pp.make_weights(3, "trap"), 208)],
+    ids=["greek", "scenario5"],
+)
+def test_steady_state_pass_allocates_less_than_one_group_scratch(make, weights, rows):
+    # the workspace is built at the first tensor pass; a later pass at
+    # another point fills it and allocates only per-row arrays
+    series = make()
+    q = 20
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(q))
+    start, other = trial_points(pp.moment_init(series))[:2]
+    assert max(ev._first[g.stop] - ev._first[g.start]
+               for g in model._cell_groups(ev._first, q * q)) == rows
+    ev.evaluate(start)
+    tracemalloc.start()
+    try:
+        ev.evaluate(other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * q * q * 8
+
+
+@pytest.mark.parametrize(
+    "make,weights,a,b",
+    [
+        (greek_series, pp.make_weights(5, "trap"), 0, 1),
+        (scenario5_series, pp.make_weights(3, "trap"), 2, 1),
+        # a point whose rows rerun with their grid maximum, then one whose
+        # rows do not
+        (outlier_series, pp.make_weights(2, "trap"),
+         pp.WorkingParams(beta=[math.log(2.0)], log_sigma2=-9.0, z_phi=0.4), 0),
+    ],
+    ids=["greek", "scenario5", "rerun_rows"],
+)
+def test_pass_results_do_not_depend_on_earlier_passes(make, weights, a, b):
+    # passes A, B, A on one evaluator: both A passes equal a fresh
+    # evaluator's bit for bit, and B overwrites nothing the first A returned
+    series = make()
+    rule = pp.gauss_hermite(20)
+    points = trial_points(pp.moment_init(series))
+    a, b = (points[p] if isinstance(p, int) else p for p in (a, b))
+    ev = PairwiseEvaluator(series, weights, rule)
+    first_a = ev.evaluate(a)
+    kept = copy.deepcopy(first_a)
+    ev.evaluate(b)
+    second_a = ev.evaluate(a)
+    fresh_a = PairwiseEvaluator(series, weights, rule).evaluate(a)
+    assert_bitwise_equal(first_a, fresh_a)
+    assert_bitwise_equal(second_a, fresh_a)
+    assert_bitwise_equal(first_a, kept)
+
+
+def test_phi_zero_pass_builds_no_workspace(monkeypatch):
+    built = []
+    workspace = model._TensorWorkspace
+    monkeypatch.setattr(model, "_TensorWorkspace", lambda *a: (built.append(1), workspace(*a))[1])
+    series = scenario5_series()
+    weights = pp.make_weights(3, "trap")
+    for restriction in (pp.PHI_ZERO, pp.INDEPENDENCE):
+        pp.fit_restricted(series, weights, quad_order=20, restriction=restriction)
+    assert built == []
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(20))
+    start = pp.moment_init(series).to_working()
+    ev.evaluate(pp.WorkingParams(beta=start.beta, log_sigma2=start.log_sigma2, z_phi=0.0))
+    assert ev._work is None and built == []
+    ev.evaluate(start)
+    ev.evaluate(pp.WorkingParams(beta=start.beta, log_sigma2=start.log_sigma2, z_phi=0.0))
+    work = ev._work
+    ev.evaluate(start)
+    assert built == [1] and ev._work is work  # built once, at the first tensor pass
 
 
 # ---------------------------------------------------------------------------

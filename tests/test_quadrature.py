@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairpois import gauss_hermite
-from pairpois.model import _pass_grid
+from pairpois.model import _grid_slots, _pass_grid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -107,7 +107,7 @@ def test_polynomial_exactness(order):
 def lag_grid(rule, tau2, rho):
     """Slot 0 of :func:`_pass_grid`, the kernel grid at latent variance
     ``tau2`` and correlation ``rho``."""
-    grids, _ = _pass_grid(rule, math.sqrt(2.0 * tau2), [rho])
+    grids, _ = _pass_grid(rule, math.sqrt(2.0 * tau2), [rho], _grid_slots(rule, 1))
     return grids[0]
 
 
