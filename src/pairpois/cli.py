@@ -35,10 +35,10 @@ _MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 # would also take other scripts' digits, "1_000", "+3" and surrounding
 # spaces
 _INTEGER_RE = re.compile(r"-?[0-9]+")
-# the number rule of covariate cells, matched whole: ASCII decimals with an
-# optional exponent, as repr(float) writes them, and inf, infinity or nan in
-# any case (rejected as not finite); float() would also take other scripts'
-# digits and "1_0"
+# the number rule of covariate cells and decimal flags, matched whole: ASCII
+# decimals with an optional exponent, as repr(float) writes them, and inf,
+# infinity or nan in any case (rejected as not finite); float() would also
+# take other scripts' digits and "1_0"
 _DECIMAL_RE = re.compile(
     r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[-+]?(?i:inf|infinity|nan)"
 )
@@ -649,6 +649,18 @@ def _integer_flag(flag: str):
     return parse
 
 
+def _decimal_flag(flag: str):
+    """The argparse type of the decimal flag ``flag``: its value matched
+    whole by ``_DECIMAL_RE``, the number rule of covariate cells."""
+
+    def parse(text: str) -> float:
+        if not _DECIMAL_RE.fullmatch(text):
+            raise _FlagError(f"{flag} takes a decimal number, got {text!r}")
+        return float(text)
+
+    return parse
+
+
 def _add_common_fit_flags(parser) -> None:
     parser.add_argument("-d", "--order", type=_integer_flag("-d/--order"), default=1,
                         help="pairwise likelihood order d")
@@ -714,9 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--output", required=True)
     p_sim.add_argument("--scenario", type=_integer_flag("--scenario"),
                        choices=sorted(scenarios.SCENARIOS), default=None)
-    p_sim.add_argument("--beta", type=float, default=None, help="intercept on the log scale")
-    p_sim.add_argument("--sigma2", type=float, default=None)
-    p_sim.add_argument("--phi", type=float, default=None)
+    p_sim.add_argument("--beta", type=_decimal_flag("--beta"), default=None,
+                       help="intercept on the log scale")
+    p_sim.add_argument("--sigma2", type=_decimal_flag("--sigma2"), default=None)
+    p_sim.add_argument("--phi", type=_decimal_flag("--phi"), default=None)
     p_sim.add_argument("--n", type=_integer_flag("--n"), default=500)
     p_sim.add_argument("--seed", type=_integer_flag("--seed"), default=0)
     p_sim.add_argument("--start", default="2000-01", metavar="YYYY-MM")

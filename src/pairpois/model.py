@@ -260,8 +260,8 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-# Scratch budget of one group of lag blocks in the tensor kernel, in
-# pairs x q^2 cells (:func:`_cell_groups`).  Consecutive blocks share the
+# Scratch budget of one group of lag blocks in the tensor kernel
+# (:class:`_TensorKernel`), in pairs x q^2 cells (:func:`_cell_groups`).  Consecutive blocks share the
 # per-group elementwise work while their cells fit it, so a pass over a few
 # small blocks pays the per-call cost of numpy once, not per block.
 # 2^17 float64 cells are 1 MiB, half of a 2 MiB per-core L2: the exponent
@@ -271,7 +271,7 @@ _LOG_PI = math.log(math.pi)
 # a quarter, while 2^16 splits a covariate-free pass into two calls.
 _GROUP_CELLS = 1 << 17
 
-# Floor of the kernel's shifted exponents (:func:`_fused_pairs`).  Below
+# Floor of the kernel's shifted exponents (:class:`_TensorKernel`).  Below
 # about -708 numpy's float64 exp leaves its vector path: 13-111 ns per
 # element against about 1 ns (numpy 2.4.6 on a 2-vCPU Xeon VM).  A floored
 # cell weighs at most q^2 e^-100 of its row's total, which is above
@@ -279,7 +279,7 @@ _GROUP_CELLS = 1 << 17
 _EXP_FLOOR = -700.0
 
 # Least sum of a row's exponentials under the closed-form shift of
-# :func:`_fused_pairs`; a row at or below it (its bound sits more than
+# :class:`_TensorKernel`; a row at or below it (its bound sits more than
 # about 600 above its grid, e.g. an outlying count at a tiny tau2) is rerun
 # with its grid maximum as the shift.
 _MIN_TOTAL = math.exp(-600.0)
@@ -289,74 +289,6 @@ def _log_peak(y):
     """sup over a of y a - e^a, elementwise: y log y - y, reached at
     a = log y, and 0 (as a -> -inf) at y = 0."""
     return y * (np.log(np.maximum(y, 1.0)) - 1.0)
-
-
-def _grid_slots(rule: QuadRule, lags: int):
-    """The rule's part of a tensor workspace, for ``lags`` lag blocks: x_j
-    of every cell (j, k), cell j q + k, in every slot, the (8, lags, q^2)
-    column buffer of :func:`_pass_grid`, and its grid and moment slots with
-    what the rule alone sets filled (grid rows 0 and 5, moment column 0)."""
-    nodes, logw = rule.nodes, np.log(rule.weights)
-    q = nodes.shape[0]
-    grid, moments = np.empty((lags, 6, q * q)), np.empty((lags, q * q, 9))
-    grid[:, 0] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
-    grid[:, 5] = moments[:, :, 0] = 1.0
-    return np.tile(np.repeat(nodes, q), (lags, 1)), np.empty((8, lags, q * q)), grid, moments
-
-
-def _pass_grid(rule: QuadRule, c: float, rhos, slots):
-    """The node-side factors of the fused kernel, one slot per latent
-    correlation in ``rhos``: slot j holds the grid and moment matrix of
-    the lag block whose correlation is ``rhos[j]``.
-
-    Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
-    u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
-    c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
-    latent covariance tau2 [[1, rho], [rho, 1]], so with c = 0 every cell
-    sits at the origin.  The grid is the bivariate-normal rule:
-    e^(row 0) are the probability weights w_j w_k / pi and rows 1 and 3
-    the latent points (u, v).  A grid G (6, q^2) has rows
-    [log w_j w_k - log pi, u, e^u, v, e^v, 1], so a pair's row
-    [1, y1, -e^eta1, y2, -e^eta2, -S] times G is the log of its integrand
-    at every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1!
-    - log y2! and shifted by S: the row of ones carries the kernel's
-    log-sum-exp shift into the first product.  A moment matrix M (q^2, 9)
-    has columns
-    [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
-    always built: the kernel has one mode.  This returns one slot of
-    each per entry of ``rhos``, (len(rhos), 6, q^2) and (len(rhos), q^2,
-    9), C-contiguous per slot.
-
-    ``slots`` are the node table, buffer and slots of :func:`_grid_slots`
-    for ``len(rhos)`` lag blocks, which this overwrites in place and
-    returns.  Rows 0 and 5 and column 0 depend on the rule alone and are
-    not touched.  Every slot's eight columns that depend on tau2 and rho
-    are computed as rows of one (8, lags, q^2) buffer, a few whole-buffer
-    calls in all, and copied into the slots by three transposing copies:
-    numpy runs a call on contiguous rows at a fraction of the cost of one
-    that writes a strided moment column.
-    """
-    xj, cols, grid, moments = slots
-    q = rule.nodes.shape[0]
-    s = [math.sqrt(1.0 - r * r) for r in rhos]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # rho x_j, s x_k and (rho / s) x_k of every slot and cell, held in the
-        # rows of e^u, u e^u and e^v until those are written
-        scaled = np.array([rhos, s, [r / t for r, t in zip(rhos, s)]])[:, :, None] * rule.nodes
-        cells = cols.reshape(8, len(rhos), q, q)
-        cells[1] = scaled[0, :, :, None]
-        cells[2:5:2] = scaled[1:, :, None, :]
-        np.add(cols[1], cols[2], out=cols[3])
-        np.subtract(xj, cols[4], out=cols[6])
-        np.multiply(c, xj, out=cols[0])  # u
-        np.multiply(c, cols[3:7:3], out=cols[3:7:3])  # v and dv/drho
-        np.exp(cols[0:4:3], out=cols[1:5:3])
-        np.multiply(cols[0:4:3], cols[1:5:3], out=cols[2:6:3])
-        np.multiply(cols[6], cols[4], out=cols[7])
-    grid[:, 1:3] = cols[0:2].transpose(1, 0, 2)
-    grid[:, 3:5] = cols[3:5].transpose(1, 0, 2)
-    moments[:, :, 1:] = cols.transpose(1, 2, 0)
-    return grid, moments
 
 
 def _cell_groups(first, q2):
@@ -373,33 +305,42 @@ def _cell_groups(first, q2):
     return groups
 
 
-class _TensorWorkspace:
-    """Every buffer of :func:`_fused_pairs` for one pair layout, with what
-    the rule and the counts alone set filled once.
+class _TensorKernel:
+    """The tensor Gauss-Hermite kernel of one pair layout: its buffers,
+    its grid (:meth:`grid`) and its pass (calling it).
 
     Lag block j holds rows ``first[j] .. first[j+1] - 1``; ``y`` holds the
-    counts y1, y2 of the pairs' two members, (2, pairs), and ``lgam`` each
-    pair's summed log-factorials log y1! + log y2!.  Built here: the node
-    table, buffer and slots of :func:`_grid_slots`; the (pairs, 6) term
-    matrix [1, y1, -e^eta1, y2, -e^eta2, -S] with its columns 1, y1 and
-    y2; each row's count part 2 max log w - log pi + peak(y1) + peak(y2)
-    of the bound S (:func:`_log_peak`); the scratch of the largest group
-    of :func:`_cell_groups`, whose budget is read here, once; the (pairs,
-    9) sums; and per group its exponent buffer and the views that each of
-    its blocks' two matrix products reads and writes.  A pass overwrites
-    everything else before it reads it, so no result depends on an
-    earlier pass.
+    counts y1, y2 of the pairs' two members, (2, pairs), and ``lgam``
+    their log-factorials, (2, pairs).  The constructor fills what the rule
+    and the counts alone set, once: x_j of every cell (j, k), cell j q + k,
+    in every lag slot; the (8, lags, q^2) column buffer of :meth:`grid`;
+    the grid slots (lags, 6, q^2) with rows 0 and 5 and the moment slots
+    (lags, q^2, 9) with column 0; the (pairs, 6) term matrix [1, y1,
+    -e^eta1, y2, -e^eta2, -S] with its columns 1, y1 and y2; each row's
+    lag block, its summed log-factorials log y1! + log y2!, and its count
+    part 2 max log w - log pi + peak(y1) + peak(y2) of the bound S
+    (:func:`_log_peak`); the scratch of the largest group of
+    :func:`_cell_groups`, whose budget is read here, once; the (pairs, 9)
+    sums; and per group its exponent buffer and the views that each of its
+    blocks' two matrix products reads and writes.  A pass overwrites
+    everything else before it reads it, so no result depends on an earlier
+    pass.
     """
 
     def __init__(self, rule: QuadRule, first, y, lgam):
-        self.rule, self.first, self.y, self.lgam = rule, first, y, lgam
-        q = rule.nodes.shape[0]
-        self.slots = _grid_slots(rule, len(first) - 1)
-        grid, moments = self.slots[2:]
+        self.nodes, self.y, self.lgam = rule.nodes, y, lgam[0] + lgam[1]
+        q, lags, logw = rule.nodes.shape[0], len(first) - 1, np.log(rule.weights)
+        self.slot = np.repeat(np.arange(lags), np.diff(first))
+        self.xj = np.tile(np.repeat(rule.nodes, q), (lags, 1))
+        self.cols = np.empty((8, lags, q * q))
+        self.cells = self.cols.reshape(8, lags, q, q)
+        self.grids, self.moments = np.empty((lags, 6, q * q)), np.empty((lags, q * q, 9))
+        self.grids[:, 0] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
+        self.grids[:, 5] = self.moments[:, :, 0] = 1.0
         self.corners = np.array([0, q - 1, q * q - q, q * q - 1])
         self.terms = np.empty((y.shape[1], 6))
         self.terms[:, 0], self.terms[:, 1], self.terms[:, 3] = 1.0, y[0], y[1]
-        self.bound = grid[0, 0].max() + _log_peak(y[0]) + _log_peak(y[1])
+        self.bound = self.grids[0, 0].max() + _log_peak(y[0]) + _log_peak(y[1])
         self.sums = np.empty((y.shape[1], 9))
         groups = _cell_groups(first, q * q)
         scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q * q))
@@ -411,111 +352,161 @@ class _TensorWorkspace:
             for j in range(g.start, g.stop):
                 rows = slice(first[j], first[j + 1])
                 exps = out[rows.start - base : rows.stop - base]
-                blocks.append((self.terms[rows], grid[j], exps, moments[j], self.sums[rows]))
+                blocks.append((self.terms[rows], self.grids[j], exps, self.moments[j],
+                               self.sums[rows]))
             self.groups.append((out, blocks))
 
+    def grid(self, c: float, rhos):
+        """The node-side factors of the kernel, one slot per latent
+        correlation in ``rhos``: slot j holds the grid and moment matrix of
+        the lag block whose correlation is ``rhos[j]``.
 
-def _fused_pairs(work: _TensorWorkspace, c: float, rhos, eta):
-    """Log densities and score pieces of every distinct pair of a tensor
-    pass, by two matrix products per lag block.
+        Cell (j, k) of the tensor Gauss-Hermite rule sits at the latent pair
+        u_j = c x_j, v_jk = c (rho x_j + sqrt(1 - rho^2) x_k), with
+        c = sqrt(2 tau2): the nodes mapped through the Cholesky factor of the
+        latent covariance tau2 [[1, rho], [rho, 1]], so with c = 0 every cell
+        sits at the origin.  The grid is the bivariate-normal rule:
+        e^(row 0) are the probability weights w_j w_k / pi and rows 1 and 3
+        the latent points (u, v).  A grid G (6, q^2) has rows
+        [log w_j w_k - log pi, u, e^u, v, e^v, 1], so a pair's row
+        [1, y1, -e^eta1, y2, -e^eta2, -S] times G is the log of its integrand
+        at every cell, less the per-pair constant y1 eta1 + y2 eta2 - log y1!
+        - log y2! and shifted by S: the row of ones carries the kernel's
+        log-sum-exp shift into the first product.  A moment matrix M (q^2, 9)
+        has columns
+        [1, u, e^u, u e^u, v, e^v, v e^v, dv/drho, e^v dv/drho].  Both are
+        always built: the kernel has one mode.  This returns one slot of
+        each per lag block, (lags, 6, q^2) and (lags, q^2, 9), C-contiguous
+        per slot; ``rhos`` has one entry per lag block.
 
-    ``work`` is a :class:`_TensorWorkspace`: the pair layout, the counts
-    and the buffers the pass overwrites.  Lag block j is at latent
-    correlation ``rhos[j]``, c = sqrt(2 tau2) scales the nodes, and ``eta``
-    holds the linear predictors eta1, eta2 of the pairs' two members,
-    (2, pairs).  A pass fills only what tau2 and phi change: the grid and
-    moment entries of u and v (:func:`_pass_grid`) and the term columns
-    -e^eta1, -e^eta2 and -S.  Only the two matrix products depend on the
-    lag; each runs on its block's own rows, with the shapes a block alone
-    would give.  A group's shifted integrand exponents fill its buffer and
-    are replaced in place by their exponentials, so the pass allocates
-    nothing of the grid's size.  Everything per row (e^eta, the shift, the
-    log densities, the derivatives) runs once over the pass, on both
-    members at once where the two members' terms have one form.
+        The slots are the kernel's own, overwritten in place.  Rows 0 and 5
+        and column 0 depend on the rule alone and are not touched.  Every
+        slot's eight columns that depend on tau2 and rho are computed as
+        rows of one (8, lags, q^2) buffer, a few whole-buffer calls in all,
+        and copied into the slots by three transposing copies: numpy runs a
+        call on contiguous rows at a fraction of the cost of one that writes
+        a strided moment column.
+        """
+        xj, cols, cells, grid, moments = self.xj, self.cols, self.cells, self.grids, self.moments
+        s = [math.sqrt(1.0 - r * r) for r in rhos]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rho x_j, s x_k and (rho / s) x_k of every slot and cell, held in the
+            # rows of e^u, u e^u and e^v until those are written
+            scaled = np.array([rhos, s, [r / t for r, t in zip(rhos, s)]])[:, :, None] * self.nodes
+            cells[1] = scaled[0, :, :, None]
+            cells[2:5:2] = scaled[1:, :, None, :]
+            np.add(cols[1], cols[2], out=cols[3])
+            np.subtract(xj, cols[4], out=cols[6])
+            np.multiply(c, xj, out=cols[0])  # u
+            np.multiply(c, cols[3:7:3], out=cols[3:7:3])  # v and dv/drho
+            np.exp(cols[0:4:3], out=cols[1:5:3])
+            np.multiply(cols[0:4:3], cols[1:5:3], out=cols[2:6:3])
+            np.multiply(cols[6], cols[4], out=cols[7])
+        grid[:, 1:3] = cols[0:2].transpose(1, 0, 2)
+        grid[:, 3:5] = cols[3:5].transpose(1, 0, 2)
+        moments[:, :, 1:] = cols.transpose(1, 2, 0)
+        return grid, moments
 
-    The log-sum-exp shift S of a row is a closed-form upper bound of its
-    exponents, not their maximum, so no pass over the grid finds it.  A
-    cell's exponent is log w_j w_k - log pi + (y1 u - e^(eta1 + u)) +
-    (y2 v - e^(eta2 + v)), and sup_u (y u - e^(eta + u)) is
-    y (log y - eta) - y, or 0 at y = 0 (:func:`_log_peak` less y eta), so
-    S = 2 max log w - log pi plus the two peaks bounds every cell: the
-    exponentials cannot overflow.  A row whose sum of exponentials is not
-    above ``_MIN_TOTAL`` = e^-600 (its bound far above its grid, e.g. an
-    outlying count at a tiny tau2, or a non-finite row) is rerun within
-    the call with its grid maximum as the shift, as a row maximum shift
-    would run it.  A row whose grid maximum is not finite (every term
-    underflows even in log space, or e^eta overflows) gives a non-finite
-    log density; the caller decides what that means.
+    def __call__(self, c: float, rhos, eta):
+        """Log densities and score pieces of every distinct pair of a tensor
+        pass, by two matrix products per lag block.
 
-    Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
-    before the exponential, which keeps numpy's exp on its vector path
-    (below about -708 it costs 10-100 times more per element).  This
-    changes no bit of a finite result: a floored cell adds at most
-    e^-700 times its moment to sums whose total is above e^-600 (the
-    grid maximum's e^0 = 1 in a rerun row), so its share is at most
-    q^2 e^-100, far below rounding; ``np.maximum`` passes NaN on.  For
-    the same reason the grouping of lag blocks, which decides where the
-    floor runs, changes no bit.  The floor runs on a group only when some
-    grid corner of its rows lies below it.  A cell's exponent is log w_j +
-    log w_k plus one concave Poisson term in u_j and one in v_jk, each
-    linear in the nodes, and the Gauss-Hermite log weights have decreasing
-    slopes in the nodes, so every grid line is concave and each row's
-    minimum sits at one of the four corners (j, k) in {0, q-1}^2.  Where
-    the moments overflow (e^v beyond about 1e280) a floored cell can turn
-    a NaN score into an infinite one, or move a moment that large; only
-    line-search trials far from any estimate reach there.
+        Lag block j is at latent correlation ``rhos[j]``, c = sqrt(2 tau2)
+        scales the nodes, and ``eta`` holds the linear predictors eta1, eta2
+        of the pairs' two members, (2, pairs).  A pass fills only what tau2
+        and phi change: the grid and moment entries of u and v
+        (:meth:`grid`) and the term columns -e^eta1, -e^eta2 and -S.  Only
+        the two matrix products depend on the lag; each runs on its block's
+        own rows, with the shapes a block alone would give.  A group's
+        shifted integrand exponents fill its buffer and are replaced in place
+        by their exponentials, so the pass allocates nothing of the grid's
+        size.  Everything per row (e^eta, the shift, the log densities, the
+        derivatives) runs once over the pass, on both members at once where
+        the two members' terms have one form.
 
-    Returns the log density of each pair and the (pairs, 4) derivatives
-    of it with respect to eta1, eta2, log c and rho.  The log density is
-    S plus the log of column 0 of the second product, the same normalising
-    sum the derivatives divide by, plus the per-pair constant.
-    """
-    grids, moments = _pass_grid(work.rule, c, rhos, work.slots)
-    y, terms, sums = work.y, work.terms, work.sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        exp_eta = np.exp(eta)
-        np.negative(exp_eta.T, out=terms[:, 2:5:2])
-        y_eta = y * eta
-        y_eta = y_eta[0] + y_eta[1]
-        shift = work.bound - y_eta
-        np.negative(shift, out=terms[:, 5])
-        for out, blocks in work.groups:
-            for block_terms, grid, exps, _, _ in blocks:
-                np.matmul(block_terms, grid, out=exps)
-            if out[:, work.corners].min() < _EXP_FLOOR:
-                np.maximum(out, _EXP_FLOOR, out=out)
-            np.exp(out, out=out)
-            for _, _, exps, moment, block_sums in blocks:
-                np.matmul(exps, moment, out=block_sums)
-        # rows whose bound sits far above their grid, shifted by its maximum
-        if not sums[:, 0].min() > _MIN_TOTAL:  # one reduction when no row reruns
-            rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
-            slots = np.searchsorted(work.first, rerun, side="right") - 1
-            for j in set(slots.tolist()):
-                rows = rerun[slots == j]
-                out = terms[rows, :5] @ grids[j, :5]
-                shift[rows] = top = out.max(axis=1)
-                sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moments[j]
-        total = sums[:, 0]
-        mean = sums[:, 1:] / total[:, None]
-        logp = shift + np.log(total) + (y_eta - work.lgam)
-        # moments that overflowed make a score non-finite, as the callers check;
-        # E[x], E[e^x] and E[x e^x] of each member (x = u, v), member by row
-        member = mean[:, :6].reshape(-1, 2, 3).transpose(2, 1, 0)
-        derivs = np.empty((y.shape[1], 4))
-        np.subtract(y, exp_eta * member[1], out=derivs[:, :2].T)
-        d_logc = y * member[0] - exp_eta * member[2]
-        np.add(d_logc[0], d_logc[1], out=derivs[:, 2])
-        np.subtract(y[1] * mean[:, 6], exp_eta[1] * mean[:, 7], out=derivs[:, 3])
-    return logp, derivs
+        The log-sum-exp shift S of a row is a closed-form upper bound of its
+        exponents, not their maximum, so no pass over the grid finds it.  A
+        cell's exponent is log w_j w_k - log pi + (y1 u - e^(eta1 + u)) +
+        (y2 v - e^(eta2 + v)), and sup_u (y u - e^(eta + u)) is
+        y (log y - eta) - y, or 0 at y = 0 (:func:`_log_peak` less y eta), so
+        S = 2 max log w - log pi plus the two peaks bounds every cell: the
+        exponentials cannot overflow.  A row whose sum of exponentials is not
+        above ``_MIN_TOTAL`` = e^-600 (its bound far above its grid, e.g. an
+        outlying count at a tiny tau2, or a non-finite row) is rerun within
+        the call with its grid maximum as the shift, as a row maximum shift
+        would run it.  A row whose grid maximum is not finite (every term
+        underflows even in log space, or e^eta overflows) gives a non-finite
+        log density; the caller decides what that means.
+
+        Shifted exponents below ``_EXP_FLOOR`` = -700 are raised to it
+        before the exponential, which keeps numpy's exp on its vector path
+        (below about -708 it costs 10-100 times more per element).  This
+        changes no bit of a finite result: a floored cell adds at most
+        e^-700 times its moment to sums whose total is above e^-600 (the
+        grid maximum's e^0 = 1 in a rerun row), so its share is at most
+        q^2 e^-100, far below rounding; ``np.maximum`` passes NaN on.  For
+        the same reason the grouping of lag blocks, which decides where the
+        floor runs, changes no bit.  The floor runs on a group only when some
+        grid corner of its rows lies below it.  A cell's exponent is log w_j +
+        log w_k plus one concave Poisson term in u_j and one in v_jk, each
+        linear in the nodes, and the Gauss-Hermite log weights have decreasing
+        slopes in the nodes, so every grid line is concave and each row's
+        minimum sits at one of the four corners (j, k) in {0, q-1}^2.  Where
+        the moments overflow (e^v beyond about 1e280) a floored cell can turn
+        a NaN score into an infinite one, or move a moment that large; only
+        line-search trials far from any estimate reach there.
+
+        Returns the log density of each pair and the (pairs, 4) derivatives
+        of it with respect to eta1, eta2, log c and rho.  The log density is
+        S plus the log of column 0 of the second product, the same normalising
+        sum the derivatives divide by, plus the per-pair constant.
+        """
+        grids, moments = self.grid(c, rhos)
+        y, terms, sums = self.y, self.terms, self.sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            exp_eta = np.exp(eta)
+            np.negative(exp_eta.T, out=terms[:, 2:5:2])
+            y_eta = y * eta
+            y_eta = y_eta[0] + y_eta[1]
+            shift = self.bound - y_eta
+            np.negative(shift, out=terms[:, 5])
+            for out, blocks in self.groups:
+                for block_terms, grid, exps, _, _ in blocks:
+                    np.matmul(block_terms, grid, out=exps)
+                if out[:, self.corners].min() < _EXP_FLOOR:
+                    np.maximum(out, _EXP_FLOOR, out=out)
+                np.exp(out, out=out)
+                for _, _, exps, moment, block_sums in blocks:
+                    np.matmul(exps, moment, out=block_sums)
+            # rows whose bound sits far above their grid, shifted by its maximum
+            if not sums[:, 0].min() > _MIN_TOTAL:  # one reduction when no row reruns
+                rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
+                slots = self.slot[rerun]
+                for j in set(slots.tolist()):
+                    rows = rerun[slots == j]
+                    out = terms[rows, :5] @ grids[j, :5]
+                    shift[rows] = top = out.max(axis=1)
+                    sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moments[j]
+            total = sums[:, 0]
+            mean = sums[:, 1:] / total[:, None]
+            logp = shift + np.log(total) + (y_eta - self.lgam)
+            # moments that overflowed make a score non-finite, as the callers check;
+            # E[x], E[e^x] and E[x e^x] of each member (x = u, v), member by row
+            member = mean[:, :6].reshape(-1, 2, 3).transpose(2, 1, 0)
+            derivs = np.empty((y.shape[1], 4))
+            np.subtract(y, exp_eta * member[1], out=derivs[:, :2].T)
+            d_logc = y * member[0] - exp_eta * member[2]
+            np.add(d_logc[0], d_logc[1], out=derivs[:, 2])
+            np.subtract(y[1] * mean[:, 6], exp_eta[1] * mean[:, 7], out=derivs[:, 3])
+        return logp, derivs
 
 
 def _product_pairs(rule: QuadRule, c: float, y, lgam, eta, i1, i2):
-    """What :func:`_fused_pairs` returns at latent correlation 0 for the
-    pairs of time points ``i1``, ``i2``.
+    """What a :class:`_TensorKernel` pass returns at latent correlation 0
+    for the pairs of time points ``i1``, ``i2``.
 
     At rho = 0 the latent pair (u, v) has independent N(0, tau2) members,
-    and the cells of :func:`_pass_grid` sit at u = c x_j, v = c x_k with
+    and the cells of :meth:`_TensorKernel.grid` sit at u = c x_j, v = c x_k with
     weights w_j w_k / pi: the tensor rule is the product of the 1-D rule
     in u with itself.  A pair's log density is then the sum of its two
     members' 1-D log integrals, and each posterior mean of the fused
@@ -559,12 +550,11 @@ def pair_log_density(
     latent covariance, and accumulated in log space (log-sum-exp over
     the full grid, shifted by a closed-form bound of the integrand, or by
     its grid maximum where that bound is far above the grid) so that
-    large counts cannot underflow.  This is one
-    call of the tensor kernel :class:`PairwiseEvaluator` runs at
-    phi != 0, for a pass of one lag block of one pair (``first = [0,
-    1]``), on a one-row workspace built for the call; it stays on that
-    kernel at phi = 0 too, where the evaluator runs the equal product of
-    1-D rules instead.
+    large counts cannot underflow.  This builds the tensor kernel
+    :class:`PairwiseEvaluator` runs at phi != 0 for one lag block of one
+    pair (``first = [0, 1]``) and calls it once; it stays on that kernel
+    at phi = 0 too, where the evaluator runs the equal product of 1-D
+    rules instead.
     At tau2 = 0 the latent pair is a point mass at the origin,
     which the rule integrates exactly: the density is the product of two
     Poisson probabilities, up to rounding.
@@ -576,10 +566,17 @@ def pair_log_density(
 
     Raises
     ------
+    ValueError
+        If a count or the lag is not an integer (Python or numpy, not
+        ``bool``), a count is negative or the lag is below 1.
     NumericalFailure
         If the log density is not finite: every grid term underflows even
         in log space, or a mean e^eta overflows.
     """
+    for name, value in (("count y1", y1), ("count y2", y2), ("lag", lag)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    y1, y2, lag = int(y1), int(y2), int(lag)
     if lag < 1:
         raise ValueError("lag must be >= 1")
     if y1 < 0 or y2 < 0:
@@ -592,10 +589,9 @@ def pair_log_density(
 
     with np.errstate(over="ignore"):  # an overflowing x'beta fails below
         eta = np.array([np.dot(x1, params.beta), np.dot(x2, params.beta)])
-    lgam = _log_factorial([y1, y2])
-    c = math.sqrt(2.0 * params.tau2)
-    work = _TensorWorkspace(rule, [0, 1], np.array([[y1], [y2]], float), lgam[:1] + lgam[1:])
-    logp, _ = _fused_pairs(work, c, [params.phi**lag], eta[:, None])
+    y = np.array([[y1], [y2]], dtype=float)
+    kernel = _TensorKernel(rule, [0, 1], y, _log_factorial(y))
+    logp, _ = kernel(math.sqrt(2.0 * params.tau2), [params.phi**lag], eta[:, None])
     if not np.isfinite(logp[0]):
         raise NumericalFailure(
             f"pair density underflowed for counts ({y1}, {y2}) at lag {lag}", lag=lag
@@ -632,28 +628,29 @@ class PairwiseEvaluator:
     evaluated once per parameter value; on covariate-free data hundreds
     of pairs collapse to a few dozen.  The distinct pairs of every lag
     are the rows of one set of arrays, in lag order: lag slot i owns rows
-    ``_first[i] .. _first[i+1] - 1``, ``_counts`` holds each row's
-    multiplicity, and ``_pair_rows[i, t - m_d - 1]`` is the row of the
-    pair (t - lag_i, t), the one index that expands per-row results to
-    every pair.  Each row keeps its time points, counts (as floats),
-    covariate rows and summed log-factorials, so a pass rebuilds none of
-    them; the kernel builds each row's term matrix from the counts and
-    the pass's linear predictors.  The grouping sorts stably on integer ranks of the
-    counts and of the covariate rows (:func:`_lex_groups`), so the
-    distinct pairs, their order and first occurrences are those of
-    ``np.unique(axis=0)`` on the float rows (y1, y2, X1, X2), with -0.0
-    equal to 0.0, and no combined key is formed that could overflow.
+    ``_first[i] .. _first[i+1] - 1``, ``_row_slot`` holds each row's lag
+    slot, ``_slots`` each slot's weight, rows and row multiplicities, and
+    ``_pair_rows[i, t - m_d - 1]`` is the row of the pair (t - lag_i, t),
+    the one index that expands per-row results to every pair.  Each row
+    keeps its two time points (``_members``, (2, rows)), and the
+    covariate rows of both are taken once; the kernel builds each row's
+    term matrix from the counts and the pass's linear predictors.  The
+    grouping sorts stably on integer ranks of the counts and of the
+    covariate rows (:func:`_lex_groups`), so the distinct pairs, their
+    order and first occurrences are those of ``np.unique(axis=0)`` on the
+    float rows (y1, y2, X1, X2), with -0.0 equal to 0.0, and no combined
+    key is formed that could overflow.
 
-    The evaluator keeps this pair layout and one workspace of the tensor
-    kernel (:class:`_TensorWorkspace`), built at its first pass at
-    phi != 0, so a fit that runs only at phi = 0 builds none.  A pass at
-    phi != 0 is one call of the tensor kernel (:func:`_fused_pairs`) on
-    the workspace with each lag's latent correlation; the kernel fills the
-    grid entries of the pass's tau2 and phi, groups the lag blocks as the
-    workspace laid them out, and takes its log-sum-exp shift (a
-    closed-form bound, with the grid maximum for the rows it overshoots).
-    The loglik and score sum slot by slot in lag order, so results are
-    bit-reproducible and do not depend on the kernel's grouping.
+    The evaluator keeps this pair layout and one tensor kernel
+    (:class:`_TensorKernel`), built at its first pass at phi != 0, so a
+    fit that runs only at phi = 0 builds none.  A pass at phi != 0 is one
+    call of the kernel with each lag's latent correlation; the kernel
+    fills the grid entries of the pass's tau2 and phi, groups the lag
+    blocks as its constructor laid them out, and takes its log-sum-exp
+    shift (a closed-form bound, with the grid maximum for the rows it
+    overshoots).  The loglik and score sum slot by slot in lag order, so
+    results are bit-reproducible and do not depend on the kernel's
+    grouping.
 
     :meth:`evaluate` is the one pass, and the one public entry point to
     it: it returns the loglik, the score and one (rows, dim) array of
@@ -663,9 +660,10 @@ class PairwiseEvaluator:
     :meth:`loglik_and_score` and the fit path report at the same point.
     Every reduction of the per-pair scores (the sensitivity and
     variability matrices, the per-time scores) lives in
-    :mod:`pairpois.estimation`.  The evaluator owns a workspace that each
-    pass overwrites; no result depends on it, and every array a pass
-    returns is its own.  Do not share one evaluator between threads.
+    :mod:`pairpois.estimation`.  The evaluator owns a kernel whose
+    buffers each pass overwrites; no result depends on them, and every
+    array a pass returns is its own.  Do not share one evaluator between
+    threads.
 
     ``log_sigma2 = -inf`` (tau2 = 0) is a point like any other: every
     node maps to the origin and the kernel integrates the point mass
@@ -692,10 +690,9 @@ class PairwiseEvaluator:
         self.dim = series.n_coef + 2
 
         y = series.y
-        y_first, y_rank = _lex_groups((y,))
+        y_rank = _lex_groups((y,))[1]
         x_rank = _lex_groups(series.X.T[::-1])[1]  # column 0 sorts first
-        lgam = _log_factorial(y[y_first])[y_rank]
-        self._lgam = lgam
+        self._lgam = _log_factorial(y)
 
         outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._lags, self._w = weights.lags.tolist(), weights.w.tolist()
@@ -711,22 +708,20 @@ class PairwiseEvaluator:
             first.append(first[-1] + rep.shape[0])
         self._first = first
         self._pair_rows = np.stack(pair_rows)
-        self._counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
-        self._sizes = np.diff(first)
+        self._row_slot = np.repeat(np.arange(len(self._lags)), np.diff(first))
+        counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
         rows = [slice(first[j], first[j + 1]) for j in range(len(self._lags))]
-        self._slots = [(w, r, self._counts[r]) for w, r in zip(self._w, rows)]
+        self._slots = [(w, r, counts[r]) for w, r in zip(self._w, rows)]
         self._members = np.stack([np.concatenate(i1), np.concatenate(i2)])
-        self._i1, self._i2 = self._members
-        self._X1, self._X2 = series.X[self._i1], series.X[self._i2]
-        self._pair_lgam = lgam[self._i1] + lgam[self._i2]
-        self._work = None  # the tensor kernel's, built at the first pass at phi != 0
+        self._X = series.X[self._members]
+        self._kernel = None  # the tensor kernel, built at the first pass at phi != 0
 
     # -- core passes -------------------------------------------------------
 
     def _underflow(self, row: int) -> NumericalFailure:
         """The failure for row ``row`` of the pass, the distinct pair of
         one lag block, located at the first time index that uses it."""
-        slot = int(np.searchsorted(self._first, row, side="right")) - 1
+        slot = int(self._row_slot[row])
         pos = int(np.argmax(self._pair_rows[slot] == row))
         lag = self._lags[slot]
         return NumericalFailure(
@@ -736,13 +731,15 @@ class PairwiseEvaluator:
         )
 
     def evaluate(self, working: WorkingParams) -> tuple[float, np.ndarray, np.ndarray]:
-        """One kernel call over every distinct pair: the tensor kernel
-        (:func:`_fused_pairs`) on the evaluator's workspace, built here at
-        the first pass at phi != 0, or the product of 1-D rules at phi = 0
-        (:func:`_product_pairs`), which needs no workspace.  The pass
-        overwrites the workspace and returns fresh arrays, so a caller may
-        keep ``grads`` across passes, and the results of a point do not
-        depend on the passes before it.
+        """One kernel call over every distinct pair: the evaluator's
+        tensor kernel (:class:`_TensorKernel`), built here at the first
+        pass at phi != 0, or the product of 1-D rules at phi = 0
+        (:func:`_product_pairs`), which needs no kernel buffers.  The pass
+        overwrites the kernel's buffers and returns fresh arrays, so a
+        caller may keep ``grads`` across passes, and the results of a point
+        do not depend on the passes before it.  Each row's lag slot
+        (``_row_slot``) spreads the lags' d rho / d atanh(phi) over the
+        rows.
 
         Returns ``(loglik, score, grads)``: the weighted pairwise loglik,
         its exact gradient in the working parameters (beta, log sigma2,
@@ -759,28 +756,25 @@ class PairwiseEvaluator:
         c = math.sqrt(2.0 * params.tau2)
         with np.errstate(over="ignore"):  # an overflowing X beta is raised below, located
             eta = self.series.X @ params.beta
-        first = self._first
+        members = self._members
         if phi == 0.0:
-            logp, derivs = _product_pairs(
-                self.rule, c, self.series.y, self._lgam, eta, self._i1, self._i2
-            )
+            logp, derivs = _product_pairs(self.rule, c, self.series.y, self._lgam, eta, *members)
         else:
-            if self._work is None:
-                y = self.series.y[self._members].astype(float)
-                self._work = _TensorWorkspace(self.rule, first, y, self._pair_lgam)
-            rhos = [phi**lag for lag in self._lags]
-            logp, derivs = _fused_pairs(self._work, c, rhos, eta[self._members])
+            if self._kernel is None:
+                y = self.series.y[members].astype(float)
+                self._kernel = _TensorKernel(self.rule, self._first, y, self._lgam[members])
+            logp, derivs = self._kernel(c, [phi**lag for lag in self._lags], eta[members])
         finite = np.isfinite(logp)
         if not finite.all():
             raise self._underflow(int(np.argmin(finite)))
-        drho_dz = [lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags]
+        drho_dz = np.array([lag * phi ** (lag - 1) * (1.0 - phi * phi) for lag in self._lags])
         n_coef = self.n_coef
         grads = np.empty((logp.shape[0], self.dim))
         with np.errstate(over="ignore", invalid="ignore"):  # an infinite score times 0
-            np.multiply(derivs[:, :1], self._X1, out=grads[:, :n_coef])
-            grads[:, :n_coef] += derivs[:, 1:2] * self._X2
+            np.multiply(derivs[:, :1], self._X[0], out=grads[:, :n_coef])
+            grads[:, :n_coef] += derivs[:, 1:2] * self._X[1]
             np.multiply(derivs[:, 2], 0.5, out=grads[:, n_coef])
-            d_rho = np.repeat(drho_dz, self._sizes) * derivs[:, 3]
+            d_rho = drho_dz[self._row_slot] * derivs[:, 3]
             np.add(phi * derivs[:, 2], d_rho, out=grads[:, n_coef + 1])
 
         loglik = 0.0

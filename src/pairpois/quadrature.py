@@ -4,7 +4,8 @@ Rules follow the physicists' convention: an order-n rule integrates
 f(x) exp(-x^2) exactly for polynomials f of degree <= 2n - 1, and the
 weights sum to sqrt(pi).  The pair-density kernel in
 :mod:`pairpois.model` maps the tensor product of two rules onto the
-stationary law of two latent values (:func:`pairpois.model._pass_grid`).
+stationary law of two latent values
+(:meth:`pairpois.model._TensorKernel.grid`).
 """
 from __future__ import annotations
 

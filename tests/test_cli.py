@@ -348,6 +348,38 @@ def test_simulate_requires_parameters(tmp_path, capsys):
     assert "--scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--beta", "\u0661"), ("--beta", "1_0"), ("--beta", "\uff11"), ("--beta", " 0.5 "),
+     ("--phi", "\u0660.\u0665"), ("--sigma2", "+.3 ")],
+    ids=["beta_arabic_indic", "beta_underscore", "beta_full_width", "beta_spaces",
+         "phi_arabic_indic", "sigma2_trailing_space"],
+)
+def test_simulate_parameters_take_ascii_decimals_only(flag, value, tmp_path, capsys):
+    # float() takes other scripts' digits, "1_0" and surrounding spaces; the
+    # parameter flags take what a covariate cell takes, and anything else
+    # exits 1 with one line before any series is written
+    params = {"--beta": "0.5", "--sigma2": "0.3", "--phi": "0.5", flag: value}
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--n", "24", "--output", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv + [a for item in params.items() for a in item]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"error: {flag} takes a decimal number, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_simulate_parameters_take_signs_exponents_and_bare_points(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["simulate", "--beta", "-0.613", "--sigma2", "1e-3", "--phi", ".5", "--n", "24",
+            "--seed", "3", "--output", str(out)]
+    assert cli.main(argv) == 0
+    want = pp.simulate_series(pp.SimConfig(params=pp.Params(beta=[-0.613], sigma2=1e-3, phi=0.5),
+                                           X=np.ones((24, 1)), n_rep=1, seed=3))
+    assert cli.read_count_csv(str(out)).counts.tolist() == want.y.tolist()
+
+
 def test_simulate_rejects_empty_horizon(tmp_path, capsys):
     out = tmp_path / "x.csv"
     rc = cli.main(["simulate", "--scenario", "5", "--n", "0", "--output", str(out)])

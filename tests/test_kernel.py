@@ -52,11 +52,23 @@ def lag_block(ev, slot):
     time points, each pair's row within the block, and their counts."""
     rows = slice(ev._first[slot], ev._first[slot + 1])
     return {
-        "i1": ev._i1[rows],
-        "i2": ev._i2[rows],
+        "i1": ev._members[0, rows],
+        "i2": ev._members[1, rows],
         "inverse": ev._pair_rows[slot] - rows.start,
-        "counts": ev._counts[rows],
+        "counts": ev._slots[slot][2],
     }
+
+
+def one_pair_kernel(rule):
+    """A tensor kernel of one lag block of one pair, zero counts."""
+    return model._TensorKernel(rule, [0, 1], np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def count_kernel_calls(monkeypatch, calls):
+    """Append to ``calls`` at every call of a tensor kernel."""
+    call = model._TensorKernel.__call__
+    monkeypatch.setattr(model._TensorKernel, "__call__",
+                        lambda self, *a: (calls.append(1), call(self, *a))[1])
 
 
 class BroadcastEvaluator(PairwiseEvaluator):
@@ -264,7 +276,7 @@ def test_failure_in_a_later_kernel_call_matches_broadcast(z_phi):
     ev = PairwiseEvaluator(series, weights, rule)
     groups = model._cell_groups(ev._first, q * q)
     assert len(groups) >= 2
-    failing = np.flatnonzero((ev._i1 == spike) | (ev._i2 == spike))
+    failing = np.flatnonzero((ev._members == spike).any(axis=0))
     assert failing.size and failing.min() >= ev._first[groups[0].stop]
     working = pp.WorkingParams(beta=[0.2, 0.1, 800.0], log_sigma2=math.log(0.1), z_phi=z_phi)
     errors = []
@@ -299,7 +311,7 @@ def assert_bitwise_equal(a, b):
 def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkeypatch):
     # the same passes with every lag block in a group of its own; an
     # evaluator reads the grouping once, when its first tensor pass builds
-    # its workspace, so the comparison runs on a second evaluator built
+    # its kernel, so the comparison runs on a second evaluator built
     # after the budget is patched
     series = make()
     rule = pp.gauss_hermite(q)
@@ -307,7 +319,7 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     points = trial_points(pp.moment_init(series))
     grouped = [pass_views(ev, weights.w, working) for working in points]
     grouped_groups = model._cell_groups(ev._first, q * q)
-    assert [len(blocks) for _, blocks in ev._work.groups] == [
+    assert [len(blocks) for _, blocks in ev._kernel.groups] == [
         g.stop - g.start for g in grouped_groups
     ]
     monkeypatch.setattr(model, "_GROUP_CELLS", 1)
@@ -316,7 +328,7 @@ def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkey
     single = PairwiseEvaluator(series, weights, rule)
     for working, want in zip(points, grouped):
         assert_bitwise_equal(want, pass_views(single, weights.w, working))
-    assert [len(blocks) for _, blocks in single._work.groups] == [1] * (len(ev._first) - 1)
+    assert [len(blocks) for _, blocks in single._kernel.groups] == [1] * (len(ev._first) - 1)
 
 
 def test_evaluate_makes_one_tensor_kernel_call_per_pass(monkeypatch):
@@ -327,8 +339,7 @@ def test_evaluate_makes_one_tensor_kernel_call_per_pass(monkeypatch):
     ev = PairwiseEvaluator(series, pp.make_weights(5, "trap"), pp.gauss_hermite(q))
     assert len(model._cell_groups(ev._first, q * q)) == 9
     calls = []
-    fused = model._fused_pairs
-    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (calls.append(1), fused(*a))[1])
+    count_kernel_calls(monkeypatch, calls)
     for working in trial_points(pp.moment_init(series)):
         del calls[:]
         ev.evaluate(working)
@@ -394,8 +405,7 @@ def test_product_rule_at_phi_zero_matches_tensor_kernel(make, weights, latent, m
     start = pp.moment_init(series).to_working()
     sigma2s = [start.log_sigma2, start.log_sigma2 + 1.0] if latent == "tau2>0" else [-math.inf]
     tensor_calls = []
-    fused = model._fused_pairs
-    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (tensor_calls.append(1), fused(*a))[1])
+    count_kernel_calls(monkeypatch, tensor_calls)
     for log_sigma2 in sigma2s:
         for z_phi in (0.0, TENSOR_Z_PHI):
             del tensor_calls[:]
@@ -418,6 +428,31 @@ def test_product_rule_failure_location_matches_tensor_kernel(spike, log_sigma2):
             ev.loglik_and_score(working)
         errors.append((info.value.time_index, info.value.lag))
     assert errors[0] == errors[1] == {22: (23, 1), 2: (5, 2)}[spike]
+
+
+# ---------------------------------------------------------------------------
+# the kernel grid
+
+
+@pytest.mark.parametrize("c", [0.0, 1.3], ids=["c=0", "c>0"])
+@pytest.mark.parametrize(
+    "rhos",
+    [[(-0.6) ** lag for lag in range(1, 6)], [0.999, -0.999, 0.0, 0.25]],
+    ids=["negative_phi", "rho_extremes"],
+)
+def test_grid_slots_of_several_lags_equal_one_lag_grids(rhos, c):
+    # every slot of a several-lag kernel's grid is the one-lag kernel's
+    # grid at its correlation, bit for bit
+    rule = pp.gauss_hermite(7)
+    lags = len(rhos)
+    kernel = model._TensorKernel(rule, list(range(lags + 1)), np.zeros((2, lags)),
+                                 np.zeros((2, lags)))
+    grids, moments = kernel.grid(c, rhos)
+    assert grids.shape == (lags, 6, 49) and moments.shape == (lags, 49, 9)
+    for j, rho in enumerate(rhos):
+        grid, moment = one_pair_kernel(rule).grid(c, [rho])
+        assert_bitwise_equal(grids[j], grid[0])
+        assert_bitwise_equal(moments[j], moment[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +515,7 @@ def test_closed_form_shift_bounds_every_grid_exponent(q, y1, y2, eta1, eta2, c, 
     # the kernel's exponents (the first product less its shift column)
     # against the bound it shifts by, up to rounding of their terms
     rule = pp.gauss_hermite(q)
-    grid = model._pass_grid(rule, c, [rho], model._grid_slots(rule, 1))[0][0]
+    grid = one_pair_kernel(rule).grid(c, [rho])[0][0]
     y1, y2 = np.array([float(y1)]), np.array([float(y2)])
     eta1, eta2 = np.array([eta1]), np.array([eta2])
     parts = np.stack([grid[0], y1 * grid[1], -np.exp(eta1) * grid[2], y2 * grid[3],
@@ -514,8 +549,7 @@ def test_rows_far_below_the_bound_rerun_with_their_grid_maximum(log_sigma2, monk
     working = pp.WorkingParams(beta=[math.log(2.0)], log_sigma2=log_sigma2, z_phi=0.4)
     assert sum(int(rerun.sum()) for _, rerun in kernel_shifts(ev, working)) > 0
     calls = []
-    fused = model._fused_pairs
-    monkeypatch.setattr(model, "_fused_pairs", lambda *a: (calls.append(1), fused(*a))[1])
+    count_kernel_calls(monkeypatch, calls)
     assert_kernels_agree(series, weights, 20, [working])
     del calls[:]
     ev.evaluate(working)
@@ -537,7 +571,7 @@ def test_rows_far_below_the_bound_rerun_with_their_grid_maximum(log_sigma2, monk
 
 
 # ---------------------------------------------------------------------------
-# the evaluator's workspace
+# the evaluator's kernel buffers
 
 
 def scenario5_series():
@@ -551,7 +585,7 @@ def scenario5_series():
     ids=["greek", "scenario5"],
 )
 def test_steady_state_pass_allocates_less_than_one_group_scratch(make, weights, rows):
-    # the workspace is built at the first tensor pass; a later pass at
+    # the kernel is built at the first tensor pass; a later pass at
     # another point fills it and allocates only per-row arrays
     series = make()
     q = 20
@@ -601,8 +635,8 @@ def test_pass_results_do_not_depend_on_earlier_passes(make, weights, a, b):
 
 def test_phi_zero_pass_builds_no_workspace(monkeypatch):
     built = []
-    workspace = model._TensorWorkspace
-    monkeypatch.setattr(model, "_TensorWorkspace", lambda *a: (built.append(1), workspace(*a))[1])
+    kernel = model._TensorKernel
+    monkeypatch.setattr(model, "_TensorKernel", lambda *a: (built.append(1), kernel(*a))[1])
     series = scenario5_series()
     weights = pp.make_weights(3, "trap")
     for restriction in (pp.PHI_ZERO, pp.INDEPENDENCE):
@@ -611,12 +645,12 @@ def test_phi_zero_pass_builds_no_workspace(monkeypatch):
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(20))
     start = pp.moment_init(series).to_working()
     ev.evaluate(pp.WorkingParams(beta=start.beta, log_sigma2=start.log_sigma2, z_phi=0.0))
-    assert ev._work is None and built == []
+    assert ev._kernel is None and built == []
     ev.evaluate(start)
     ev.evaluate(pp.WorkingParams(beta=start.beta, log_sigma2=start.log_sigma2, z_phi=0.0))
-    work = ev._work
+    kernel = ev._kernel
     ev.evaluate(start)
-    assert built == [1] and ev._work is work  # built once, at the first tensor pass
+    assert built == [1] and ev._kernel is kernel  # built once, at the first tensor pass
 
 
 # ---------------------------------------------------------------------------

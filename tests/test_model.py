@@ -294,6 +294,30 @@ def test_pair_density_invalid_arguments():
         pp.pair_log_density(-1, 1, ONE, ONE, 1, p, rule)
 
 
+@pytest.mark.parametrize(
+    "y1,y2,lag",
+    [(2.5, 1, 1), (True, 1, 1), (1, np.True_, 1), (2, 1, 1.5), (2, 1, 2.0), (2, 1, True),
+     (2, 1, np.float64(2.0))],
+    ids=["count_2.5", "count_true", "count_numpy_bool", "lag_1.5", "lag_2.0", "lag_true",
+         "lag_float64"],
+)
+def test_pair_density_takes_integer_counts_and_lag(y1, y2, lag):
+    # a float count used to give a density (-3.2016 for (2.5, 1) at
+    # phi = -0.5), True was a count of 1, and lag 1.5 raised TypeError
+    p = pp.Params(beta=[0.3], sigma2=0.4, phi=-0.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        pp.pair_log_density(y1, y2, ONE, ONE, lag, p, pp.gauss_hermite(10))
+
+
+def test_pair_density_of_numpy_integers_is_bit_equal():
+    p = pp.Params(beta=[0.3], sigma2=0.4, phi=-0.5)
+    rule = pp.gauss_hermite(10)
+    want = pp.pair_log_density(2, 5, ONE, ONE, 3, p, rule)
+    for kind in (np.int64, np.int32, np.uint8):
+        got = pp.pair_log_density(kind(2), kind(5), ONE, ONE, kind(3), p, rule)
+        assert type(got) is float and got == want
+
+
 def test_pair_density_underflow_reported():
     # a linear predictor of 800 overflows exp() at every node
     p = pp.Params(beta=[800.0], sigma2=0.1, phi=0.2)

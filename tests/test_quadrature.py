@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairpois import gauss_hermite
-from pairpois.model import _grid_slots, _pass_grid
+from pairpois.model import _TensorKernel
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -105,14 +105,15 @@ def test_polynomial_exactness(order):
 
 
 def lag_grid(rule, tau2, rho):
-    """Slot 0 of :func:`_pass_grid`, the kernel grid at latent variance
-    ``tau2`` and correlation ``rho``."""
-    grids, _ = _pass_grid(rule, math.sqrt(2.0 * tau2), [rho], _grid_slots(rule, 1))
+    """Slot 0 of :meth:`_TensorKernel.grid` of a one-pair kernel, the
+    kernel grid at latent variance ``tau2`` and correlation ``rho``."""
+    kernel = _TensorKernel(rule, [0, 1], np.zeros((2, 1)), np.zeros((2, 1)))
+    grids, _ = kernel.grid(math.sqrt(2.0 * tau2), [rho])
     return grids[0]
 
 
 class GridRule:
-    """The kernel grid of :func:`_pass_grid` read as a cubature rule for
+    """The kernel grid of :meth:`_TensorKernel.grid` read as a cubature rule for
     E[f(u, v)]: probability weights exp(row 0), points (row 1, row 3)."""
 
     def __init__(self, rule, tau2, rho):

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import json
 import pathlib
@@ -94,3 +96,60 @@ def test_fit_digest_compare_prints_the_cases_that_differ(tmp_path):
         "h: 0 of 1 cases differ; largest abs 0, largest rel 0",
         "  (none)",
     ]
+
+
+_XREF_RE = re.compile(r":(?:func|class|meth|mod):`~?([\w.]+)`")
+
+
+def _has_path(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _xref_resolves(name, module, classes):
+    """Whether the target ``name`` of a reference in ``module`` names
+    something: a dotted ``pairpois.`` path from its longest importable
+    module, or an attribute path from one of ``classes`` (the classes
+    whose source holds the reference), the module itself or ``pairpois``."""
+    if name.startswith("pairpois."):
+        parts = name.split(".")
+        for k in range(len(parts), 0, -1):
+            try:
+                root = importlib.import_module(".".join(parts[:k]))
+            except ModuleNotFoundError:
+                continue
+            return k == len(parts) or _has_path(root, ".".join(parts[k:]))
+        return False
+    return any(_has_path(root, name) for root in [*classes, module, pp])
+
+
+def test_cross_references_in_the_package_resolve():
+    # a rename that leaves a :func:, :class:, :meth: or :mod: reference
+    # behind fails here; a bare method name resolves on the classes whose
+    # source holds it
+    package = pathlib.Path(pp.__file__).resolve().parent
+    stale, checked = [], 0
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(
+            "pairpois" if path.stem == "__init__" else f"pairpois.{path.stem}")
+        source = path.read_text()
+        spans = [(node.lineno, node.end_lineno, getattr(module, node.name))
+                 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            for name in _XREF_RE.findall(line):
+                classes = [cls for start, end, cls in spans if start <= lineno <= end]
+                checked += 1
+                if not _xref_resolves(name, module, classes):
+                    stale.append(f"{path.name}:{lineno}: {name}")
+    assert checked > 50
+    assert stale == []
+    # the check tells a missing name from a present one
+    from pairpois import model
+    assert _xref_resolves("pairpois.model.PairwiseEvaluator.evaluate", model, [])
+    assert _xref_resolves("evaluate", model, [model.PairwiseEvaluator])
+    assert not _xref_resolves("evaluate", model, [])
+    assert not _xref_resolves("pairpois.model.no_such_name", model, [])
+    assert not _xref_resolves("pairpois.no_such_module", model, [])
