@@ -135,6 +135,10 @@ def read_count_csv(path: str) -> ParsedData:
             value = int(raw_count)
             if value < 0:
                 raise DataFormatError(f"{path}: line {lineno}: negative count {value}")
+            if value > np.iinfo(np.int64).max:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: count {value} exceeds the int64 range"
+                )
 
             covs = []
             for name, cell in zip(cov_names, row[2:]):
@@ -561,6 +565,9 @@ def _covariates_by_month(names, months, data, future_path) -> dict[str, np.ndarr
 
 def cmd_simulate(args) -> int:
     if args.scenario is not None:
+        given = [f"--{flag}" for flag in ("beta", "sigma2", "phi") if vars(args)[flag] is not None]
+        if given:
+            raise DataFormatError(f"--scenario sets the parameters; it excludes {', '.join(given)}")
         params = scenarios.SCENARIOS[args.scenario].params
     else:
         if args.beta is None or args.sigma2 is None or args.phi is None:

@@ -122,8 +122,11 @@ class CountSeries:
         y = np.asarray(self.y)
         if y.ndim != 1:
             raise ValueError("y must be 1-D")
-        if not np.issubdtype(y.dtype, np.integer):
-            y_int = np.asarray(y, dtype=np.int64)
+        if y.dtype.kind not in "bi":
+            # text, NaN, inf and values beyond int64 would parse, warn or overflow in the cast
+            if y.dtype.kind not in "fuO" or not np.all((y >= -(2**63)) & (y < 2**63)):
+                raise ValueError("counts must be integers")
+            y_int = y.astype(np.int64)
             if not np.array_equal(y_int, y):
                 raise ValueError("counts must be integers")
             y = y_int
@@ -634,12 +637,15 @@ class PairwiseEvaluator:
     the one index that expands per-row results to every pair.  Each row
     keeps its two time points (``_members``, (2, rows)), and the
     covariate rows of both are taken once; the kernel builds each row's
-    term matrix from the counts and the pass's linear predictors.  The
-    grouping sorts stably on integer ranks of the counts and of the
-    covariate rows (:func:`_lex_groups`), so the distinct pairs, their
-    order and first occurrences are those of ``np.unique(axis=0)`` on the
-    float rows (y1, y2, X1, X2), with -0.0 equal to 0.0, and no combined
-    key is formed that could overflow.
+    term matrix from the counts and the pass's linear predictors.  One
+    stable sort (:func:`_lex_groups`) groups the pairs of every lag at
+    once, keyed by the lag slot, which sorts first, then the counts and
+    integer ranks of the covariate rows, and the whole layout is read from
+    that one grouping.  An equal pair of another lag never shares a row,
+    and within each slot the distinct pairs, their order and first
+    occurrences are those of ``np.unique(axis=0)`` on the float rows (y1,
+    y2, X1, X2), with -0.0 equal to 0.0; no combined key is formed that
+    could overflow.
 
     The evaluator keeps this pair layout and one tensor kernel
     (:class:`_TensorKernel`), built at its first pass at phi != 0, so a
@@ -690,29 +696,23 @@ class PairwiseEvaluator:
         self.dim = series.n_coef + 2
 
         y = series.y
-        y_rank = _lex_groups((y,))[1]
         x_rank = _lex_groups(series.X.T[::-1])[1]  # column 0 sorts first
         self._lgam = _log_factorial(y)
 
-        outer = np.arange(weights.m_d, n)  # 0-based positions of t = m_d+1 .. n
         self._lags, self._w = weights.lags.tolist(), weights.w.tolist()
-        i1, i2, pair_rows, first = [], [], [], [0]
-        for lag in self._lags:
-            earlier = outer - lag
-            swap = (x_rank[earlier] == x_rank[outer]) & (y[earlier] > y[outer])
-            a1, a2 = np.where(swap, outer, earlier), np.where(swap, earlier, outer)
-            rep, inverse = _lex_groups((x_rank[a2], x_rank[a1], y_rank[a2], y_rank[a1]))
-            i1.append(a1[rep])
-            i2.append(a2[rep])
-            pair_rows.append(first[-1] + inverse)
-            first.append(first[-1] + rep.shape[0])
-        self._first = first
-        self._pair_rows = np.stack(pair_rows)
-        self._row_slot = np.repeat(np.arange(len(self._lags)), np.diff(first))
-        counts = np.bincount(self._pair_rows.ravel(), minlength=first[-1]).astype(float)
+        slot, outer = np.indices((len(self._lags), n - weights.m_d)).reshape(2, -1)
+        outer += weights.m_d  # 0-based positions of t = m_d+1 .. n, slot by slot
+        earlier = outer - weights.lags[slot]
+        swap = (x_rank[earlier] == x_rank[outer]) & (y[earlier] > y[outer])
+        a1, a2 = np.where(swap, outer, earlier), np.where(swap, earlier, outer)
+        rep, inverse = _lex_groups((x_rank[a2], x_rank[a1], y[a2], y[a1], slot))
+        self._members = np.stack([a1[rep], a2[rep]])
+        self._row_slot = slot[rep]
+        self._pair_rows = inverse.reshape(len(self._lags), -1)
+        self._first = first = [0, *np.cumsum(np.bincount(self._row_slot)).tolist()]
+        counts = np.bincount(inverse).astype(float)
         rows = [slice(first[j], first[j + 1]) for j in range(len(self._lags))]
         self._slots = [(w, r, counts[r]) for w, r in zip(self._w, rows)]
-        self._members = np.stack([np.concatenate(i1), np.concatenate(i2)])
         self._X = series.X[self._members]
         self._kernel = None  # the tensor kernel, built at the first pass at phi != 0
 

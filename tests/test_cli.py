@@ -49,15 +49,18 @@ def sim_csv(tmp_path):
         ([("1999-01", "2.5")], "not an integer"),
         ([("1999-13", 1)], "month out of range"),
         ([("199901", 1)], "expected a YYYY-MM month"),
+        ([("1999-01", 3), ("1999-02", "99999999999999999999")], "exceeds the int64 range"),
     ],
 )
 def test_csv_validation_messages(tmp_path, capsys, rows, fragment):
     path = write_rows(tmp_path / "bad.csv", rows)
-    rc = cli.main(["fit", path, "--output", str(tmp_path / "out.json")])
+    out = tmp_path / "out.json"
+    rc = cli.main(["fit", path, "--output", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert fragment in err
+    assert fragment in err and err.count("\n") == 1
     assert "line 2" in err or "line 3" in err
+    assert not out.exists()
 
 
 def test_months_take_ascii_digits_only(tmp_path, sim_csv, capsys):
@@ -340,6 +343,27 @@ def test_simulate_deterministic_and_parseable(tmp_path, sim_csv):
     parsed = cli.read_count_csv(sim_csv)
     assert parsed.n == 200
     assert parsed.months[0] == "2000-01"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--beta",), ("--sigma2",), ("--phi",), ("--beta", "--sigma2"), ("--beta", "--phi"),
+     ("--sigma2", "--phi"), ("--beta", "--sigma2", "--phi")],
+    ids=["beta", "sigma2", "phi", "beta_sigma2", "beta_phi", "sigma2_phi", "all"],
+)
+def test_simulate_scenario_excludes_parameter_flags(flags, tmp_path, capsys):
+    # a scenario fixes the parameters; a parameter flag beside it would be
+    # ignored without a word
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--scenario", "5", "--n", "5", "--output", str(out)]
+    for flag in flags:
+        argv += [flag, "0.3"]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: --scenario") and err.rstrip().endswith(", ".join(flags))
+    assert not out.exists()
 
 
 def test_simulate_requires_parameters(tmp_path, capsys):

@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, xlogy
 
@@ -789,3 +789,35 @@ def test_rank_grouping_of_long_series_matches_float_key():
     X = np.column_stack([np.ones(n), np.arange(n) / n])
     series = pp.CountSeries(y=rng.permutation(n), X=X)
     assert_grouping_matches_float_key(series, pp.make_weights(2, "trap"))
+
+
+def test_evaluator_groups_every_lag_in_one_call(monkeypatch):
+    # one grouping of the covariate rows, one of every lag's pairs
+    calls = []
+    lex_groups = model._lex_groups
+    monkeypatch.setattr(model, "_lex_groups", lambda keys: (calls.append(1), lex_groups(keys))[1])
+    PairwiseEvaluator(greek_series(), pp.make_weights(5, "trap"), pp.gauss_hermite(5))
+    assert len(calls) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), scheme=st.sampled_from(["rect", "trap"]), data=st.data())
+def test_grouping_of_random_short_series_matches_float_key(d, scheme, data):
+    # few counts and few covariate values, -0.0 beside 0.0: pairs tie within
+    # and across lags, and ties across lags must stay in their own slots
+    weights = pp.make_weights(d, scheme)
+    n = data.draw(st.integers(weights.m_d + 1, weights.m_d + 30), label="n")
+    column = st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n)
+    columns = data.draw(st.lists(column, max_size=2), label="covariates")
+    X = np.column_stack([np.ones(n), *columns])
+    assume(np.linalg.matrix_rank(X) == X.shape[1])
+    y = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="y")
+    series = pp.CountSeries(y=y, X=X)
+    assert_grouping_matches_float_key(series, weights)
+    ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(5))
+    assert np.all(np.diff(ev._row_slot) >= 0)
+    assert ev._first[0] == 0 and ev._first[-1] == ev._members.shape[1]
+    for slot in range(len(weights.lags)):
+        rows = slice(ev._first[slot], ev._first[slot + 1])
+        assert rows.start < rows.stop and np.all(ev._row_slot[rows] == slot)
+        assert np.all((ev._pair_rows[slot] >= rows.start) & (ev._pair_rows[slot] < rows.stop))

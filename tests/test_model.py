@@ -117,6 +117,11 @@ def test_count_series_validation():
     with pytest.raises(ValueError):
         pp.CountSeries(y=np.array([1, 2, 3]), X=np.zeros((3, 2)))  # rank deficient
     series = pp.CountSeries(y=np.array([1, 2]), X=np.ones((2, 1)))
+    # the int64 cast would warn on NaN, inf and 1e30 (an error under the
+    # suite's warning filter) and overflow on the Python int 2**70
+    for count in (math.nan, math.inf, 1e30, 2**70):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            pp.CountSeries(y=[1, count], X=np.ones((2, 1)))
 
 
 # ---------------------------------------------------------------------------
