@@ -263,17 +263,6 @@ def poisson_log_pmf(y, log_mean):
 _LOG_PI = math.log(math.pi)
 
 
-# Scratch budget of one group of lag blocks in the tensor kernel
-# (:class:`_TensorKernel`), in pairs x q^2 cells (:func:`_cell_groups`).  Consecutive blocks share the
-# per-group elementwise work while their cells fit it, so a pass over a few
-# small blocks pays the per-call cost of numpy once, not per block.
-# 2^17 float64 cells are 1 MiB, half of a 2 MiB per-core L2: the exponent
-# array stays in cache between the kernel's two matrix products.  A block
-# larger than the budget runs alone.  Measured at 20 nodes: 2^18 merges
-# the 194-pair blocks of the Greek d=5 design and slows its passes by about
-# a quarter, while 2^16 splits a covariate-free pass into two calls.
-_GROUP_CELLS = 1 << 17
-
 # Floor of the kernel's shifted exponents (:class:`_TensorKernel`).  Below
 # about -708 numpy's float64 exp leaves its vector path: 13-111 ns per
 # element against about 1 ns (numpy 2.4.6 on a 2-vCPU Xeon VM).  A floored
@@ -294,20 +283,6 @@ def _log_peak(y):
     return y * (np.log(np.maximum(y, 1.0)) - 1.0)
 
 
-def _cell_groups(first, q2):
-    """Consecutive lag blocks grouped under the scratch budget: block j
-    holds rows ``first[j] .. first[j+1] - 1`` of q2 cells each, and each
-    slice of blocks returned shares one exponent buffer while its cells fit
-    ``_GROUP_CELLS``.  A block larger than the budget is a group alone."""
-    groups, start = [], 0
-    for slot in range(1, len(first) - 1):
-        if (first[slot + 1] - first[start]) * q2 > _GROUP_CELLS:
-            groups.append(slice(start, slot))
-            start = slot
-    groups.append(slice(start, len(first) - 1))
-    return groups
-
-
 class _TensorKernel:
     """The tensor Gauss-Hermite kernel of one pair layout: its buffers,
     its grid (:meth:`grid`) and its pass (calling it).
@@ -320,44 +295,37 @@ class _TensorKernel:
     the grid slots (lags, 6, q^2) with rows 0 and 5 and the moment slots
     (lags, q^2, 9) with column 0; the (pairs, 6) term matrix [1, y1,
     -e^eta1, y2, -e^eta2, -S] with its columns 1, y1 and y2; each row's
-    lag block, its summed log-factorials log y1! + log y2!, and its count
-    part 2 max log w - log pi + peak(y1) + peak(y2) of the bound S
-    (:func:`_log_peak`); the scratch of the largest group of
-    :func:`_cell_groups`, whose budget is read here, once; the (pairs, 9)
-    sums; and per group its exponent buffer and the views that each of its
-    blocks' two matrix products reads and writes.  A pass overwrites
-    everything else before it reads it, so no result depends on an earlier
-    pass.
+    summed log-factorials log y1! + log y2! and its count part
+    2 max log w - log pi + peak(y1) + peak(y2) of the bound S
+    (:func:`_log_peak`); the (pairs, 9) sums; one exponent scratch of the
+    largest block's rows; and per block its first row and the views that
+    its two matrix products and its corner check read and write.  A pass
+    overwrites everything else before it reads it, so no result depends on
+    an earlier pass.
     """
 
     def __init__(self, rule: QuadRule, first, y, lgam):
         self.nodes, self.y, self.lgam = rule.nodes, y, lgam[0] + lgam[1]
         q, lags, logw = rule.nodes.shape[0], len(first) - 1, np.log(rule.weights)
-        self.slot = np.repeat(np.arange(lags), np.diff(first))
         self.xj = np.tile(np.repeat(rule.nodes, q), (lags, 1))
         self.cols = np.empty((8, lags, q * q))
         self.cells = self.cols.reshape(8, lags, q, q)
         self.grids, self.moments = np.empty((lags, 6, q * q)), np.empty((lags, q * q, 9))
         self.grids[:, 0] = (logw[:, None] + logw[None, :]).ravel() - _LOG_PI
         self.grids[:, 5] = self.moments[:, :, 0] = 1.0
-        self.corners = np.array([0, q - 1, q * q - q, q * q - 1])
         self.terms = np.empty((y.shape[1], 6))
         self.terms[:, 0], self.terms[:, 1], self.terms[:, 3] = 1.0, y[0], y[1]
         self.bound = self.grids[0, 0].max() + _log_peak(y[0]) + _log_peak(y[1])
         self.sums = np.empty((y.shape[1], 9))
-        groups = _cell_groups(first, q * q)
-        scratch = np.empty((max(first[g.stop] - first[g.start] for g in groups), q * q))
-        self.groups = []
-        for g in groups:
-            base = first[g.start]
-            out = scratch[: first[g.stop] - base]
-            blocks = []
-            for j in range(g.start, g.stop):
-                rows = slice(first[j], first[j + 1])
-                exps = out[rows.start - base : rows.stop - base]
-                blocks.append((self.terms[rows], self.grids[j], exps, self.moments[j],
-                               self.sums[rows]))
-            self.groups.append((out, blocks))
+        scratch = np.empty((max(np.diff(first)), q * q))
+        s = max(q - 1, 1)  # cells (j, k) with j, k in {0, q-1}: the grid corners
+        self.blocks = []
+        for j in range(lags):
+            start, stop = first[j], first[j + 1]
+            exps = scratch[: stop - start]
+            self.blocks.append((start, self.terms[start:stop], self.grids[j], exps,
+                                exps.reshape(-1, q, q)[:, ::s, ::s], self.moments[j],
+                                self.sums[start:stop]))
 
     def grid(self, c: float, rhos):
         """The node-side factors of the kernel, one slot per latent
@@ -419,11 +387,11 @@ class _TensorKernel:
         of the pairs' two members, (2, pairs).  A pass fills only what tau2
         and phi change: the grid and moment entries of u and v
         (:meth:`grid`) and the term columns -e^eta1, -e^eta2 and -S.  Only
-        the two matrix products depend on the lag; each runs on its block's
-        own rows, with the shapes a block alone would give.  A group's
-        shifted integrand exponents fill its buffer and are replaced in place
-        by their exponentials, so the pass allocates nothing of the grid's
-        size.  Everything per row (e^eta, the shift, the log densities, the
+        the two matrix products depend on the lag.  Each block runs alone on
+        its own rows: its shifted integrand exponents fill the one scratch
+        and are replaced in place by their exponentials, which the second
+        product reads, so the pass allocates nothing of the grid's size.
+        Everything per row (e^eta, the shift, the log densities, the
         derivatives) runs once over the pass, on both members at once where
         the two members' terms have one form.
 
@@ -447,24 +415,24 @@ class _TensorKernel:
         changes no bit of a finite result: a floored cell adds at most
         e^-700 times its moment to sums whose total is above e^-600 (the
         grid maximum's e^0 = 1 in a rerun row), so its share is at most
-        q^2 e^-100, far below rounding; ``np.maximum`` passes NaN on.  For
-        the same reason the grouping of lag blocks, which decides where the
-        floor runs, changes no bit.  The floor runs on a group only when some
-        grid corner of its rows lies below it.  A cell's exponent is log w_j +
-        log w_k plus one concave Poisson term in u_j and one in v_jk, each
-        linear in the nodes, and the Gauss-Hermite log weights have decreasing
-        slopes in the nodes, so every grid line is concave and each row's
-        minimum sits at one of the four corners (j, k) in {0, q-1}^2.  Where
-        the moments overflow (e^v beyond about 1e280) a floored cell can turn
-        a NaN score into an infinite one, or move a moment that large; only
-        line-search trials far from any estimate reach there.
+        q^2 e^-100, far below rounding; ``np.maximum`` passes NaN on.  The
+        floor runs on a block only when some grid corner of its rows lies
+        below it, read through a strided view of the block's exponents.  A
+        cell's exponent is log w_j + log w_k plus one concave Poisson term in
+        u_j and one in v_jk, each linear in the nodes, and the Gauss-Hermite
+        log weights have decreasing slopes in the nodes, so every grid line
+        is concave and each row's minimum sits at one of the four corners
+        (j, k) in {0, q-1}^2.  Where the moments overflow (e^v beyond about
+        1e280) a floored cell can turn a NaN score into an infinite one, or
+        move a moment that large; only line-search trials far from any
+        estimate reach there.
 
         Returns the log density of each pair and the (pairs, 4) derivatives
         of it with respect to eta1, eta2, log c and rho.  The log density is
         S plus the log of column 0 of the second product, the same normalising
         sum the derivatives divide by, plus the per-pair constant.
         """
-        grids, moments = self.grid(c, rhos)
+        self.grid(c, rhos)
         y, terms, sums = self.y, self.terms, self.sums
         with np.errstate(over="ignore", invalid="ignore"):
             exp_eta = np.exp(eta)
@@ -473,23 +441,19 @@ class _TensorKernel:
             y_eta = y_eta[0] + y_eta[1]
             shift = self.bound - y_eta
             np.negative(shift, out=terms[:, 5])
-            for out, blocks in self.groups:
-                for block_terms, grid, exps, _, _ in blocks:
-                    np.matmul(block_terms, grid, out=exps)
-                if out[:, self.corners].min() < _EXP_FLOOR:
-                    np.maximum(out, _EXP_FLOOR, out=out)
-                np.exp(out, out=out)
-                for _, _, exps, moment, block_sums in blocks:
-                    np.matmul(exps, moment, out=block_sums)
+            for _, block_terms, grid, exps, corner, moment, block_sums in self.blocks:
+                np.matmul(block_terms, grid, out=exps)
+                if corner.min() < _EXP_FLOOR:
+                    np.maximum(exps, _EXP_FLOOR, out=exps)
+                np.exp(exps, out=exps)
+                np.matmul(exps, moment, out=block_sums)
             # rows whose bound sits far above their grid, shifted by its maximum
             if not sums[:, 0].min() > _MIN_TOTAL:  # one reduction when no row reruns
-                rerun = np.flatnonzero(~(sums[:, 0] > _MIN_TOTAL))
-                slots = self.slot[rerun]
-                for j in set(slots.tolist()):
-                    rows = rerun[slots == j]
-                    out = terms[rows, :5] @ grids[j, :5]
-                    shift[rows] = top = out.max(axis=1)
-                    sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moments[j]
+                for start, block_terms, grid, _, _, moment, block_sums in self.blocks:
+                    rows = np.flatnonzero(~(block_sums[:, 0] > _MIN_TOTAL))
+                    out = block_terms[rows, :5] @ grid[:5]
+                    shift[start + rows] = top = out.max(axis=1)
+                    block_sums[rows] = np.exp(np.maximum(out - top[:, None], _EXP_FLOOR)) @ moment
             total = sums[:, 0]
             mean = sums[:, 1:] / total[:, None]
             logp = shift + np.log(total) + (y_eta - self.lgam)
@@ -640,23 +604,22 @@ class PairwiseEvaluator:
     term matrix from the counts and the pass's linear predictors.  One
     stable sort (:func:`_lex_groups`) groups the pairs of every lag at
     once, keyed by the lag slot, which sorts first, then the counts and
-    integer ranks of the covariate rows, and the whole layout is read from
-    that one grouping.  An equal pair of another lag never shares a row,
-    and within each slot the distinct pairs, their order and first
-    occurrences are those of ``np.unique(axis=0)`` on the float rows (y1,
-    y2, X1, X2), with -0.0 equal to 0.0; no combined key is formed that
-    could overflow.
+    integer ranks r1, r2 of the covariate rows, and the whole layout is
+    read from that one grouping.  The two ranks, each below n, form one
+    key r1 n + r2 below n^2, which cannot overflow int64 for n < 3e9.  An
+    equal pair of another lag never shares a row, and within each slot the
+    distinct pairs, their order and first occurrences are those of
+    ``np.unique(axis=0)`` on the float rows (y1, y2, X1, X2), with -0.0
+    equal to 0.0.
 
     The evaluator keeps this pair layout and one tensor kernel
     (:class:`_TensorKernel`), built at its first pass at phi != 0, so a
     fit that runs only at phi = 0 builds none.  A pass at phi != 0 is one
     call of the kernel with each lag's latent correlation; the kernel
-    fills the grid entries of the pass's tau2 and phi, groups the lag
-    blocks as its constructor laid them out, and takes its log-sum-exp
-    shift (a closed-form bound, with the grid maximum for the rows it
-    overshoots).  The loglik and score sum slot by slot in lag order, so
-    results are bit-reproducible and do not depend on the kernel's
-    grouping.
+    fills the grid entries of the pass's tau2 and phi, runs the lag blocks
+    one at a time, and takes its log-sum-exp shift (a closed-form bound,
+    with the grid maximum for the rows it overshoots).  The loglik and
+    score sum slot by slot in lag order, so results are bit-reproducible.
 
     :meth:`evaluate` is the one pass, and the one public entry point to
     it: it returns the loglik, the score and one (rows, dim) array of
@@ -705,7 +668,7 @@ class PairwiseEvaluator:
         earlier = outer - weights.lags[slot]
         swap = (x_rank[earlier] == x_rank[outer]) & (y[earlier] > y[outer])
         a1, a2 = np.where(swap, outer, earlier), np.where(swap, earlier, outer)
-        rep, inverse = _lex_groups((x_rank[a2], x_rank[a1], y[a2], y[a1], slot))
+        rep, inverse = _lex_groups((x_rank[a1] * n + x_rank[a2], y[a2], y[a1], slot))
         self._members = np.stack([a1[rep], a2[rep]])
         self._row_slot = slot[rep]
         self._pair_rows = inverse.reshape(len(self._lags), -1)

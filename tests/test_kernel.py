@@ -206,7 +206,7 @@ def assert_kernels_agree(series, weights, q, points):
         assert np.max(np.abs(per_t_scores(fused, weights.w, working) - psi_ref)) <= tol
 
 
-@pytest.mark.parametrize("q", [5, 20, 40])
+@pytest.mark.parametrize("q", [1, 2, 5, 20, 40])
 @pytest.mark.parametrize("sid", [1, 5, 8])
 def test_fused_kernel_matches_broadcast_on_scenarios(sid, q):
     series = pp.simulate_scenario(sid, 500, seed=2024)
@@ -237,7 +237,7 @@ def failure_location(spike):
     rule = pp.gauss_hermite(q)
     weights = pp.make_weights(2, "trap")
     ev = PairwiseEvaluator(series, weights, rule)
-    assert [s.stop - s.start for s in model._cell_groups(ev._first, q * q)] == [3]
+    assert len(ev._first) - 1 == 3
     errors = []
     for cls in (PairwiseEvaluator, BroadcastEvaluator):
         with pytest.raises(NumericalFailure) as info:
@@ -255,16 +255,15 @@ def test_fused_kernel_failure_location_matches_broadcast():
 def test_fused_kernel_failure_in_later_block_of_group_matches_broadcast():
     # the spike at t = 3 lies before the window m_d = 4, so only the
     # pairs of lags 2 and 3 reach it: the failing pairs lie in the second
-    # and third blocks of the one group, and the earliest block is named
+    # and third of the three lag blocks, and the earliest block is named
     assert failure_location(2) == (5, 2)
 
 
 @pytest.mark.parametrize("z_phi", [0.3, 0.0], ids=["phi!=0", "phi=0"])
 def test_failure_in_a_later_kernel_call_matches_broadcast(z_phi):
-    # 396 distinct pairs per lag at 40 nodes: every lag block is a group
-    # of its own in the tensor kernel.  The spike at t = 3 lies before the
-    # window m_d = 4, so only lags 2 and 3 reach it, in the second and third
-    # groups.
+    # 396 distinct pairs per lag at 40 nodes, each lag block run alone by
+    # the tensor kernel.  The spike at t = 3 lies before the window m_d = 4,
+    # so only lags 2 and 3 reach it, in the second and third blocks.
     n, spike, q = 400, 2, 40
     z = np.zeros(n)
     z[spike] = 1.0
@@ -274,10 +273,9 @@ def test_failure_in_a_later_kernel_call_matches_broadcast(z_phi):
     weights = pp.make_weights(2, "trap")
     rule = pp.gauss_hermite(q)
     ev = PairwiseEvaluator(series, weights, rule)
-    groups = model._cell_groups(ev._first, q * q)
-    assert len(groups) >= 2
+    assert len(ev._first) - 1 == 3
     failing = np.flatnonzero((ev._members == spike).any(axis=0))
-    assert failing.size and failing.min() >= ev._first[groups[0].stop]
+    assert failing.size and failing.min() >= ev._first[1]
     working = pp.WorkingParams(beta=[0.2, 0.1, 800.0], log_sigma2=math.log(0.1), z_phi=z_phi)
     errors = []
     for evaluator in (ev, BroadcastEvaluator(series, weights, rule)):
@@ -299,75 +297,19 @@ def assert_bitwise_equal(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize(
-    "make,weights,q,several",
-    [
-        (lambda: pp.simulate_scenario(5, 500, seed=2024), pp.make_weights(3, "trap"), 20, True),
-        (greek_series, pp.make_weights(5, "trap"), 20, False),
-        (greek_series, pp.make_weights(5, "trap"), 10, True),
-    ],
-    ids=["constant_x", "greek", "greek_q10"],
-)
-def test_grouping_of_lag_blocks_changes_no_bit(make, weights, q, several, monkeypatch):
-    # the same passes with every lag block in a group of its own; an
-    # evaluator reads the grouping once, when its first tensor pass builds
-    # its kernel, so the comparison runs on a second evaluator built
-    # after the budget is patched
-    series = make()
-    rule = pp.gauss_hermite(q)
-    ev = PairwiseEvaluator(series, weights, rule)
-    points = trial_points(pp.moment_init(series))
-    grouped = [pass_views(ev, weights.w, working) for working in points]
-    grouped_groups = model._cell_groups(ev._first, q * q)
-    assert [len(blocks) for _, blocks in ev._kernel.groups] == [
-        g.stop - g.start for g in grouped_groups
-    ]
-    monkeypatch.setattr(model, "_GROUP_CELLS", 1)
-    assert len(model._cell_groups(ev._first, q * q)) == len(ev._first) - 1
-    assert (len(grouped_groups) < len(ev._first) - 1) == several
-    single = PairwiseEvaluator(series, weights, rule)
-    for working, want in zip(points, grouped):
-        assert_bitwise_equal(want, pass_views(single, weights.w, working))
-    assert [len(blocks) for _, blocks in single._kernel.groups] == [1] * (len(ev._first) - 1)
-
-
 def test_evaluate_makes_one_tensor_kernel_call_per_pass(monkeypatch):
     # the Greek d=5 trap design at 20 nodes: nine lag blocks of about 190
-    # distinct pairs, each a group of its own, all in one kernel call
+    # distinct pairs, all in one kernel call
     series = greek_series()
     q = 20
     ev = PairwiseEvaluator(series, pp.make_weights(5, "trap"), pp.gauss_hermite(q))
-    assert len(model._cell_groups(ev._first, q * q)) == 9
+    assert len(ev._first) - 1 == 9
     calls = []
     count_kernel_calls(monkeypatch, calls)
     for working in trial_points(pp.moment_init(series)):
         del calls[:]
         ev.evaluate(working)
         assert len(calls) == 1
-
-
-@pytest.mark.parametrize(
-    "first,q2",
-    [
-        ([0, 1], 400),
-        ([0, 40, 80, 120, 160, 200], 400),
-        ([0, 10, 400, 410, 420, 900, 905], 400),
-        ([0, 300, 310, 320, 330], 400),
-        ([0, 396, 792, 1188], 1600),
-        ([0, 5, 10, 15], 1 << 20),
-    ],
-)
-def test_cell_groups_cover_every_block_in_order_within_the_budget(first, q2):
-    groups = model._cell_groups(first, q2)
-    blocks = [j for g in groups for j in range(g.start, g.stop)]
-    assert blocks == list(range(len(first) - 1))  # every block once, in order, none split
-    for g in groups:
-        assert g.start < g.stop and g.step is None
-        if g.stop - g.start > 1:
-            assert (first[g.stop] - first[g.start]) * q2 <= model._GROUP_CELLS
-        block_cells = [(first[j + 1] - first[j]) * q2 for j in range(g.start, g.stop)]
-        if max(block_cells) > model._GROUP_CELLS:
-            assert g.stop - g.start == 1  # a block over the budget runs alone
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +523,7 @@ def scenario5_series():
 @pytest.mark.parametrize(
     "make,weights,rows",
     [(greek_series, pp.make_weights(5, "trap"), 194),
-     (scenario5_series, pp.make_weights(3, "trap"), 208)],
+     (scenario5_series, pp.make_weights(3, "trap"), 45)],
     ids=["greek", "scenario5"],
 )
 def test_steady_state_pass_allocates_less_than_one_group_scratch(make, weights, rows):
@@ -591,8 +533,7 @@ def test_steady_state_pass_allocates_less_than_one_group_scratch(make, weights, 
     q = 20
     ev = PairwiseEvaluator(series, weights, pp.gauss_hermite(q))
     start, other = trial_points(pp.moment_init(series))[:2]
-    assert max(ev._first[g.stop] - ev._first[g.start]
-               for g in model._cell_groups(ev._first, q * q)) == rows
+    assert max(np.diff(ev._first)) == rows  # the largest lag block's, the scratch's rows
     ev.evaluate(start)
     tracemalloc.start()
     try:

@@ -15,9 +15,9 @@ Groups:
               ``pair_log_density`` at 5, 20 and 60 nodes, and the
               location of a pair-density underflow at phi != 0 and 0.
   cli         ``pairpois fit`` reports and ``predict`` band CSVs of the
-              bundled Greek and Italian series (d = 5 trap, 20 nodes,
-              and the README's d = 1 trap, 10 nodes), for the full model
-              and both restrictions, with the data path masked.
+              bundled Greek and Italian series (d = 5 trap at 20 and at
+              10 nodes, and the README's d = 1 trap, 10 nodes), for the
+              full model and both restrictions, with the data path masked.
 
 A case that raises enters its digest as the exception's type and text.
 A ``RuntimeWarning`` is an error here, as under pytest (``pyproject.toml``),
@@ -191,7 +191,8 @@ def cli_outputs(h):
             data = str(DATA / name)
             masks = [(data, "<data>"), (tmp, "<tmp>")]
             for restriction, (d, q) in itertools.product(("none", "phi0", "indep"),
-                                                         (("5", "20"), ("1", "10"))):
+                                                         (("5", "20"), ("1", "10"),
+                                                          ("5", "10"))):
                 report, band = f"{tmp}/fit.json", f"{tmp}/band.csv"
                 case = f"{name} {restriction} d={d} q={q}"
                 h.case(f"{case} fit output",
